@@ -3,7 +3,7 @@
 Exit codes: 0 on success, 1 when a checked property is violated, 2 on a
 syntax or semantic error in the input, 3 when the request is infeasible
 (no object with the demanded properties exists, an operation is not
-available over the chosen algebra, or an enumeration cap was hit).
+available over the chosen algebra, or the hull cap was hit).
 
 Output is deterministic: the same input file and flags produce the same
 bytes.  ``--json`` prints the same report as a JSON object with the
@@ -337,7 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    for flag, minimum in (("max_points", 1), ("instances", 1), ("atoms", 1), ("dim", 1),
+                          ("max_support", 0)):
+        if getattr(args, flag, minimum) < minimum:
+            parser.error(f"argument --{flag.replace('_', '-')}: must be at least {minimum}")
     try:
         report, code = args.handler(args)
     except ParseError as exc:

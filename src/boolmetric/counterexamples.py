@@ -150,7 +150,7 @@ def in_orthogonal_ideal(desc: IdealDescriptor, y: Element) -> bool:
     y = _as_fincof(y)
     if not y.cofinite:
         return not any(desc.member(n) for n in y.support)
-    return desc.least_member_outside(y.support) is None  # never true
+    return False
 
 
 def in_sum_ideal(desc: IdealDescriptor, z: Element) -> bool:
@@ -161,10 +161,7 @@ def in_sum_ideal(desc: IdealDescriptor, z: Element) -> bool:
     some finite x, but z ^ x is then still cofinite and J contains no
     cofinite elements.
     """
-    z = _as_fincof(z)
-    if not z.cofinite:
-        return True
-    return False
+    return not _as_fincof(z).cofinite
 
 
 def split_line_point(desc: IdealDescriptor, z: Element) -> tuple[Element, Element]:

@@ -30,13 +30,13 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .algebra import Algebra, Element
-from .errors import (CapExceededError, InfeasibleError, StructureError,
-                     VerificationError)
+from .errors import (CapExceededError, InfeasibleError, NotInHullError,
+                     StructureError, VerificationError)
 from .invariants import AlphaProfile, construct_isometry, homogeneity_isometry
 from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace,
-                     PartialMap, Point, _require_atomic, check_map, conv_hull,
-                     convex_combine, decompose, distance, identity_map,
-                     orthogonal_complement)
+                     PartialMap, Point, _atom_patterns, _require_atomic,
+                     check_map, conv_hull, convex_combine, decompose, distance,
+                     identity_map, orthogonal_complement)
 
 # ---------------------------------------------------------------------------
 # The monotone cube: decreasing tuples and their canonical generators.
@@ -76,12 +76,9 @@ def monotone_decompose(c: Point) -> ConvexCoefficients:
     """
     if not is_monotone(c):
         raise StructureError("monotone decomposition needs a decreasing tuple")
-    alg = c.algebra
-    _require_atomic(alg, "monotone decomposition")
-    assignment = []
-    for t in range(alg.atom_count):
-        assignment.append(sum(coord.bits >> t & 1 for coord in c.coords))
-    return ConvexCoefficients(tuple(assignment))
+    _require_atomic(c.algebra, "monotone decomposition")
+    _, table = _atom_patterns([c])
+    return ConvexCoefficients(tuple(row[0].bit_count() for row in table))
 
 
 # ---------------------------------------------------------------------------
@@ -151,31 +148,25 @@ def witt_solve(inst: WittInstance) -> AlphaProfile:
     """Solve the system by the atom-wise closed form and verify it.
 
     On each atom, let p and q be the largest indices whose inner and outer
-    profile values contain the atom; the unique solution puts the atom into
-    x_1, ..., x_{q-p}.  The candidate is substituted back into every
-    equation; a failure (possible exactly when the inner profile is not
-    below the outer one) raises with the failing equation index.
+    profile values contain the atom (their monotone decompositions); the
+    unique solution puts the atom into x_1, ..., x_{q-p}.  The candidate is
+    substituted back into every equation; a failure (possible exactly when
+    the inner profile is not below the outer one) raises with the failing
+    equation index.
     """
     alg = inst.algebra
     _require_atomic(alg, "the profile cancellation solver")
     d = inst.length
-    inner = _profile_tuple(inst.inner, d + 1)
-    outer = _profile_tuple(inst.outer, d + 1)
-    masks = [0] * (d + 1)
-    for t in range(alg.atom_count):
-        p = sum(1 for v in inner if v.bits >> t & 1)
-        q = sum(1 for v in outer if v.bits >> t & 1)
-        gap = q - p
-        for i in range(1, min(gap, d) + 1):
-            masks[i] |= 1 << t
-    solution = tuple(alg._make(masks[i]) for i in range(1, d + 1))
-    failing = witt_first_failure(inst, solution)
+    inner = monotone_decompose(Point(_profile_tuple(inst.inner, d + 1))).assignment
+    outer = monotone_decompose(Point(_profile_tuple(inst.outer, d + 1))).assignment
+    solution = AlphaProfile.from_counts(
+        alg, {t: min(max(q - p, 0), d) for t, (p, q) in enumerate(zip(inner, outer))})
+    failing = witt_first_failure(inst, _profile_tuple(solution, d))
     if failing is not None:
         raise InfeasibleError(
             f"the profile system has no solution: equation {failing} fails",
             witness=failing)
-    values = [v for v in solution if not v.is_zero]
-    return AlphaProfile(alg, tuple(values))
+    return solution
 
 
 def witt_cube_solutions(inst: WittInstance, cap: int = 65536) -> list[tuple[Element, ...]]:
@@ -362,7 +353,7 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
     for z in ambient:
         try:
             coeffs = decompose(z, gens, tie_break=tie_break)
-        except Exception as exc:
+        except NotInHullError as exc:
             raise StructureError(
                 "the two domains together must generate the space "
                 f"(point {z.literal} is not decomposable)") from exc

@@ -7,22 +7,26 @@ distances.  The sequence is decreasing, ``alpha_0 = 1`` by convention, and
 for convex spaces the profile decides isometry: two convex spaces over the
 same algebra are isometric exactly when their profiles agree, and an
 isometry can be constructed by transporting bases.
+
+In closed form, ``alpha_k`` is the join of the atoms on which the points
+show more than ``k`` distinct patterns; the suites check it against the
+subset enumeration ``suites.enumerated_alpha_profile``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import prod
 from typing import Sequence
 
 from .algebra import Algebra, Element
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      VerificationError)
-from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
-                     _pattern, _require_atomic, check_map, conv_hull,
-                     convex_combine, decompose, distance, is_orthogonal)
-
-_DIRECT_ENUMERATION_CAP = 20
+from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns,
+                     _generator_sequence, _join_atoms, _point_from_patterns,
+                     _require_atomic, check_map, convex_combine, decompose,
+                     distance, is_orthogonal)
 
 
 @dataclass(frozen=True)
@@ -63,62 +67,34 @@ class AlphaProfile:
         return [f"alpha[{k}] = {self.values[k - 1].literal}"
                 for k in range(1, len(self.values) + 1)]
 
+    @classmethod
+    def from_counts(cls, algebra: Algebra, counts: dict) -> "AlphaProfile":
+        """The profile whose ``alpha_k`` joins the atoms ``a`` with
+        ``counts[a] >= k``; ``counts`` covers all atoms, labelled as by
+        ``spaces._atom_patterns`` (indices, for a finite atomic algebra)."""
+        atoms, values = list(counts), list(counts.values())
+        return cls(algebra, tuple(
+            _join_atoms(algebra, atoms, sum(1 << t for t, c in enumerate(values) if c >= k))
+            for k in range(1, max(values, default=0) + 1)))
 
-def alpha_profile_of_points(points: Sequence[Point],
-                            cap: int = _DIRECT_ENUMERATION_CAP) -> AlphaProfile:
-    """Profile by direct enumeration of subsets of the given points.
 
-    This is the defining computation.  Because the profile of a generator
-    set equals the profile of its hull, callers may pass generators instead
-    of a whole space.
+def alpha_profile_of_points(points: Sequence[Point]) -> AlphaProfile:
+    """Profile of a finite point family: ``alpha_k`` is the join of the atoms
+    on which the points show more than ``k`` distinct patterns (checked
+    against ``suites.enumerated_alpha_profile``).  A generator set has the
+    profile of its hull, so callers may pass generators for a whole space.
     """
-    pts = sorted(set(points), key=Point.sort_key)
-    if not pts:
-        raise StructureError("alpha profile of an empty family")
-    alg = pts[0].algebra
-    if len(pts) > cap:
-        raise CapExceededError(
-            f"direct profile enumeration over {len(pts)} points refused "
-            f"(cap {cap}); pass a smaller generator set")
-    dists = {}
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dists[i, j] = distance(pts[i], pts[j])
-    zero = alg.zero
-    values = []
-    for k in range(1, len(pts)):
-        best = zero
-        for subset in combinations(range(len(pts)), k + 1):
-            m = None
-            for a, b in combinations(subset, 2):
-                d = dists[a, b]
-                m = d if m is None else m & d
-                if m.is_zero:
-                    break
-            if not m.is_zero:
-                best = best | m
-        if best.is_zero:
-            break
-        values.append(best)
-    return AlphaProfile(alg, tuple(values))
+    pts = _generator_sequence(points)
+    atoms, table = _atom_patterns(pts)
+    return AlphaProfile.from_counts(
+        pts[0].algebra, {a: len(set(row)) - 1 for a, row in zip(atoms, table)})
 
 
 def alpha_profile(source) -> AlphaProfile:
-    """Profile of a space or point family.
-
-    Uses the remembered generator set of a hull when available.  For a
-    large convex space without a small generator set, a base is constructed
-    first and the profile is computed from basepoint plus base, which
-    generate the space.
-    """
-    if isinstance(source, FiniteSpace):
-        gens = source.generators if source.generators is not None else source.points
-        if len(gens) > _DIRECT_ENUMERATION_CAP and source.convex:
-            bp = source.basepoint if source.basepoint is not None else source.points[0]
-            base = build_base(source if source.basepoint is not None
-                              else source.with_basepoint(bp))
-            gens = (bp,) + base.points
-        return alpha_profile_of_points(gens)
+    """Profile of a space or point family; a hull's remembered generator
+    set stands in for its points."""
+    if isinstance(source, FiniteSpace) and source.generators is not None:
+        return alpha_profile_of_points(source.generators)
     return alpha_profile_of_points(list(source))
 
 
@@ -150,27 +126,20 @@ def build_base(space: FiniteSpace) -> Base:
         raise StructureError("bases exist for convex spaces; materialize a hull first")
     alg = space.algebra
     _require_atomic(alg, "base construction")
-    k = alg.atom_count
-    per_atom: list[list[tuple[int, ...]]] = []
-    rank = 0
-    for t in range(k):
-        base_pat = _pattern(bp, t)
-        others = sorted({_pattern(p, t) for p in space} - {base_pat})
-        per_atom.append([base_pat] + others)
-        rank = max(rank, len(others))
-    base_points = []
-    for i in range(1, rank + 1):
-        coord_bits = [0] * space.dim
-        for t in range(k):
-            pats = per_atom[t]
-            pat = pats[i] if i < len(pats) else pats[0]
-            for j in range(space.dim):
-                coord_bits[j] |= pat[j] << t
-        base_points.append(Point(alg._make(b) for b in coord_bits))
+    atoms, table = _atom_patterns([bp] + list(space.points))
+    per_atom = [[row[0]] + sorted(set(row) - {row[0]}) for row in table]
+    rank = max(len(pats) for pats in per_atom) - 1
+    base_points = [_point_from_patterns(alg, atoms, space.dim,
+                                        [pats[i] if i < len(pats) else pats[0]
+                                         for pats in per_atom])
+                   for i in range(1, rank + 1)]
 
-    # Condition: basepoint and base generate the space.
-    hull = conv_hull([bp] + base_points)
-    if set(hull.points) != set(space.points):
+    # Condition: basepoint and base generate the space.  A space lies inside
+    # the product of its per-atom pattern sets, so it equals the hull of
+    # basepoint and base when the pattern sets agree and the sizes match.
+    _, generated = _atom_patterns([bp] + base_points)
+    if ([set(row) for row in generated] != [set(pats) for pats in per_atom]
+            or len(space) != prod(map(len, per_atom))):
         raise VerificationError("base construction failed: wrong hull")
     # Condition: pairwise orthogonality.
     for a, b in combinations(base_points, 2):
@@ -229,26 +198,22 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
 def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
     """A self-isometry of a convex space swapping two of its points.
 
-    Each point z is replaced by the convex combination of (b, a, z) with
+    Atom-wise it transposes the patterns of a and b and fixes all others:
+    each point z goes to the convex combination of (b, a, z) with
     coefficients (where z agrees with a, where z agrees with b but not a,
-    the rest); atom-wise this transposes the patterns of a and b and fixes
-    everything else.  The result is verified to be an isometric involution
+    the rest).  The result is verified to be an isometric involution
     mapping a to b.
     """
     if not space.convex:
         raise StructureError("homogeneity applies to convex spaces")
     if a not in space or b not in space:
         raise StructureError("both points must belong to the space")
-    alg = space.algebra
-    one = alg.one
-    pairs = []
-    for z in space:
-        near_a = ~distance(z, a)
-        near_b = ~distance(z, b) - near_a
-        rest = one - (near_a | near_b)
-        coeffs = ConvexCoefficients.from_partition([near_a, near_b, rest])
-        pairs.append((z, convex_combine(coeffs, [b, a, z])))
-    pm = PartialMap(tuple(pairs), flag="isometric")
+    atoms, table = _atom_patterns([a, b] + list(space.points))
+    swaps = [{row[0]: row[1], row[1]: row[0]} for row in table]
+    pm = PartialMap(tuple(
+        (z, _point_from_patterns(space.algebra, atoms, space.dim,
+                                 [swap.get(row[i], row[i]) for swap, row in zip(swaps, table)]))
+        for i, z in enumerate(space.points, start=2)), flag="isometric")
     if pm(a) != b or pm(b) != a:
         raise VerificationError("homogeneity map does not swap the chosen points")
     for z, w in pm.pairs:

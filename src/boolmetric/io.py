@@ -230,6 +230,8 @@ def read_input(path: str) -> ParsedInput:
             return parse_input(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
 
 
 # ---------------------------------------------------------------------------

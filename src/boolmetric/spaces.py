@@ -5,20 +5,23 @@ the join of the coordinatewise symmetric differences; it is zero exactly
 when the points are equal and satisfies the triangle inequality
 ``d(x, z) <= d(x, y) | d(y, z)``.
 
-Over a finite atomic algebra every question about a finite space localizes
-to atoms: restricted to one atom, each coordinate of a point is either 0 or
-that atom, so a point leaves a 0/1 "pattern" of length ``dim`` on every
-atom, and two points are at distance >= atom exactly when their patterns on
-that atom differ.  Convex combinations splice patterns from different
-points, one choice per atom.
+Every question about finitely many points localizes to atoms: the
+coordinates generate a finite subalgebra, restricted to one of its atoms
+each coordinate is either 0 or that atom, so a point leaves a 0/1
+"pattern" of length ``dim`` on every atom, and two points are at distance
+>= atom exactly when their patterns on that atom differ.  Convex
+combinations splice patterns from different points, one choice per atom.
+:func:`_atom_patterns` is the one place that reads patterns off points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import FINITE_ATOMIC, Algebra, Element, atoms
+from .algebra import FINITE_ATOMIC, Algebra, Element
 from .errors import (CapExceededError, NotInHullError, StructureError,
                      UnsupportedOperationError)
 
@@ -111,9 +114,53 @@ def is_orthogonal(x: Point, y: Point, basepoint: Point) -> bool:
     return distance(x, y) == norm(x, basepoint) | norm(y, basepoint)
 
 
-def _pattern(p: Point, atom_index: int) -> tuple[int, ...]:
-    """The 0/1 trace the point leaves on one atom, one bit per coordinate."""
-    return tuple(c.bits >> atom_index & 1 for c in p.coords)
+def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
+    """The atoms of the subalgebra the coordinates generate (a finite atomic
+    algebra's own, by index; over the finite-cofinite algebra ``{n}`` for
+    each ``n`` in the union U of the supports, labelled ``n``, and the rest
+    of the naturals, labelled ``None``) and ``table[t][i]``, the pattern of
+    ``points[i]`` on ``atoms[t]``: the point packed into one integer
+    (coordinate ``j`` as an atom mask shifted by ``len(atoms) * (dim-1-j)``)
+    and cut down to that atom's bits.  The points share one algebra.  On one
+    atom, points of one dimension order like 0/1 tuples, and a point's
+    patterns sum to its packing.
+    """
+    alg = points[0].algebra
+    if alg.kind == FINITE_ATOMIC:
+        atoms = list(range(alg.atom_count))
+        masks = [[c.bits for c in p.coords] for p in points]
+    else:
+        atoms = sorted(set().union(*(c.support for p in points for c in p.coords)))
+        index = {n: i for i, n in enumerate(atoms)}
+        full = (1 << len(atoms) + 1) - 1
+        masks = [[sum(1 << index[n] for n in c.support) ^ (full if c.cofinite else 0)
+                  for c in p.coords] for p in points]
+        atoms.append(None)
+    k = len(atoms)
+    packed = [sum(b << k * j for j, b in enumerate(reversed(bs))) for bs in masks]
+    spread = sum(1 << k * j for j in range(max(map(len, masks))))
+    return atoms, [[v & spread << t for v in packed] for t in range(k)]
+
+
+def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
+    """The join of the atoms ``atoms[t]`` whose bit ``t`` is set in
+    ``mask``, for atoms listed as by :func:`_atom_patterns`."""
+    if algebra.kind == FINITE_ATOMIC:
+        return algebra._make(mask)
+    chosen = {a for t, a in enumerate(atoms) if mask >> t & 1}
+    if None in chosen:
+        return algebra.cof(set(atoms[:-1]) - chosen)
+    return algebra.fin(chosen)
+
+
+def _point_from_patterns(algebra: Algebra, atoms: Sequence, dim: int,
+                         patterns: Iterable[int]) -> Point:
+    """The point of dimension ``dim`` with the given pattern on each atom."""
+    packed = sum(patterns)
+    k = len(atoms)
+    low = (1 << k) - 1
+    return Point(_join_atoms(algebra, atoms, packed >> k * (dim - 1 - j) & low)
+                 for j in range(dim))
 
 
 def _require_atomic(algebra: Algebra, what: str):
@@ -178,14 +225,12 @@ def convex_combine(coeffs: ConvexCoefficients, points: Sequence[Point]) -> Point
         _check_pair(points[0], p)
     if len(coeffs.assignment) != alg.atom_count:
         raise StructureError("coefficient assignment does not match the atom count")
-    dim = points[0].dim
-    coord_bits = [0] * dim
-    for t, i in enumerate(coeffs.assignment):
+    for i in coeffs.assignment:
         if not 0 <= i < len(points):
             raise StructureError(f"coefficient index {i} out of range")
-        for j in range(dim):
-            coord_bits[j] |= points[i].coords[j].bits & (1 << t)
-    return Point(alg._make(b) for b in coord_bits)
+    atoms, table = _atom_patterns([points[i] for i in coeffs.assignment])
+    return _point_from_patterns(alg, atoms, points[0].dim,
+                                [row[t] for t, row in enumerate(table)])
 
 
 class FiniteSpace:
@@ -255,24 +300,10 @@ def space(points: Iterable[Point], basepoint: Point | None = None) -> FiniteSpac
     return FiniteSpace(points, basepoint=basepoint)
 
 
-def _generator_list(source) -> list[Point]:
-    if isinstance(source, FiniteSpace):
-        return list(source.points)
-    gens = sorted(set(source), key=Point.sort_key)
-    if not gens:
-        raise StructureError("need at least one generator")
-    first = gens[0]
-    for g in gens[1:]:
-        _check_pair(first, g)
-    return gens
-
-
 def _generator_sequence(source) -> list[Point]:
-    """Generators in the caller's own order, duplicates kept.
-
-    Used where coefficient indices must line up with a parallel list of
-    image points.  A FiniteSpace contributes its canonical point order.
-    """
+    """Generators in the caller's own order, duplicates kept, checked to
+    share an algebra and a dimension.  A FiniteSpace contributes its
+    canonical point order."""
     if isinstance(source, FiniteSpace):
         return list(source.points)
     gens = list(source)
@@ -294,52 +325,29 @@ def conv_hull(source, basepoint: Point | None = None,
     ``len(generators) ** atom_count``; anything beyond ``max_points`` is
     refused.
     """
-    gens = _generator_list(source)
+    gens = sorted(set(_generator_sequence(source)), key=Point.sort_key)
     alg = gens[0].algebra
     _require_atomic(alg, "hull materialization")
     if basepoint is None and isinstance(source, FiniteSpace):
         basepoint = source.basepoint
-    k = alg.atom_count
-    per_atom: list[list[tuple[int, ...]]] = []
-    expected = 1
-    for t in range(k):
-        patterns = sorted({_pattern(g, t) for g in gens})
-        per_atom.append(patterns)
-        expected *= len(patterns)
-        if expected > max_points:
-            raise CapExceededError(
-                f"hull would exceed {max_points} points; raise max_points to override")
-    dim = gens[0].dim
-    points = []
-    choice = [0] * k
-    while True:
-        coord_bits = [0] * dim
-        for t in range(k):
-            pat = per_atom[t][choice[t]]
-            for j in range(dim):
-                coord_bits[j] |= pat[j] << t
-        points.append(Point(alg._make(b) for b in coord_bits))
-        t = k - 1
-        while t >= 0 and choice[t] == len(per_atom[t]) - 1:
-            choice[t] = 0
-            t -= 1
-        if t < 0:
-            break
-        choice[t] += 1
+    atoms, table = _atom_patterns(gens)
+    per_atom = [sorted(set(row)) for row in table]
+    if prod(map(len, per_atom)) > max_points:
+        raise CapExceededError(
+            f"hull would exceed {max_points} points; raise max_points to override")
+    points = [_point_from_patterns(alg, atoms, gens[0].dim, choice)
+              for choice in product(*per_atom)]
     return FiniteSpace(points, basepoint=basepoint, convex=True, generators=tuple(gens))
 
 
 def hull_contains(x: Point, source) -> bool:
     """Hull membership without materialization: on every atom some
     generator must agree with ``x``."""
-    gens = _generator_list(source)
+    gens = _generator_sequence(source)
     _check_pair(gens[0], x)
     _require_atomic(x.algebra, "hull membership")
-    for t in range(x.algebra.atom_count):
-        pat = _pattern(x, t)
-        if not any(_pattern(g, t) == pat for g in gens):
-            return False
-    return True
+    _, table = _atom_patterns([x] + gens)
+    return all(row[0] in row[1:] for row in table)
 
 
 def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
@@ -357,10 +365,10 @@ def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
     _require_atomic(x.algebra, "convex decomposition")
     if tie_break not in ("min", "max"):
         raise StructureError(f"unknown tie break rule {tie_break!r}")
+    atoms, table = _atom_patterns([x] + gens)
     assignment = []
-    for t in range(x.algebra.atom_count):
-        pat = _pattern(x, t)
-        matches = [i for i, g in enumerate(gens) if _pattern(g, t) == pat]
+    for t, (pat, *pats) in zip(atoms, table):
+        matches = [i for i, g in enumerate(pats) if g == pat]
         if not matches:
             raise NotInHullError(
                 f"point {x.literal} is not in the hull: no generator matches on atom {t}",
@@ -476,22 +484,34 @@ class MapVerdict:
 
 
 def check_map(pm: PartialMap) -> MapVerdict:
-    """Classify a partial map by comparing all source and image distances.
+    """Classify a partial map atom by atom.
 
     "isometric" means every distance is preserved exactly (which forces
     injectivity); "contractive" means every image distance is <= the source
     distance; anything else is a violation with the first bad pair.
+
+    Distances split over atoms: the map is contractive when on every atom
+    equal source patterns have equal images, isometric when these per-atom
+    pattern maps are also injective.  A class of equal source patterns
+    first fails at its first member and the next member with another image.
     """
     pairs = pm.pairs
-    all_equal = True
-    for i in range(len(pairs)):
-        si, ti = pairs[i]
-        for j in range(i + 1, len(pairs)):
-            sj, tj = pairs[j]
-            ds = distance(si, sj)
-            dt = distance(ti, tj)
-            if not dt <= ds:
-                return MapVerdict("violation", witness=(si, sj))
-            if dt != ds:
-                all_equal = False
-    return MapVerdict("isometric" if all_equal else "contractive")
+    n = len(pairs)
+    if n < 2:
+        return MapVerdict("isometric")
+    if pairs[0][0].algebra != pairs[0][1].algebra:
+        raise StructureError("sources and targets belong to different algebras")
+    _, table = _atom_patterns(pm.sources + pm.targets)
+    witness = None
+    injective = True
+    for row in table:
+        images = row[n:]
+        heads: dict = {}
+        for i, (src, img) in enumerate(zip(row[:n], images)):
+            first, first_img = heads.setdefault(src, (i, img))
+            if img != first_img and (witness is None or (first, i) < witness):
+                witness = (first, i)
+        injective = injective and len(set(images)) == len(heads)
+    if witness is not None:
+        return MapVerdict("violation", witness=(pairs[witness[0]][0], pairs[witness[1]][0]))
+    return MapVerdict("isometric" if injective else "contractive")

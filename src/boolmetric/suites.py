@@ -14,21 +14,22 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .algebra import Algebra, Element, atomic_algebra, fincof_algebra, sup_family
+from .algebra import (Algebra, Element, atomic_algebra, fincof_algebra,
+                      inf_family, sup_family)
 from .counterexamples import (IdealDescriptor, bounded_candidates,
                               contraction_obstruction_witness, flatten_pair,
                               isometry_obstruction_witness, line_extension,
                               unflatten_line_point)
-from .errors import BoolmetricError
+from .errors import BoolmetricError, CapExceededError
 from .extension import (WittInstance, _profile_tuple, conv_extend,
                         corner_images, cube_generators, extend_contraction,
                         extend_isometry, monotone_decompose, uniqueness_certify,
                         witt_cube_solutions, witt_residual, witt_solve)
-from .invariants import (alpha_profile, alpha_profile_of_points, build_base,
-                         brute_force_isometry, decide_isometric,
+from .invariants import (AlphaProfile, alpha_profile, alpha_profile_of_points,
+                         build_base, brute_force_isometry, decide_isometric,
                          homogeneity_isometry)
-from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
-                     check_map, conv_hull, convex_combine, distance,
+from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
+                     Point, check_map, conv_hull, convex_combine, distance,
                      hull_contains, identity_map, is_orthogonal,
                      orthogonal_complement)
 
@@ -145,6 +146,37 @@ def exhaustive_hull_membership(x: Point, generators: list[Point]) -> bool:
     return False
 
 
+def pairwise_map_verdict(pm: PartialMap) -> MapVerdict:
+    """check_map by definition: every source distance against its image
+    distance, pair by pair in canonical order."""
+    all_equal = True
+    for (si, ti), (sj, tj) in combinations(pm.pairs, 2):
+        ds, dt = distance(si, sj), distance(ti, tj)
+        if not dt <= ds:
+            return MapVerdict("violation", witness=(si, sj))
+        all_equal = all_equal and dt == ds
+    return MapVerdict("isometric" if all_equal else "contractive")
+
+
+def enumerated_alpha_profile(points: list[Point]) -> AlphaProfile:
+    """The alpha profile by definition: ``alpha_k`` is the join over all
+    (k+1)-subsets of the meet of their pairwise distances.  Families of
+    more than 20 distinct points are refused."""
+    pts = sorted(set(points), key=Point.sort_key)
+    if len(pts) > 20:
+        raise CapExceededError(f"direct profile enumeration over {len(pts)} points refused")
+    alg = pts[0].algebra
+    dist = {pair: distance(*pair) for pair in combinations(pts, 2)}
+    values = []
+    for k in range(1, len(pts)):
+        value = sup_family((inf_family((dist[pair] for pair in combinations(subset, 2)), alg)
+                            for subset in combinations(pts, k + 1)), alg)
+        if value.is_zero:
+            break
+        values.append(value)
+    return AlphaProfile(alg, tuple(values))
+
+
 def enumerate_contractive_extensions(pm: PartialMap, domain: list[Point],
                                      targets: list[Point]) -> list[dict]:
     """All contractive maps domain -> targets extending the given pairs,
@@ -232,6 +264,13 @@ def run_isometry_oracle(cfg: RunConfig) -> SuiteResult:
                 continue
         else:
             right = _small_hull(rng, alg, n, cap=12)
+        squeeze = PartialMap(tuple((p, right.points[i * len(right) // len(left)])
+                                   for i, p in enumerate(left.points)))
+        if (check_map(squeeze) != pairwise_map_verdict(squeeze)
+                or any(alpha_profile(sp) != enumerated_alpha_profile(sp.points)
+                       for sp in (left, right))):
+            res.fail(f"instance {idx}: a closed form differs from its oracle")
+            continue
         decided = decide_isometric(left, right)
         found = brute_force_isometry(left, right)
         if decided != (found is not None):
@@ -284,20 +323,6 @@ def run_witt(cfg: RunConfig) -> SuiteResult:
     return res
 
 
-def _profiles_from_counts(alg: Algebra, counts: list[int], length: int):
-    from .invariants import AlphaProfile
-    values = []
-    for i in range(1, length + 1):
-        mask = 0
-        for t, c in enumerate(counts):
-            if c >= i:
-                mask |= 1 << t
-        values.append(alg._make(mask))
-    while values and values[-1].is_zero:
-        values.pop()
-    return AlphaProfile(alg, tuple(values))
-
-
 def run_uniqueness_battery(cfg: RunConfig) -> SuiteResult:
     """Exhaustive hypothesis check for the at-most-one-zero lemma: for
     every valid profile pair the staircase images pairwise join to 1, the
@@ -313,21 +338,14 @@ def run_uniqueness_battery(cfg: RunConfig) -> SuiteResult:
             atom_choices = [(p, q) for q in range(d + 1) for p in range(q + 1)]
             for combo in product(atom_choices, repeat=k):
                 res.total += 1
-                inner = _profiles_from_counts(alg, [c[0] for c in combo], d)
-                outer = _profiles_from_counts(alg, [c[1] for c in combo], d)
+                inner = AlphaProfile.from_counts(alg, {t: c[0] for t, c in enumerate(combo)})
+                outer = AlphaProfile.from_counts(alg, {t: c[1] for t, c in enumerate(combo)})
                 inst = WittInstance(inner, outer, length=d)
                 images = corner_images(inst)
-                bad = False
-                for i in range(len(images)):
-                    for j in range(i + 1, len(images)):
-                        if images[i] | images[j] != one:
-                            res.fail(f"k={k} d={d} combo={combo}: images "
-                                     f"{i},{j} do not join to 1")
-                            bad = True
-                            break
-                    if bad:
-                        break
-                if bad:
+                bad = next((f"{i},{j}" for i, j in combinations(range(len(images)), 2)
+                            if images[i] | images[j] != one), None)
+                if bad is not None:
+                    res.fail(f"k={k} d={d} combo={combo}: images {bad} do not join to 1")
                     continue
                 closed_form = ~outer.alpha(d) | inner.alpha(1)
                 if images[d] != closed_form:
@@ -545,15 +563,11 @@ def run_line_extension(cfg: RunConfig) -> SuiteResult:
             if any(full(s) != t for s, t in pm.pairs):
                 res.fail(f"instance {idx}: full translation does not extend the input")
         else:
-            sample = [Point((random_fincof(alg),)) for _ in range(4)]
-            sample += [s for s, _ in pm.pairs]
-            for p, q in combinations(sample, 2):
-                if distance(ext(p), ext(q)) != distance(p, q):
-                    res.fail(f"instance {idx}: translation moved a distance")
-                    break
-            else:
-                if any(ext(s) != t for s, t in pm.pairs):
-                    res.fail(f"instance {idx}: translation does not extend the input")
+            sample = [Point((random_fincof(alg),)) for _ in range(4)] + list(pm.sources)
+            if check_map(ext.as_pairs(sample)).kind != "isometric":
+                res.fail(f"instance {idx}: translation moved a distance")
+            elif any(ext(s) != t for s, t in pm.pairs):
+                res.fail(f"instance {idx}: translation does not extend the input")
     res.elapsed = time.perf_counter() - start
     return res
 
@@ -640,6 +654,12 @@ def run_structural(cfg: RunConfig) -> SuiteResult:
             continue
         if alpha_profile_of_points(gens) != alpha_profile_of_points(hull.points):
             res.fail("profile changed between generators and hull")
+            continue
+        halving = PartialMap(tuple((p, hull.points[i // 2])
+                                   for i, p in enumerate(hull.points)))
+        if (alpha_profile_of_points(gens) != enumerated_alpha_profile(hull.points)
+                or check_map(halving) != pairwise_map_verdict(halving)):
+            res.fail("a closed form differs from its oracle")
             continue
         base = build_base(hull.with_basepoint(hull.points[0]))
         bp = hull.points[0]

@@ -8,6 +8,7 @@ from boolmetric import (AlphaProfile, CapExceededError, InfeasibleError, Point,
                         check_map, construct_isometry, conv_hull,
                         decide_isometric, distance, fincof_algebra,
                         homogeneity_isometry, is_orthogonal)
+from boolmetric.suites import enumerated_alpha_profile
 
 A2 = atomic_algebra(2)
 
@@ -72,7 +73,7 @@ def test_profile_validation():
         alpha_profile_of_points([])
 
 
-def test_profile_enumeration_cap_and_base_reduction():
+def test_profile_enumeration_oracle_cap():
     alg = atomic_algebra(3)
     gens = [Point.from_literals(alg, "000", "000"),
             Point.from_literals(alg, "111", "000"),
@@ -81,11 +82,12 @@ def test_profile_enumeration_cap_and_base_reduction():
     hull = conv_hull(gens)  # 4 patterns per atom, 64 points
     assert len(hull) == 64
     with pytest.raises(CapExceededError):
-        alpha_profile_of_points(hull.points)
-    # rebuilding from the raw points forgets the small generator set, so
-    # the space route has to reduce through a base; it must agree with the
-    # definitional route on the generators
-    assert alpha_profile(conv_hull(hull.points)) == alpha_profile_of_points(gens)
+        enumerated_alpha_profile(hull.points)
+    # rebuilding from the raw points forgets the small generator set; the
+    # closed form over all 64 points must agree with the definitional
+    # route on the generators
+    assert alpha_profile(conv_hull(hull.points)) == enumerated_alpha_profile(gens)
+    assert alpha_profile_of_points(hull.points) == enumerated_alpha_profile(gens)
 
 
 def test_base_frozen_example():

@@ -301,6 +301,42 @@ def test_hull_cap_is_exit_three(tmp_path, capsys):
     assert code == 3 and "exceed 4 points" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["alpha", "--input", "NON_UTF8"],
+    ["conv", "--input", "NON_UTF8", "--max-points", "0"],
+    ["verify", "--suite", "witt", "--instances", "-3"],
+    ["verify", "--suite", "witt", "--atoms", "0"],
+    ["verify", "--suite", "witt", "--dim", "0"],
+    ["verify", "--suite", "witt", "--max-support", "x"],
+    ["counterexample", "--max-support", "-2"],
+    ["counterexample", "--which", "line", "--instances", "0"],
+])
+def test_bad_input_and_flags_are_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"algebra finite k=2\nspace W dim=1\npoint 0\xe9\n")
+    argv = [str(path) if a == "NON_UTF8" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2 and err and "Traceback" not in err
+
+
+def test_alpha_handles_inputs_beyond_the_enumeration_range(tmp_path, capsys):
+    lits = [f"{a:03b} {b:03b}" for a in range(8) for b in range(8)][::2][:25]
+    path = write(tmp_path, "algebra finite k=3\nspace W dim=2\n"
+                 + "".join(f"point {lit}\n" for lit in lits))
+    code, alpha_out, _ = run_cli(capsys, "alpha", "--input", path)
+    assert code == 0 and "points = 25" in alpha_out
+    code, base_out, _ = run_cli(capsys, "base", "--input", path)
+    assert code == 0
+
+    def alpha_lines(text):
+        return [line for line in text.splitlines() if line.startswith("alpha[")]
+    assert alpha_lines(alpha_out) and alpha_lines(alpha_out) == alpha_lines(base_out)
+
+
 def test_unknown_space_name_is_exit_two(tmp_path, capsys):
     path = write(tmp_path, PLANE)
     code, _, err = run_cli(capsys, "alpha", "--input", path, "--space", "Z")

@@ -215,8 +215,7 @@ class BitsElement(Element):
 
     @property
     def literal(self) -> str:
-        return "".join("1" if self.bits >> i & 1 else "0"
-                       for i in range(self.algebra.atom_count))
+        return format(self.bits, f"0{self.algebra.atom_count}b")[::-1]
 
     def sort_key(self):
         return self.literal

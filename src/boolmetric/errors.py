@@ -29,13 +29,15 @@ class CapExceededError(BoolmetricError):
 class NotInHullError(BoolmetricError):
     """A point is not a convex combination of the given generators.
 
-    Carries the index of an atom on which no generator agrees with the
-    point, which is a complete certificate of non-membership.
+    Carries the point and the index of an atom on which no generator agrees
+    with it, which is a complete certificate of non-membership.
     """
 
-    def __init__(self, message: str, atom_index: int | None = None):
+    def __init__(self, message: str, atom_index: int | None = None,
+                 point: object | None = None):
         super().__init__(message)
         self.atom_index = atom_index
+        self.point = point
 
 
 class InfeasibleError(BoolmetricError):

@@ -9,8 +9,10 @@ The central results implemented here, all with post-verified constructions:
 
 * ``orthogonal_join``: a pointed convex subspace U and its orthogonal
   complement generate the whole space, so two pointed contractions defined
-  on U and on the complement merge into a single map by decomposing each
-  point over the union and pushing the coefficients through.
+  on U and on the complement merge into a single map that sends, on each
+  atom, a point's pattern to the image pattern of a domain point showing
+  it (a convex combination over the union with its coefficients pushed
+  through).
 
 * ``witt_solve``: given the profiles of a space and of a convex subspace,
   the profile of the orthogonal complement is the unique decreasing
@@ -21,6 +23,9 @@ The central results implemented here, all with post-verified constructions:
 * ``extend_isometry`` / ``extend_contraction``: any isometry (contraction)
   between finite subsets of a convex space extends to a self-isometry
   (self-contraction) of the whole space, built from the pieces above.
+
+Every stage is atom-local and costs points times atoms: one pattern table
+(``spaces._transport``) carries all points of a hull through a map at once.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .errors import (CapExceededError, InfeasibleError, NotInHullError,
 from .invariants import AlphaProfile, construct_isometry, homogeneity_isometry
 from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace,
                      PartialMap, Point, _atom_patterns, _require_atomic,
-                     check_map, conv_hull, convex_combine, decompose, distance,
-                     identity_map, orthogonal_complement)
+                     _transport, check_map, conv_hull, distance, identity_map,
+                     orthogonal_complement)
 
 # ---------------------------------------------------------------------------
 # The monotone cube: decreasing tuples and their canonical generators.
@@ -273,9 +278,14 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
     hull of its domain.
 
     Each coordinate of the extension is the join over domain points u of
-    ``f(u) minus d(u, x)``.  The result is verified to extend the input, to
-    be contractive, to take values inside the hull of the image, and to be
-    an isometry onto that hull whenever the input is an isometry.
+    ``f(u) minus d(u, x)``.  On an atom t, ``d(u, x)`` removes every u whose
+    pattern differs from x's, so the join is the image pattern of the u
+    with ``u_t = x_t``, which a contractive map makes the same for all of
+    them: the extension is the transport of the hull through the map, its
+    decomposition coefficients pushed onto the images.  The result is
+    verified to extend the input, to be contractive, to take values inside
+    the hull of the image, and to be an isometry onto that hull whenever
+    the input is an isometry.
     """
     if not pm.pairs:
         raise StructureError("cannot extend an empty map over an empty hull")
@@ -284,19 +294,8 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
     hull = conv_hull(pm.sources, max_points=max_points)
-    target_dim = pm.targets[0].dim
-    alg = hull.algebra
-    out_pairs = []
-    for x in hull:
-        dists = [distance(u, x) for u in pm.sources]
-        coords = []
-        for j in range(target_dim):
-            acc = alg.zero
-            for (u, v), du in zip(pm.pairs, dists):
-                acc = acc | (v.coords[j] - du)
-            coords.append(acc)
-        out_pairs.append((x, Point(coords)))
-    out = PartialMap(tuple(out_pairs), flag=verdict.kind)
+    images = _transport(hull.points, pm.sources, pm.targets)
+    out = PartialMap(tuple(zip(hull.points, images)), flag=verdict.kind)
     for s, t in pm.pairs:
         if out(s) != t:
             raise VerificationError("hull extension does not extend the input map")
@@ -329,12 +328,14 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
     """Merge pointed contractions defined on a convex subspace and on its
     orthogonal complement into one map on the whole space.
 
-    Every point of the ambient space is decomposed as a convex combination
-    of the two domains together; the same coefficients are then applied to
-    the image points.  Contractions preserve convex combinations, so the
-    result is independent of the decomposition (the tie break only picks
-    one); it is verified to extend both inputs, to be contractive, and to
-    be isometric when both inputs are.
+    Every point of the ambient space is transported through the two domains
+    together: on each atom its pattern goes to the image pattern of the
+    first domain point showing it (the last for ``tie_break="max"``), which
+    is its convex decomposition over the domains with the coefficients
+    applied to the images.  Contractions preserve convex combinations, so
+    the result is independent of the decomposition (the tie break only
+    picks one); it is verified to extend both inputs, to be contractive,
+    and to be isometric when both inputs are.
     """
     bp = ambient.require_basepoint()
     if not (f.defined_at(bp) and g.defined_at(bp)):
@@ -347,18 +348,14 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
         raise InfeasibleError("the subspace map is not contractive", witness=fv.witness)
     if not gv.ok:
         raise InfeasibleError("the complement map is not contractive", witness=gv.witness)
-    gens = list(f.sources) + list(g.sources)
-    targets = list(f.targets) + list(g.targets)
-    pairs = []
-    for z in ambient:
-        try:
-            coeffs = decompose(z, gens, tie_break=tie_break)
-        except NotInHullError as exc:
-            raise StructureError(
-                "the two domains together must generate the space "
-                f"(point {z.literal} is not decomposable)") from exc
-        pairs.append((z, convex_combine(coeffs, targets)))
-    out = PartialMap(tuple(pairs))
+    try:
+        images = _transport(ambient.points, f.sources + g.sources, f.targets + g.targets,
+                            tie_break=tie_break)
+    except NotInHullError as exc:
+        raise StructureError(
+            "the two domains together must generate the space "
+            f"(point {exc.point.literal} is not decomposable)") from exc
+    out = PartialMap(tuple(zip(ambient.points, images)))
     for s, t in list(f.pairs) + list(g.pairs):
         if out(s) != t:
             raise VerificationError("orthogonal join does not extend its inputs")

@@ -25,8 +25,8 @@ from .errors import (CapExceededError, InfeasibleError, StructureError,
                      VerificationError)
 from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns,
                      _generator_sequence, _join_atoms, _point_from_patterns,
-                     _require_atomic, check_map, convex_combine, decompose,
-                     distance, is_orthogonal)
+                     _require_atomic, _transport, check_map, distance,
+                     is_orthogonal)
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,8 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
 
     Bases are built over each space's basepoint (canonical-first when
     unset), matched index by index, and every point is transported through
-    its convex decomposition.  The result is re-checked to be a bijective
-    isometry before returning.
+    its convex decomposition, all points through one pattern table.  The
+    result is re-checked to be a bijective isometry before returning.
     """
     if not decide_isometric(left, right):
         raise InfeasibleError("spaces have different profiles, no isometry exists")
@@ -182,13 +182,8 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
     base_r = build_base(right.with_basepoint(bp_r))
     if base_l.rank != base_r.rank:
         raise VerificationError("equal profiles but mismatched base ranks")
-    gens_l = [bp_l] + list(base_l.points)
-    gens_r = [bp_r] + list(base_r.points)
-    pairs = []
-    for z in left:
-        coeffs = decompose(z, gens_l)
-        pairs.append((z, convex_combine(coeffs, gens_r)))
-    pm = PartialMap(tuple(pairs), flag="isometric")
+    images = _transport(left.points, [bp_l, *base_l.points], [bp_r, *base_r.points])
+    pm = PartialMap(tuple(zip(left.points, images)), flag="isometric")
     targets = set(pm.targets)
     if check_map(pm).kind != "isometric" or targets != set(right.points):
         raise VerificationError("base transport did not produce an isometry")

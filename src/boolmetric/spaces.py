@@ -16,6 +16,7 @@ combinations splice patterns from different points, one choice per atom.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import product
 from math import prod
@@ -285,8 +286,13 @@ class FiniteSpace:
         return self.basepoint
 
     def with_basepoint(self, basepoint: Point) -> "FiniteSpace":
-        return FiniteSpace(self.points, basepoint=basepoint, convex=self.convex,
-                           generators=self.generators)
+        """The same space (points, order and index shared) pointed at
+        ``basepoint``, which must be one of its points."""
+        if basepoint not in self._index:
+            raise StructureError("the basepoint must be one of the points")
+        out = copy(self)
+        out.basepoint = basepoint
+        return out
 
     def norm(self, x: Point) -> Element:
         return distance(x, self.require_basepoint())
@@ -372,9 +378,52 @@ def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
         if not matches:
             raise NotInHullError(
                 f"point {x.literal} is not in the hull: no generator matches on atom {t}",
-                atom_index=t)
+                atom_index=t, point=x)
         assignment.append(matches[0] if tie_break == "min" else matches[-1])
     return ConvexCoefficients(tuple(assignment))
+
+
+def _transport(points: Sequence[Point], gens: Sequence[Point], images: Sequence[Point],
+               tie_break: str = "min") -> list[Point]:
+    """``convex_combine(decompose(x, gens, tie_break), images)`` for every
+    ``x`` in ``points``, from one pattern table.
+
+    ``images`` runs parallel to ``gens``.  On each atom, every generator
+    pattern goes to the image pattern of the first generator showing it
+    (the last for ``tie_break="max"``), which is the generator
+    :func:`decompose` selects there.  The first point, in the order given,
+    with an atom no generator matches raises the :class:`NotInHullError`
+    that :func:`decompose` raises for it.
+    """
+    gens = _generator_sequence(gens)
+    for x in points:
+        _check_pair(gens[0], x)
+    alg = gens[0].algebra
+    _require_atomic(alg, "convex decomposition")
+    if tie_break not in ("min", "max"):
+        raise StructureError(f"unknown tie break rule {tie_break!r}")
+    images = _generator_sequence(images)
+    if images[0].algebra != alg:
+        raise StructureError("generators and images belong to different algebras")
+    if len(images) != len(gens):
+        raise StructureError("generators and images must be parallel lists")
+    n = len(points)
+    atoms, table = _atom_patterns(list(points) + gens)
+    _, image_table = _atom_patterns(images)
+    columns = []
+    for row, image_row in zip(table, image_table):
+        shown = list(zip(row[n:], image_row))
+        image_of = dict(reversed(shown) if tie_break == "min" else shown)
+        columns.append([image_of.get(v) for v in row[:n]])
+    out = []
+    for x, patterns in zip(points, zip(*columns)):
+        if None in patterns:
+            t = patterns.index(None)
+            raise NotInHullError(
+                f"point {x.literal} is not in the hull: no generator matches on atom {t}",
+                atom_index=t, point=x)
+        out.append(_point_from_patterns(alg, atoms, images[0].dim, patterns))
+    return out
 
 
 def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpace:
@@ -382,6 +431,11 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
 
     Both spaces must carry the same basepoint, which always belongs to the
     result.  When both spaces are convex the result is convex as well.
+
+    Orthogonality splits over atoms: ``y`` is orthogonal to every point of
+    ``inner`` exactly when on each atom its pattern is the basepoint's or
+    one no point of ``inner`` shows (over either algebra, convex or not;
+    the suites check this against ``suites.pairwise_orthogonal_complement``).
     """
     bp = ambient.require_basepoint()
     if inner.require_basepoint() != bp:
@@ -389,12 +443,12 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
     for p in inner:
         if p not in ambient:
             raise StructureError("the inner space must be a subset of the ambient space")
-    norms = {p: distance(p, bp) for p in ambient}
-    kept = []
-    for y in ambient:
-        ny = norms[y]
-        if all(distance(x, y) == norms[x] | ny for x in inner):
-            kept.append(y)
+    m = len(inner)
+    b = inner.index(bp)
+    _, table = _atom_patterns(inner.points + ambient.points)
+    allowed = [(set(row[m:]) - set(row[:m])) | {row[b]} for row in table]
+    kept = [y for y, *patterns in zip(ambient.points, *(row[m:] for row in table))
+            if all(pat in ok for pat, ok in zip(patterns, allowed))]
     return FiniteSpace(kept, basepoint=bp, convex=inner.convex and ambient.convex)
 
 

@@ -158,6 +158,16 @@ def pairwise_map_verdict(pm: PartialMap) -> MapVerdict:
     return MapVerdict("isometric" if all_equal else "contractive")
 
 
+def pairwise_orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpace:
+    """orthogonal_complement by definition: the points y of ``ambient`` with
+    ``d(x, y) == |x| | |y|`` for every x of ``inner``, pair by pair."""
+    bp = ambient.require_basepoint()
+    norms = {p: distance(p, bp) for p in ambient}
+    kept = [y for y in ambient
+            if all(distance(x, y) == norms[x] | norms[y] for x in inner)]
+    return FiniteSpace(kept, basepoint=bp, convex=inner.convex and ambient.convex)
+
+
 def enumerated_alpha_profile(points: list[Point]) -> AlphaProfile:
     """The alpha profile by definition: ``alpha_k`` is the join over all
     (k+1)-subsets of the meet of their pairwise distances.  Families of
@@ -225,6 +235,9 @@ def run_sum_law(cfg: RunConfig) -> SuiteResult:
         ambient = ambient.with_basepoint(rng.choice(ambient.points))
         inner = random_convex_subspace(rng, ambient)
         comp = orthogonal_complement(inner, ambient)
+        if comp.points != pairwise_orthogonal_complement(inner, ambient).points:
+            res.fail(f"instance {idx}: complement differs from the pairwise oracle")
+            continue
         pa = alpha_profile(ambient)
         pu = alpha_profile(inner)
         pc = alpha_profile(comp)
@@ -693,6 +706,9 @@ def run_structural(cfg: RunConfig) -> SuiteResult:
         inner = random_convex_subspace(rng, ambient, max_generators=2)
         comp = orthogonal_complement(inner, ambient)
         res.total += 1
+        if comp.points != pairwise_orthogonal_complement(inner, ambient).points:
+            res.fail("complement differs from the pairwise oracle")
+            continue
         combos = product(range(len(comp.points)), repeat=alg.atom_count)
         closed = all(convex_combine(ConvexCoefficients(c), list(comp.points)) in comp
                      for c in combos)

@@ -3,8 +3,8 @@ pipeline, on small hand-checked instances."""
 
 import pytest
 
-from boolmetric import (AlphaProfile, InfeasibleError, PartialMap, Point,
-                        StructureError, atomic_algebra, check_map,
+from boolmetric import (AlphaProfile, InfeasibleError, NotInHullError,
+                        PartialMap, Point, StructureError, atomic_algebra, check_map,
                         construct_isometry, conv_extend, conv_hull,
                         convex_combine, corner_images, cube_generators,
                         distance, extend_contraction, extend_isometry,
@@ -196,6 +196,20 @@ def test_orthogonal_join_frozen():
     out2 = orthogonal_join(f, g2, ambient)
     assert all(s == t for s, t in out2.pairs)
     assert check_map(out2).kind == "isometric"
+    # the tie break only picks a decomposition, never the map
+    assert orthogonal_join(f, g, ambient, tie_break="max") == out
+    assert orthogonal_join(f, g2, ambient, tie_break="max") == out2
+
+
+def test_orthogonal_join_needs_generating_domains():
+    ambient = conv_hull([line2("00"), line2("11")], basepoint=line2("00"))
+    f = PartialMap(((line2("00"), line2("00")), (line2("01"), line2("01"))))
+    g = PartialMap(((line2("00"), line2("00")),))
+    # 10 and 11 are not generated (no domain point has atom 0); 10 comes first
+    with pytest.raises(StructureError, match=r"\(point 10 is not decomposable\)") as err:
+        orthogonal_join(f, g, ambient)
+    assert isinstance(err.value.__cause__, NotInHullError)
+    assert err.value.__cause__.atom_index == 0
 
 
 def test_orthogonal_join_preconditions():

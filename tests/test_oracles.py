@@ -1,13 +1,21 @@
-"""The closed-form map check and alpha profile against their definitional
-oracles in ``boolmetric.suites``, on seeded random families over both
+"""The closed-form map check, alpha profile, orthogonal complement and
+pattern-table transport against their definitional oracles (in
+``boolmetric.suites``, or per point), on seeded random families over both
 algebras."""
 
 import random
 from collections import Counter
 
-from boolmetric import (PartialMap, Point, alpha_profile_of_points,
-                        atomic_algebra, check_map, fincof_algebra)
-from boolmetric.suites import enumerated_alpha_profile, pairwise_map_verdict
+import pytest
+
+from boolmetric import (ConvexCoefficients, NotInHullError, PartialMap, Point,
+                        UnsupportedOperationError, alpha_profile_of_points,
+                        atomic_algebra, check_map, conv_hull, convex_combine,
+                        decompose, fincof_algebra, orthogonal_complement, space)
+from boolmetric.algebra import FINITE_ATOMIC
+from boolmetric.spaces import _transport
+from boolmetric.suites import (enumerated_alpha_profile, pairwise_map_verdict,
+                               pairwise_orthogonal_complement)
 
 
 def random_family(rng):
@@ -61,3 +69,68 @@ def test_closed_forms_match_definitional_oracles():
         kinds[alg.kind, verdict.kind] += 1
     # every verdict occurs often over both algebras
     assert len(kinds) == 6 and min(kinds.values()) >= 50, kinds
+
+
+def per_point_transport(points, gens, images, tie_break):
+    """decompose plus convex_combine, one point at a time: the images, or
+    the first point not in the hull with its NotInHullError."""
+    out = []
+    for x in points:
+        try:
+            coeffs = decompose(x, gens, tie_break=tie_break)
+        except NotInHullError as exc:
+            return x, exc
+        out.append(convex_combine(coeffs, images))
+    return out
+
+
+def test_complement_and_transport_match_per_point_oracles():
+    rng = random.Random(4096)
+    shapes = Counter()
+    transports = Counter()
+    for _ in range(1200):
+        alg, element, points = random_family(rng)
+        atomic = alg.kind == FINITE_ATOMIC
+        convex = atomic and rng.random() < 0.5
+        bp = rng.choice(points)
+        if convex:
+            ambient = conv_hull(points, basepoint=bp)
+            extra = rng.sample(ambient.points, rng.randint(0, min(2, len(ambient))))
+            inner = conv_hull([bp] + extra, basepoint=bp)
+        else:
+            ambient = space(points, basepoint=bp)
+            inner = space([bp] + rng.sample(points, rng.randint(0, len(points) - 1)),
+                          basepoint=bp)
+        comp = orthogonal_complement(inner, ambient)
+        oracle = pairwise_orthogonal_complement(inner, ambient)
+        assert comp.points == oracle.points and comp.convex == oracle.convex
+        trivial = len(comp) == 1 or len(comp) == len(ambient)
+        shapes[alg.kind, convex, trivial] += 1
+
+        gens = rng.sample(ambient.points, rng.randint(1, min(3, len(ambient))))
+        images = random_images(rng, element, gens)
+        if not atomic:
+            with pytest.raises(UnsupportedOperationError):
+                _transport(ambient.points, gens, images)
+            continue
+        # mostly points of the hull of gens, sometimes any point of the space
+        probes = [convex_combine(ConvexCoefficients(tuple(
+                      rng.randrange(len(gens)) for _ in range(alg.atom_count))), gens)
+                  for _ in range(rng.randint(1, 6))]
+        if rng.random() < 0.4:
+            probes.insert(rng.randrange(len(probes) + 1), rng.choice(ambient.points))
+        for tie_break in ("min", "max"):
+            expected = per_point_transport(probes, gens, images, tie_break)
+            if isinstance(expected, list):
+                assert _transport(probes, gens, images, tie_break) == expected
+                transports["ok"] += 1
+                continue
+            x, exc = expected
+            with pytest.raises(NotInHullError) as err:
+                _transport(probes, gens, images, tie_break)
+            assert err.value.point == x and err.value.atom_index == exc.atom_index
+            assert str(err.value) == str(exc)
+            transports["not in hull"] += 1
+    # complements of every shape occur, non-trivial ones included
+    assert min(shapes.values()) >= 20 and len(shapes) == 6, shapes
+    assert min(transports.values()) >= 100, transports

@@ -1,0 +1,56 @@
+"""Property tests (hypothesis, an optional test dependency): the
+pattern-table transport against decompose plus convex_combine point by
+point."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from boolmetric import (NotInHullError, Point, atomic_algebra, convex_combine,
+                        decompose)
+from boolmetric.spaces import _transport
+
+
+@st.composite
+def transport_cases(draw):
+    """Generators, parallel images and probe points over one finite atomic
+    algebra; images may have another dimension than the generators."""
+    k = draw(st.integers(1, 4))
+    alg = atomic_algebra(k)
+    element = st.integers(0, (1 << k) - 1).map(alg._make)
+    dim, image_dim = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    gens = draw(st.lists(st.lists(element, min_size=dim, max_size=dim).map(Point),
+                         min_size=1, max_size=5))
+    images = [Point(draw(st.lists(element, min_size=image_dim, max_size=image_dim)))
+              for _ in gens]
+    # a probe copies some generator's coordinates on each atom, or is arbitrary
+    choices = st.lists(st.integers(0, len(gens) - 1), min_size=k, max_size=k)
+    spliced = choices.map(lambda c: Point(
+        alg._make(sum(gens[i].coords[j].bits & 1 << t for t, i in enumerate(c)))
+        for j in range(dim)))
+    arbitrary = st.lists(element, min_size=dim, max_size=dim).map(Point)
+    probes = draw(st.lists(spliced | arbitrary, max_size=6))
+    return gens, images, probes, draw(st.sampled_from(["min", "max"]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(transport_cases())
+def test_transport_is_decompose_then_convex_combine(case):
+    gens, images, probes, tie_break = case
+    expected, failure = [], None
+    for x in probes:
+        try:
+            coeffs = decompose(x, gens, tie_break=tie_break)
+        except NotInHullError as exc:
+            failure = (x, exc.atom_index)
+            break
+        expected.append(convex_combine(coeffs, images))
+    if failure is None:
+        assert _transport(probes, gens, images, tie_break) == expected
+    else:
+        with pytest.raises(NotInHullError) as err:
+            _transport(probes, gens, images, tie_break)
+        assert (err.value.point, err.value.atom_index) == failure

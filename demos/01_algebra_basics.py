@@ -3,8 +3,8 @@
 
 Every value printed here is computed exactly: elements of the finite
 atomic algebra are bit masks, elements of the finite-cofinite algebra
-are (tag, support) pairs, and distances are coordinatewise symmetric
-differences joined together.
+are (tag, support) pairs with the support packed into a bit mask, and
+distances are coordinatewise symmetric differences joined together.
 """
 
 from boolmetric import Point, atomic_algebra, distance, fincof_algebra, norm

@@ -10,8 +10,8 @@ showing where all of this breaks over the incomplete algebra of finite
 and cofinite sets.
 """
 
-from .algebra import (FINITE_ATOMIC, FINITE_COFINITE, Algebra, BitsElement,
-                      Element, SetElement, atomic_algebra, atoms, complement,
+from .algebra import (FINITE_ATOMIC, FINITE_COFINITE, MAX_NATURAL, Algebra,
+                      BitsElement, Element, SetElement, atomic_algebra, atoms, complement,
                       difference, fincof_algebra, inf_family, join, leq, meet,
                       sup_family, symdiff)
 from .counterexamples import (IdealDescriptor, LineExtension, Witness,
@@ -47,7 +47,7 @@ from .suites import (SUITES, RunConfig, SuiteResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "FINITE_ATOMIC", "FINITE_COFINITE", "Algebra", "BitsElement", "Element",
+    "FINITE_ATOMIC", "FINITE_COFINITE", "MAX_NATURAL", "Algebra", "BitsElement", "Element",
     "SetElement", "atomic_algebra", "atoms", "complement", "difference",
     "fincof_algebra", "inf_family", "join", "leq", "meet", "sup_family",
     "symdiff",

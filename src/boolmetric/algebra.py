@@ -6,16 +6,21 @@
   ``i`` (counted from the left) in the text literal, e.g. ``"101"``.
 
 * The algebra of finite and cofinite subsets of the naturals.  Elements are
-  stored as a finite support set plus a tag saying whether the element is
-  that finite set or its complement.  This algebra is not complete: an
-  infinite, co-infinite set of naturals is neither finite nor cofinite, so
-  some bounded families have no least upper bound inside the algebra.
+  stored as a finite support, packed into an integer mask (bit ``n`` is
+  the natural ``n``), plus a tag saying whether the element is that finite
+  set or its complement, so every lattice operation is again one integer
+  operation.  Supports contain naturals below :data:`MAX_NATURAL` only,
+  which bounds a mask at ``MAX_NATURAL`` bits.  This algebra is not
+  complete: an infinite, co-infinite set of naturals is neither finite nor
+  cofinite, so some bounded families have no least upper bound inside the
+  algebra.
 
 All operations are exact; there is no floating point anywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -24,6 +29,11 @@ from .errors import StructureError, UnsupportedOperationError
 
 FINITE_ATOMIC = "finite-atomic"
 FINITE_COFINITE = "finite-cofinite"
+
+#: Supports of finite-cofinite elements contain naturals below this bound
+#: only: ``fin``, ``cof`` and ``parse`` refuse larger ones, so that no mask
+#: grows beyond ``MAX_NATURAL`` bits.
+MAX_NATURAL = 2 ** 16
 
 _FINCOF_LITERAL = re.compile(r"^(fin|cof)\{(\d+(?:,\d+)*)?\}$")
 
@@ -55,13 +65,13 @@ class Algebra:
     def zero(self) -> "Element":
         if self.kind == FINITE_ATOMIC:
             return BitsElement(self, 0)
-        return SetElement(self, False, frozenset())
+        return SetElement(self, False, 0)
 
     @property
     def one(self) -> "Element":
         if self.kind == FINITE_ATOMIC:
             return BitsElement(self, (1 << self.atom_count) - 1)
-        return SetElement(self, True, frozenset())
+        return SetElement(self, True, 0)
 
     def element(self, bits: int) -> "Element":
         """Finite atomic element from a bit mask (bit i = atom i)."""
@@ -102,8 +112,8 @@ class Algebra:
 
         Finite atomic: a string of 0/1 characters, one per atom, leftmost
         character is atom 0, e.g. ``"101"``.  Finite-cofinite: ``fin{...}``
-        or ``cof{...}`` with ascending comma-separated naturals and no
-        spaces, e.g. ``fin{1,3}`` or ``cof{}``.
+        or ``cof{...}`` with ascending comma-separated naturals below
+        :data:`MAX_NATURAL` and no spaces, e.g. ``fin{1,3}`` or ``cof{}``.
         """
         if self.kind == FINITE_ATOMIC:
             if len(literal) != self.atom_count or any(c not in "01" for c in literal):
@@ -118,10 +128,13 @@ class Algebra:
         if m is None:
             raise StructureError(f"bad element literal {literal!r} for the finite-cofinite algebra")
         body = m.group(2)
-        values = [int(v) for v in body.split(",")] if body else []
+        try:
+            values = [int(v) for v in body.split(",")] if body else []
+        except ValueError:  # more digits than int() converts
+            raise StructureError(f"naturals must lie below {MAX_NATURAL}: {literal!r}") from None
         if any(b >= a for a, b in zip(values[1:], values)):
             raise StructureError(f"literal support must be strictly ascending: {literal!r}")
-        return SetElement(self, m.group(1) == "cof", frozenset(values))
+        return SetElement(self, m.group(1) == "cof", _check_support(values))
 
     def elements(self) -> Iterator["Element"]:
         """All elements, in bit-mask order (finite atomic only)."""
@@ -139,12 +152,27 @@ def fincof_algebra() -> Algebra:
     return Algebra(FINITE_COFINITE)
 
 
-def _check_support(values: Iterable[int]) -> frozenset[int]:
-    support = frozenset(values)
-    for v in support:
+def _check_support(values: Iterable[int]) -> int:
+    """The mask of a support given as naturals below ``MAX_NATURAL``."""
+    mask = 0
+    for v in values:
         if not isinstance(v, int) or v < 0:
             raise StructureError(f"supports contain naturals only, got {v!r}")
-    return support
+        if v >= MAX_NATURAL:
+            raise StructureError(f"supports contain naturals below {MAX_NATURAL} only, got {v}")
+        mask |= 1 << v
+    return mask
+
+
+def _naturals(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [n for n, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _support_text(mask: int) -> str:
+    """The comma-separated naturals of a support, ascending."""
+    return ",".join(map(str, _naturals(mask)))
 
 
 class Element:
@@ -222,70 +250,89 @@ class BitsElement(Element):
 
 
 class SetElement(Element):
-    """Finite or cofinite set of naturals, stored by its finite support."""
+    """Finite or cofinite set of naturals, stored by its finite support.
 
-    __slots__ = ("algebra", "cofinite", "support")
+    ``mask`` packs the support (bit ``n`` is the natural ``n``, below
+    :data:`MAX_NATURAL`); ``cofinite`` says whether the element is that
+    finite set or its complement.  ``support`` is the same set as a
+    frozenset, built on demand.
+    """
 
-    def __init__(self, algebra: Algebra, cofinite: bool, support: frozenset[int]):
+    __slots__ = ("algebra", "cofinite", "mask")
+
+    def __init__(self, algebra: Algebra, cofinite: bool, mask: int):
         self.algebra = algebra
         self.cofinite = cofinite
-        self.support = support
+        self.mask = mask
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(_naturals(self.mask))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.cofinite and not self.mask
 
     def __eq__(self, other):
         return (isinstance(other, SetElement)
-                and other.cofinite == self.cofinite and other.support == self.support)
+                and other.cofinite == self.cofinite and other.mask == self.mask)
 
     def __hash__(self):
-        return hash((self.cofinite, self.support))
+        return hash((self.cofinite, self.mask))
 
     def __and__(self, other):
         _same(self, other)
         a, b = self, other
         if not a.cofinite and not b.cofinite:
-            return SetElement(a.algebra, False, a.support & b.support)
+            return SetElement(a.algebra, False, a.mask & b.mask)
         if not a.cofinite:
-            return SetElement(a.algebra, False, a.support - b.support)
+            return SetElement(a.algebra, False, a.mask & ~b.mask)
         if not b.cofinite:
-            return SetElement(a.algebra, False, b.support - a.support)
-        return SetElement(a.algebra, True, a.support | b.support)
+            return SetElement(a.algebra, False, b.mask & ~a.mask)
+        return SetElement(a.algebra, True, a.mask | b.mask)
 
     def __or__(self, other):
         _same(self, other)
         a, b = self, other
         if not a.cofinite and not b.cofinite:
-            return SetElement(a.algebra, False, a.support | b.support)
+            return SetElement(a.algebra, False, a.mask | b.mask)
         if not a.cofinite:
-            return SetElement(a.algebra, True, b.support - a.support)
+            return SetElement(a.algebra, True, b.mask & ~a.mask)
         if not b.cofinite:
-            return SetElement(a.algebra, True, a.support - b.support)
-        return SetElement(a.algebra, True, a.support & b.support)
+            return SetElement(a.algebra, True, a.mask & ~b.mask)
+        return SetElement(a.algebra, True, a.mask & b.mask)
 
     def __xor__(self, other):
         _same(self, other)
         a, b = self, other
-        return SetElement(a.algebra, a.cofinite != b.cofinite, a.support ^ b.support)
+        return SetElement(a.algebra, a.cofinite != b.cofinite, a.mask ^ b.mask)
 
     def __sub__(self, other):
         return self & ~other
 
     def __invert__(self):
-        return SetElement(self.algebra, not self.cofinite, self.support)
+        return SetElement(self.algebra, not self.cofinite, self.mask)
 
     def __le__(self, other):
         _same(self, other)
-        return (self & other) == self
+        a, b = self, other
+        if not a.cofinite:
+            # a finite set is below b when it avoids what b leaves out
+            return not a.mask & (b.mask if b.cofinite else ~b.mask)
+        # a cofinite set is below cofinite sets leaving out less only
+        return b.cofinite and not b.mask & ~a.mask
 
     @property
     def literal(self) -> str:
         tag = "cof" if self.cofinite else "fin"
-        return tag + "{" + ",".join(str(v) for v in sorted(self.support)) + "}"
+        return tag + "{" + _support_text(self.mask) + "}"
 
     def sort_key(self):
-        return (1 if self.cofinite else 0, tuple(sorted(self.support)))
+        return (1 if self.cofinite else 0, tuple(_naturals(self.mask)))
 
     def contains(self, n: int) -> bool:
         """Set membership of the natural ``n``."""
-        return (n in self.support) != self.cofinite
+        return (self.mask >> n & 1) != self.cofinite
 
 
 # -- functional spellings of the lattice operations -----------------------

@@ -239,9 +239,9 @@ def cmd_counterexample(args) -> tuple[Report, int]:
             else:
                 w = contraction_obstruction_witness(v, desc)
                 label = f"candidate {v.literal}"
-            status = "refuted" if w.verified else "UNVERIFIED"
-            rep.line(f"{label}: {w.describe()} [{status}]")
-            bad = bad or not w.verified
+            verified = w.verified
+            rep.line(f"{label}: {w.describe()} [{'refuted' if verified else 'UNVERIFIED'}]")
+            bad = bad or not verified
         rep.field("candidates", total)
         rep.field("refuted", "all" if not bad else "INCOMPLETE")
     else:

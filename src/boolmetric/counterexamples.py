@@ -92,11 +92,11 @@ class IdealDescriptor:
     def member(self, n: int) -> bool:
         return n % self.modulus == self.residue
 
-    def members(self) -> Iterator[int]:
-        n = self.residue
-        while True:
-            yield n
-            n += self.modulus
+    def member_mask(self, width: int) -> int:
+        """The members of M below ``width`` as a mask (bit n is n): a
+        repunit in base 2**modulus, shifted by the residue."""
+        count = (width - self.residue + self.modulus - 1) // self.modulus  # 0 if width <= residue
+        return ((1 << self.modulus * count) - 1) // ((1 << self.modulus) - 1) << self.residue
 
     def meet_with(self, x: Element) -> Element:
         """M & x for a finite element x."""
@@ -104,22 +104,24 @@ class IdealDescriptor:
         if x.cofinite:
             raise UnsupportedOperationError("M & x is computed for finite x only; "
                                             "for cofinite x it would leave the algebra")
-        return x.algebra.fin({n for n in x.support if self.member(n)})
+        return SetElement(x.algebra, False, x.mask & self.member_mask(x.mask.bit_length()))
 
-    def least_member_outside(self, exclude: frozenset[int]) -> int:
-        """Least element of M avoiding a finite set (always exists)."""
-        for n in self.members():
-            if n not in exclude:
-                return n
-        raise AssertionError("unreachable: M is infinite")
+    def least_member_outside(self, exclude: int) -> int:
+        """Least element of M avoiding a finite set, given as a mask (bit n
+        is n); it always exists."""
+        width = exclude.bit_length() + self.modulus
+        return _lowest_bit(self.member_mask(width) & ~exclude)
 
-    def least_nonmember_outside(self, exclude: frozenset[int]) -> int:
-        """Least element of the complement of M avoiding a finite set."""
-        n = 0
-        while True:
-            if not self.member(n) and n not in exclude:
-                return n
-            n += 1
+    def least_nonmember_outside(self, exclude: int) -> int:
+        """Least element of the complement of M avoiding a finite set, given
+        as a mask (bit n is n); it always exists."""
+        width = exclude.bit_length() + self.modulus
+        return _lowest_bit(((1 << width) - 1) & ~self.member_mask(width) & ~exclude)
+
+
+def _lowest_bit(mask: int) -> int:
+    """The least natural in a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def _as_fincof(x: Element) -> SetElement:
@@ -136,7 +138,7 @@ def _as_fincof(x: Element) -> SetElement:
 def in_ideal(desc: IdealDescriptor, x: Element) -> bool:
     """Membership in I: finite subsets of M."""
     x = _as_fincof(x)
-    return not x.cofinite and all(desc.member(n) for n in x.support)
+    return not x.cofinite and not x.mask & ~desc.member_mask(x.mask.bit_length())
 
 
 def in_orthogonal_ideal(desc: IdealDescriptor, y: Element) -> bool:
@@ -149,7 +151,7 @@ def in_orthogonal_ideal(desc: IdealDescriptor, y: Element) -> bool:
     """
     y = _as_fincof(y)
     if not y.cofinite:
-        return not any(desc.member(n) for n in y.support)
+        return not y.mask & desc.member_mask(y.mask.bit_length())
     return False
 
 
@@ -169,10 +171,8 @@ def split_line_point(desc: IdealDescriptor, z: Element) -> tuple[Element, Elemen
     z = _as_fincof(z)
     if not in_sum_ideal(desc, z):
         raise StructureError(f"{z.literal} is not a sum of an I and a J element")
-    alg = z.algebra
-    x = alg.fin({n for n in z.support if desc.member(n)})
-    y = alg.fin({n for n in z.support if not desc.member(n)})
-    return x, y
+    members = z.mask & desc.member_mask(z.mask.bit_length())
+    return SetElement(z.algebra, False, members), SetElement(z.algebra, False, z.mask ^ members)
 
 
 def is_disjoint_pair(p: Point) -> bool:
@@ -263,19 +263,21 @@ def isometry_obstruction_witness(candidate: tuple[Element, Element],
     alg = a.algebra
     # An element of I not below a.
     if not a.cofinite:
-        m: int | None = desc.least_member_outside(a.support)
+        m: int | None = desc.least_member_outside(a.mask)
     else:
-        m = next((n for n in sorted(a.support) if desc.member(n)), None)
+        left_out = a.mask & desc.member_mask(a.mask.bit_length())
+        m = _lowest_bit(left_out) if left_out else None
     if m is not None:
-        x = alg.fin({m})
+        x = SetElement(alg, False, 1 << m)
         return Witness("ideal", x, (x ^ a) | b, ~x)
     # An element of J not below b.
     if not b.cofinite:
-        m = desc.least_nonmember_outside(b.support)
+        m = desc.least_nonmember_outside(b.mask)
     else:
-        m = next((n for n in sorted(b.support) if not desc.member(n)), None)
+        left_out = b.mask & ~desc.member_mask(b.mask.bit_length())
+        m = _lowest_bit(left_out) if left_out else None
     if m is not None:
-        y = alg.fin({m})
+        y = SetElement(alg, False, 1 << m)
         return Witness("orthogonal", y, (y ^ b) | a, ~y)
     # Now a contains M and b contains its complement: both are cofinite,
     # so their meet is cofinite, in particular nonzero.
@@ -296,12 +298,13 @@ def contraction_obstruction_witness(candidate: Element,
     because v is finite or cofinite while M is neither.
     """
     v = _as_fincof(candidate)
-    n = 0
-    while True:
-        if v.contains(n) != desc.member(n):
-            break
-        n += 1
-    x = v.algebra.fin({n})
+    # Above its support v is constant while M is not, so they disagree
+    # below the support's width plus one period.
+    width = v.mask.bit_length() + desc.modulus
+    disagree = v.mask ^ desc.member_mask(width)
+    if v.cofinite:
+        disagree ^= (1 << width) - 1
+    x = SetElement(v.algebra, False, disagree & -disagree)
     return Witness("contraction", x, v ^ desc.meet_with(x), ~x)
 
 
@@ -310,11 +313,9 @@ def bounded_candidates(max_support: int = 16,
     """All fin S and cof S with S inside {0..max_support}, in a fixed
     order: supports by binary counting, fin before cof."""
     alg = algebra if algebra is not None else fincof_algebra()
-    universe = list(range(max_support + 1))
     for mask in range(1 << (max_support + 1)):
-        support = frozenset(n for n in universe if mask >> n & 1)
-        yield SetElement(alg, False, support)
-        yield SetElement(alg, True, support)
+        yield SetElement(alg, False, mask)
+        yield SetElement(alg, True, mask)
 
 
 # ---------------------------------------------------------------------------

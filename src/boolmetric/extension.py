@@ -364,7 +364,7 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
         raise VerificationError("orthogonal join is not contractive")
     if fv.kind == "isometric" and gv.kind == "isometric" and verdict.kind != "isometric":
         raise VerificationError("orthogonal join of isometries is not isometric")
-    return PartialMap(out.pairs, flag=verdict.kind)
+    return out.with_flag(verdict.kind)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +417,7 @@ def extend_isometry(pm: PartialMap, ambient: FiniteSpace,
         raise VerificationError(
             "complements of isometric subspaces must have equal profiles") from exc
     joined = orthogonal_join(side, comp_map, pointed)
-    out = PartialMap(joined.then(swap.inverse()).pairs, flag="isometric")
+    out = joined.then(swap.inverse()).with_flag("isometric")
     if check_map(out).kind != "isometric" or set(out.targets) != set(ambient.points):
         raise VerificationError("the assembled map is not a self-isometry")
     for s, t in pm.pairs:

@@ -22,7 +22,7 @@ from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .algebra import FINITE_ATOMIC, Algebra, Element
+from .algebra import FINITE_ATOMIC, Algebra, Element, SetElement, _naturals
 from .errors import (CapExceededError, NotInHullError, StructureError,
                      UnsupportedOperationError)
 
@@ -131,10 +131,14 @@ def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
         atoms = list(range(alg.atom_count))
         masks = [[c.bits for c in p.coords] for p in points]
     else:
-        atoms = sorted(set().union(*(c.support for p in points for c in p.coords)))
+        union = 0
+        for p in points:
+            for c in p.coords:
+                union |= c.mask
+        atoms = _naturals(union)
         index = {n: i for i, n in enumerate(atoms)}
         full = (1 << len(atoms) + 1) - 1
-        masks = [[sum(1 << index[n] for n in c.support) ^ (full if c.cofinite else 0)
+        masks = [[sum(1 << index[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
                   for c in p.coords] for p in points]
         atoms.append(None)
     k = len(atoms)
@@ -148,10 +152,15 @@ def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
     ``mask``, for atoms listed as by :func:`_atom_patterns`."""
     if algebra.kind == FINITE_ATOMIC:
         return algebra._make(mask)
-    chosen = {a for t, a in enumerate(atoms) if mask >> t & 1}
-    if None in chosen:
-        return algebra.cof(set(atoms[:-1]) - chosen)
-    return algebra.fin(chosen)
+    chosen = left_out = 0
+    for t, n in enumerate(atoms[:-1]):
+        if mask >> t & 1:
+            chosen |= 1 << n
+        else:
+            left_out |= 1 << n
+    if mask >> len(atoms) - 1 & 1:
+        return SetElement(algebra, True, left_out)
+    return SetElement(algebra, False, chosen)
 
 
 def _point_from_patterns(algebra: Algebra, atoms: Sequence, dim: int,
@@ -508,6 +517,13 @@ class PartialMap:
         if len(set(targets)) != len(targets):
             raise StructureError("only injective maps can be inverted")
         return PartialMap(tuple((t, s) for s, t in self.pairs), flag=self.flag)
+
+    def with_flag(self, flag: str | None) -> "PartialMap":
+        """The same map carrying ``flag``; the pairs and the lookup are
+        shared, not re-sorted or re-checked."""
+        out = copy(self)
+        object.__setattr__(out, "flag", flag)
+        return out
 
     def then(self, other: "PartialMap") -> "PartialMap":
         """Composition: apply this map first, then ``other``."""

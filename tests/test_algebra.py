@@ -2,8 +2,8 @@
 
 import pytest
 
-from boolmetric import (StructureError, UnsupportedOperationError, atomic_algebra,
-                        atoms, fincof_algebra, inf_family, sup_family)
+from boolmetric import (MAX_NATURAL, StructureError, UnsupportedOperationError,
+                        atomic_algebra, atoms, fincof_algebra, inf_family, sup_family)
 
 
 def test_atomic_literals_round_trip():
@@ -55,6 +55,21 @@ def test_fincof_literals():
     assert alg.zero.literal == "fin{}"
     assert alg.one.literal == "cof{}"
     for bad in ("fin{3,1}", "fin{1,1}", "fin{1, 3}", "cof", "fin{a}"):
+        with pytest.raises(StructureError):
+            alg.parse(bad)
+
+
+def test_fincof_naturals_stay_below_the_bound():
+    alg = fincof_algebra()
+    assert MAX_NATURAL == 2 ** 16
+    top = MAX_NATURAL - 1
+    assert alg.fin({top}).contains(top) and not alg.cof({top}).contains(top)
+    assert alg.parse(f"cof{{0,{top}}}") == alg.cof({0, top})
+    assert alg.fin({top}).literal == f"fin{{{top}}}"
+    for make in (alg.fin, alg.cof):
+        with pytest.raises(StructureError):
+            make({1, MAX_NATURAL})
+    for bad in (f"fin{{{MAX_NATURAL}}}", f"cof{{1,{MAX_NATURAL}}}"):
         with pytest.raises(StructureError):
             alg.parse(bad)
 

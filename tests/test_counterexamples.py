@@ -28,6 +28,21 @@ def test_descriptor_basics():
         IdealDescriptor.parse("primes")
     with pytest.raises(StructureError):
         IdealDescriptor(0, 1)  # the set must be co-infinite
+
+
+def test_member_mask_and_least_members_outside():
+    for m in range(2, 9):
+        for r in range(m):
+            desc = IdealDescriptor(r, m)
+            for width in range(3 * m + 2):
+                members = [n for n in range(width) if desc.member(n)]
+                assert desc.member_mask(width) == sum(1 << n for n in members)
+                exclude = sum(1 << n for n in range(width) if n % 3 != 1)
+                outside = [n for n in range(width + m + 1) if not exclude >> n & 1]
+                assert desc.least_member_outside(exclude) == next(
+                    n for n in outside if desc.member(n))
+                assert desc.least_nonmember_outside(exclude) == next(
+                    n for n in outside if not desc.member(n))
     with pytest.raises(StructureError):
         IdealDescriptor(5, 3)
 

@@ -323,6 +323,14 @@ def test_bad_input_and_flags_are_exit_two(tmp_path, capsys, argv):
     assert code == 2 and err and "Traceback" not in err
 
 
+def test_naturals_at_the_bound_are_exit_two(tmp_path, capsys):
+    text = "algebra cofinite\nspace W dim=1\npoint fin{}\npoint fin{%d}\n"
+    code, out, _ = run_cli(capsys, "alpha", "--input", write(tmp_path, text % (2 ** 16 - 1)))
+    assert code == 0 and "points = 2" in out
+    code, _, err = run_cli(capsys, "alpha", "--input", write(tmp_path, text % 2 ** 16))
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_alpha_handles_inputs_beyond_the_enumeration_range(tmp_path, capsys):
     lits = [f"{a:03b} {b:03b}" for a in range(8) for b in range(8)][::2][:25]
     path = write(tmp_path, "algebra finite k=3\nspace W dim=2\n"

@@ -1,18 +1,24 @@
 """The closed-form map check, alpha profile, orthogonal complement and
 pattern-table transport against their definitional oracles (in
 ``boolmetric.suites``, or per point), on seeded random families over both
-algebras."""
+algebras; the mask-based finite-cofinite elements and witness searches
+against the frozenset model in ``fincof_model``."""
 
 import random
 from collections import Counter
+from operator import and_, or_, sub, xor
 
 import pytest
+
+import fincof_model as model
 
 from boolmetric import (ConvexCoefficients, NotInHullError, PartialMap, Point,
                         UnsupportedOperationError, alpha_profile_of_points,
                         atomic_algebra, check_map, conv_hull, convex_combine,
                         decompose, fincof_algebra, orthogonal_complement, space)
 from boolmetric.algebra import FINITE_ATOMIC
+from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction_witness,
+                                        isometry_obstruction_witness)
 from boolmetric.spaces import _transport
 from boolmetric.suites import (enumerated_alpha_profile, pairwise_map_verdict,
                                pairwise_orthogonal_complement)
@@ -134,3 +140,66 @@ def test_complement_and_transport_match_per_point_oracles():
     # complements of every shape occur, non-trivial ones included
     assert min(shapes.values()) >= 20 and len(shapes) == 6, shapes
     assert min(transports.values()) >= 100, transports
+
+
+PREDICATES = [IdealDescriptor(r, m) for m in range(2, 9) for r in range(m)]
+
+
+def random_model_element(rng):
+    """A model element whose support is empty, a few naturals below 131, or
+    a dense run starting at 0, so that masks often cross 64 bits."""
+    shape = rng.random()
+    if shape < 0.15:
+        support = frozenset()
+    elif shape < 0.6:
+        support = frozenset(rng.sample(range(131), rng.randint(1, 6)))
+    else:
+        support = frozenset(n for n in range(rng.randint(1, 131)) if rng.random() < 0.5)
+    return (rng.random() < 0.5, support)
+
+
+def test_fincof_masks_match_set_model():
+    rng = random.Random(1729)
+    kinds = Counter()
+    wide = 0
+    for i in range(2000):
+        ma, mb = random_model_element(rng), random_model_element(rng)
+        a, b = model.build(ma), model.build(mb)
+        wide += a.mask.bit_length() > 64
+        for x, m in ((a, ma), (b, mb)):
+            assert model.as_model(x) == m
+            assert x.literal == model.literal(m)
+            assert x.sort_key() == model.sort_key(m)
+            assert x.algebra.parse(x.literal) == x
+            assert model.as_model(~x) == model.complement(m)
+            assert x.is_zero == (m == (False, frozenset()))
+            for n in rng.sample(range(140), 8) + sorted(m[1])[:3]:
+                assert x.contains(n) == model.contains(m, n)
+        for op, model_op in ((and_, model.meet), (or_, model.join),
+                             (xor, model.symdiff), (sub, model.difference)):
+            assert model.as_model(op(a, b)) == model_op(ma, mb)
+            assert model.as_model(op(b, a)) == model_op(mb, ma)
+        assert (a <= b, b <= a, a <= a) == (model.leq(ma, mb), model.leq(mb, ma), True)
+        twin = model.build(ma)
+        assert twin == a and hash(twin) == hash(a)
+        assert (a == b) == (ma == mb) and len({a, b, twin}) == len({ma, mb})
+        assert (a.sort_key() < b.sort_key()) == (model.sort_key(ma) < model.sort_key(mb))
+
+        # three predicates per pair, so that each one meets about 170 pairs
+        for desc in (PREDICATES[(3 * i + j) % len(PREDICATES)] for j in range(3)):
+            # candidates of every branch: independent coordinates, a
+            # coordinate and its complement, and both coordinates cofinite
+            # with supports that keep M and its complement inside them
+            overlap = ((True, frozenset(n for n in ma[1] if not desc.member(n))),
+                       (True, frozenset(n for n in mb[1] if desc.member(n))))
+            for pa, pb in ((ma, mb), (ma, model.complement(ma)), overlap):
+                w = isometry_obstruction_witness((model.build(pa), model.build(pb)), desc)
+                assert model.witness_as_model(w) == model.isometry_witness(pa, pb, desc)
+                assert w.verified
+                kinds[w.kind] += 1
+            for v in (ma, mb):
+                w = contraction_obstruction_witness(model.build(v), desc)
+                assert model.witness_as_model(w) == model.contraction_witness(v, desc)
+                assert w.verified
+    assert wide >= 500, wide
+    assert min(kinds.values()) >= 1000 and len(kinds) == 3, kinds

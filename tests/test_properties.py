@@ -1,6 +1,7 @@
 """Property tests (hypothesis, an optional test dependency): the
 pattern-table transport against decompose plus convex_combine point by
-point."""
+point, and the mask-based finite-cofinite elements against the frozenset
+model in ``fincof_model``."""
 
 import pytest
 
@@ -9,8 +10,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fincof_model as model
 from boolmetric import (NotInHullError, Point, atomic_algebra, convex_combine,
                         decompose)
+from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction_witness,
+                                        isometry_obstruction_witness)
 from boolmetric.spaces import _transport
 
 
@@ -54,3 +58,27 @@ def test_transport_is_decompose_then_convex_combine(case):
         with pytest.raises(NotInHullError) as err:
             _transport(probes, gens, images, tie_break)
         assert (err.value.point, err.value.atom_index) == failure
+
+
+model_elements = st.tuples(st.booleans(), st.frozensets(st.integers(0, 130), max_size=12))
+predicates = st.integers(2, 8).flatmap(
+    lambda m: st.integers(0, m - 1).map(lambda r: IdealDescriptor(r, m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(model_elements, model_elements, predicates)
+def test_fincof_masks_follow_the_set_model(ma, mb, desc):
+    a, b = model.build(ma), model.build(mb)
+    assert model.as_model(a & b) == model.meet(ma, mb)
+    assert model.as_model(a | b) == model.join(ma, mb)
+    assert model.as_model(a ^ b) == model.symdiff(ma, mb)
+    assert model.as_model(a - b) == model.difference(ma, mb)
+    assert model.as_model(~a) == model.complement(ma)
+    assert (a <= b) == model.leq(ma, mb) and (a == b) == (ma == mb)
+    assert a.literal == model.literal(ma) and a.algebra.parse(a.literal) == a
+    assert a.sort_key() == model.sort_key(ma)
+    assert all(a.contains(n) == model.contains(ma, n) for n in range(132))
+    w = isometry_obstruction_witness((a, b), desc)
+    assert model.witness_as_model(w) == model.isometry_witness(ma, mb, desc)
+    w = contraction_obstruction_witness(a, desc)
+    assert model.witness_as_model(w) == model.contraction_witness(ma, desc)

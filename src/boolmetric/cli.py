@@ -175,9 +175,9 @@ def _cmd_extend(args, kind: str) -> tuple[Report, int]:
         ambient_name = info.source_space
     ambient = _hulled(parsed, ambient_name, args.max_points)
     if kind == "isometry":
-        out = extend_isometry(info.map, ambient, max_points=args.max_points)
+        out = extend_isometry(info.map, ambient)
     else:
-        out = extend_contraction(info.map, ambient, max_points=args.max_points)
+        out = extend_contraction(info.map, ambient)
     rep = Report()
     rep.field("algebra", _algebra_label(parsed.algebra))
     rep.field("map", map_name)

@@ -337,7 +337,7 @@ class LineExtension:
         return Point((self.offset ^ p.coords[0],))
 
     def as_pairs(self, points) -> PartialMap:
-        return PartialMap(tuple((p, self(p)) for p in points), flag="isometric")
+        return PartialMap(tuple((p, self(p)) for p in points))
 
     def full_map(self) -> PartialMap:
         """The translation on the whole (finite atomic) line."""
@@ -346,7 +346,7 @@ class LineExtension:
             raise UnsupportedOperationError(
                 "the finite-cofinite line is infinite; apply the translation pointwise")
         pairs = tuple((Point((e,)), Point((e ^ self.offset,))) for e in alg.elements())
-        return PartialMap(pairs, flag="isometric")
+        return PartialMap(pairs)
 
 
 def line_extension(pm: PartialMap) -> LineExtension:

@@ -22,10 +22,11 @@ The central results implemented here, all with post-verified constructions:
 
 * ``extend_isometry`` / ``extend_contraction``: any isometry (contraction)
   between finite subsets of a convex space extends to a self-isometry
-  (self-contraction) of the whole space, built from the pieces above.
+  (self-contraction) of the whole space, the stages above composed per atom.
 
 Every stage is atom-local and costs points times atoms: one pattern table
-(``spaces._transport``) carries all points of a hull through a map at once.
+(``spaces._map_patterns``) carries all points of a space through per-atom
+pattern maps at once.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ from typing import Callable, Sequence
 from .algebra import Algebra, Element
 from .errors import (CapExceededError, InfeasibleError, NotInHullError,
                      StructureError, VerificationError)
-from .invariants import AlphaProfile, construct_isometry, homogeneity_isometry
+from .invariants import AlphaProfile
 from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace,
-                     PartialMap, Point, _atom_patterns, _require_atomic,
-                     _transport, check_map, conv_hull, distance, identity_map,
-                     orthogonal_complement)
+                     PartialMap, Point, _atom_patterns, _map_patterns,
+                     _require_atomic, _transport, check_map, conv_hull, distance,
+                     identity_map)
 
 # ---------------------------------------------------------------------------
 # The monotone cube: decreasing tuples and their canonical generators.
@@ -295,7 +296,7 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
                               witness=verdict.witness)
     hull = conv_hull(pm.sources, max_points=max_points)
     images = _transport(hull.points, pm.sources, pm.targets)
-    out = PartialMap(tuple(zip(hull.points, images)), flag=verdict.kind)
+    out = PartialMap(tuple(zip(hull.points, images)))
     for s, t in pm.pairs:
         if out(s) != t:
             raise VerificationError("hull extension does not extend the input map")
@@ -364,7 +365,7 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
         raise VerificationError("orthogonal join is not contractive")
     if fv.kind == "isometric" and gv.kind == "isometric" and verdict.kind != "isometric":
         raise VerificationError("orthogonal join of isometries is not isometric")
-    return out.with_flag(verdict.kind)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -380,17 +381,52 @@ def _check_extension_input(pm: PartialMap, ambient: FiniteSpace):
             raise StructureError("the map must send points of the space into the space")
 
 
-def extend_isometry(pm: PartialMap, ambient: FiniteSpace,
-                    max_points: int = DEFAULT_MAX_HULL_POINTS) -> PartialMap:
+def _extend_by_patterns(pm: PartialMap, ambient: FiniteSpace,
+                        stages: Callable[[int, dict, set], dict]) -> PartialMap:
+    """The map that carries the ambient points through ``stages(a, f, A)``
+    on each atom: ``a`` is the anchor's pattern (the anchor is the first
+    source), ``f`` the input's pattern map and A the ambient's pattern set,
+    on which the returned pattern map must be defined.  The result is
+    verified to extend the input."""
+    _require_atomic(ambient.algebra, "map extension")
+    n, m = len(ambient), len(pm)
+    atoms, table = _atom_patterns(ambient.points + pm.sources + pm.targets)
+    maps = [stages(row[n], dict(zip(row[n:n + m], row[n + m:])), set(row[:n]))
+            for row in table]
+    images = _map_patterns(ambient.algebra, atoms, ambient.dim, ambient.points,
+                           [row[:n] for row in table], maps)
+    out = PartialMap(tuple(zip(ambient.points, images)))
+    for s, t in pm.pairs:
+        if out(s) != t:
+            raise VerificationError("the assembled map does not extend the input")
+    return out
+
+
+def _isometry_stages(a: int, f: dict, patterns: set) -> dict:
+    swap = {f[a]: a, a: f[a]}
+    side = {p: swap.get(q, q) for p, q in f.items()}
+    left = [a] + sorted(patterns - f.keys())
+    right = [a] + sorted(patterns - set(side.values()))
+    if len(left) != len(right):
+        raise VerificationError("complements of isometric subspaces must have equal profiles")
+    joined = side | dict(zip(left, right))
+    return {p: swap.get(q, q) for p, q in joined.items()}
+
+
+def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     """Extend an isometry between finite subsets of a convex space to a
     self-isometry of the whole space.
 
-    Pipeline: extend to the hull of the domain; move the image of the
-    chosen basepoint back onto it with a homogeneity swap; the domain hull
-    and the image hull then share the basepoint, so their orthogonal
-    complements have equal profiles and an isometry between them can be
-    built by base transport; join the two maps and undo the swap.  The
-    result is verified to be a self-isometry extending the input.
+    The stages run on each atom as maps between patterns.  With ``a`` the
+    anchor's pattern and ``f`` the input's pattern map: the hull extension
+    is ``f`` on the domain hull's patterns D; the homogeneity swap ``s``
+    transposes ``f(a)`` and ``a``, so ``side = s . f`` fixes ``a``; the
+    orthogonal complements list ``a`` and then the patterns outside D
+    (outside ``side(D)``) in ascending order, as ``build_base`` does, and
+    must be equally long; base transport matches them index by index; the
+    join of ``side`` and the transport is composed with ``s`` to undo the
+    swap.  The one resulting map is verified to be a self-isometry
+    extending the input.
     """
     if not pm.pairs:
         return identity_map(ambient)
@@ -399,42 +435,21 @@ def extend_isometry(pm: PartialMap, ambient: FiniteSpace,
     if verdict.kind != "isometric":
         raise InfeasibleError("the input pairs do not preserve distances",
                               witness=verdict.witness)
-    anchor = pm.pairs[0][0]
-    hull_map = conv_extend(pm, max_points=max_points)
-    moved_anchor = hull_map(anchor)
-    swap = homogeneity_isometry(ambient, moved_anchor, anchor)
-    side = PartialMap(tuple((s, swap(t)) for s, t in hull_map.pairs), flag="isometric")
-    domain_hull = conv_hull(pm.sources, basepoint=anchor, max_points=max_points)
-    image_hull = conv_hull(side.targets, basepoint=anchor, max_points=max_points)
-    if len(image_hull) != len(domain_hull):
-        raise VerificationError("the image of the domain hull failed to be convex")
-    pointed = ambient.with_basepoint(anchor)
-    domain_comp = orthogonal_complement(domain_hull, pointed)
-    image_comp = orthogonal_complement(image_hull, pointed)
-    try:
-        comp_map = construct_isometry(domain_comp, image_comp)
-    except InfeasibleError as exc:
-        raise VerificationError(
-            "complements of isometric subspaces must have equal profiles") from exc
-    joined = orthogonal_join(side, comp_map, pointed)
-    out = joined.then(swap.inverse()).with_flag("isometric")
+    out = _extend_by_patterns(pm, ambient, _isometry_stages)
     if check_map(out).kind != "isometric" or set(out.targets) != set(ambient.points):
         raise VerificationError("the assembled map is not a self-isometry")
-    for s, t in pm.pairs:
-        if out(s) != t:
-            raise VerificationError("the assembled map does not extend the input")
     return out
 
 
-def extend_contraction(pm: PartialMap, ambient: FiniteSpace,
-                       max_points: int = DEFAULT_MAX_HULL_POINTS) -> PartialMap:
+def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     """Extend a contraction between finite subsets of a convex space to a
     contraction of the whole space into itself.
 
-    Pipeline: extend to the hull of the domain, then join with the map
-    sending the hull's orthogonal complement constantly to the image of
-    the basepoint.  The result is verified to be contractive and to extend
-    the input; it need not be isometric even when the input is.
+    On each atom, the hull extension keeps the input's pattern map on the
+    domain hull's patterns, and the join sends the orthogonal complement's
+    patterns, all the others, to the anchor's image pattern.  The one
+    resulting map is verified to be contractive, to extend the input and to
+    stay in the space; it need not be isometric even when the input is.
     """
     if not pm.pairs:
         return identity_map(ambient)
@@ -443,19 +458,10 @@ def extend_contraction(pm: PartialMap, ambient: FiniteSpace,
     if verdict.kind == "violation":
         raise InfeasibleError("the input pairs do not contract distances",
                               witness=verdict.witness)
-    anchor = pm.pairs[0][0]
-    hull_map = conv_extend(pm, max_points=max_points)
-    domain_hull = conv_hull(pm.sources, basepoint=anchor, max_points=max_points)
-    pointed = ambient.with_basepoint(anchor)
-    comp = orthogonal_complement(domain_hull, pointed)
-    anchor_image = hull_map(anchor)
-    constant = PartialMap(tuple((y, anchor_image) for y in comp))
-    out = orthogonal_join(hull_map, constant, pointed)
+    out = _extend_by_patterns(pm, ambient, lambda a, f, patterns:
+                              dict.fromkeys(patterns, f[a]) | f)
     if check_map(out).kind == "violation":
         raise VerificationError("the assembled map is not contractive")
-    for s, t in pm.pairs:
-        if out(s) != t:
-            raise VerificationError("the assembled map does not extend the input")
     for _, t in out.pairs:
         if t not in ambient:
             raise VerificationError("the assembled map leaves the space")

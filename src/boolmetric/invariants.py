@@ -183,7 +183,7 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
     if base_l.rank != base_r.rank:
         raise VerificationError("equal profiles but mismatched base ranks")
     images = _transport(left.points, [bp_l, *base_l.points], [bp_r, *base_r.points])
-    pm = PartialMap(tuple(zip(left.points, images)), flag="isometric")
+    pm = PartialMap(tuple(zip(left.points, images)))
     targets = set(pm.targets)
     if check_map(pm).kind != "isometric" or targets != set(right.points):
         raise VerificationError("base transport did not produce an isometry")
@@ -208,7 +208,7 @@ def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
     pm = PartialMap(tuple(
         (z, _point_from_patterns(space.algebra, atoms, space.dim,
                                  [swap.get(row[i], row[i]) for swap, row in zip(swaps, table)]))
-        for i, z in enumerate(space.points, start=2)), flag="isometric")
+        for i, z in enumerate(space.points, start=2)))
     if pm(a) != b or pm(b) != a:
         raise VerificationError("homogeneity map does not swap the chosen points")
     for z, w in pm.pairs:
@@ -265,4 +265,4 @@ def brute_force_isometry(left: FiniteSpace, right: FiniteSpace,
 
     if not extend(0):
         return None
-    return PartialMap(tuple(zip(xs, assigned)), flag="isometric")
+    return PartialMap(tuple(zip(xs, assigned)))

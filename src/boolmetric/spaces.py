@@ -419,11 +419,22 @@ def _transport(points: Sequence[Point], gens: Sequence[Point], images: Sequence[
     n = len(points)
     atoms, table = _atom_patterns(list(points) + gens)
     _, image_table = _atom_patterns(images)
-    columns = []
+    maps = []
     for row, image_row in zip(table, image_table):
         shown = list(zip(row[n:], image_row))
-        image_of = dict(reversed(shown) if tie_break == "min" else shown)
-        columns.append([image_of.get(v) for v in row[:n]])
+        maps.append(dict(reversed(shown) if tie_break == "min" else shown))
+    return _map_patterns(alg, atoms, images[0].dim, points,
+                         [row[:n] for row in table], maps)
+
+
+def _map_patterns(algebra: Algebra, atoms: Sequence, dim: int, points: Sequence[Point],
+                  table: Sequence[Sequence[int]], maps: Sequence[dict]) -> list[Point]:
+    """Carry every point through one pattern map per atom: ``table[t][i]``
+    is the pattern of ``points[i]`` on ``atoms[t]`` (from :func:`_atom_patterns`)
+    and ``maps[t]`` sends it to an image pattern of dimension ``dim``.  The
+    first point, in the order given, with a pattern its atom's map lacks
+    raises :class:`NotInHullError` naming that atom."""
+    columns = [[m.get(v) for v in row] for row, m in zip(table, maps)]
     out = []
     for x, patterns in zip(points, zip(*columns)):
         if None in patterns:
@@ -431,7 +442,7 @@ def _transport(points: Sequence[Point], gens: Sequence[Point], images: Sequence[
             raise NotInHullError(
                 f"point {x.literal} is not in the hull: no generator matches on atom {t}",
                 atom_index=t, point=x)
-        out.append(_point_from_patterns(alg, atoms, images[0].dim, patterns))
+        out.append(_point_from_patterns(algebra, atoms, dim, patterns))
     return out
 
 
@@ -463,14 +474,10 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
 
 @dataclass(frozen=True)
 class PartialMap:
-    """A finite list of (source, target) pairs, canonically ordered.
-
-    ``flag`` is an optional claim ("contractive" or "isometric") carried for
-    reporting; :func:`check_map` computes the actual verdict.
-    """
+    """A finite list of (source, target) pairs, canonically ordered;
+    :func:`check_map` classifies it."""
 
     pairs: tuple[tuple[Point, Point], ...]
-    flag: str | None = None
     _mapping: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
@@ -487,10 +494,6 @@ class PartialMap:
             mapping[s] = t
         object.__setattr__(self, "pairs", tuple(pairs))
         object.__setattr__(self, "_mapping", mapping)
-
-    @classmethod
-    def from_dict(cls, mapping: dict, flag: str | None = None) -> "PartialMap":
-        return cls(tuple(mapping.items()), flag=flag)
 
     @property
     def sources(self) -> tuple[Point, ...]:
@@ -516,25 +519,15 @@ class PartialMap:
         targets = self.targets
         if len(set(targets)) != len(targets):
             raise StructureError("only injective maps can be inverted")
-        return PartialMap(tuple((t, s) for s, t in self.pairs), flag=self.flag)
-
-    def with_flag(self, flag: str | None) -> "PartialMap":
-        """The same map carrying ``flag``; the pairs and the lookup are
-        shared, not re-sorted or re-checked."""
-        out = copy(self)
-        object.__setattr__(out, "flag", flag)
-        return out
+        return PartialMap(tuple((t, s) for s, t in self.pairs))
 
     def then(self, other: "PartialMap") -> "PartialMap":
         """Composition: apply this map first, then ``other``."""
         return PartialMap(tuple((s, other(t)) for s, t in self.pairs))
 
-    def restricted_to(self, points: Iterable[Point]) -> "PartialMap":
-        return PartialMap(tuple((p, self(p)) for p in points), flag=self.flag)
-
 
 def identity_map(space: FiniteSpace) -> PartialMap:
-    return PartialMap(tuple((p, p) for p in space), flag="isometric")
+    return PartialMap(tuple((p, p) for p in space))
 
 
 @dataclass(frozen=True)
@@ -567,10 +560,10 @@ def check_map(pm: PartialMap) -> MapVerdict:
     """
     pairs = pm.pairs
     n = len(pairs)
+    if pairs and pairs[0][0].algebra != pairs[0][1].algebra:
+        raise StructureError("sources and targets belong to different algebras")
     if n < 2:
         return MapVerdict("isometric")
-    if pairs[0][0].algebra != pairs[0][1].algebra:
-        raise StructureError("sources and targets belong to different algebras")
     _, table = _atom_patterns(pm.sources + pm.targets)
     witness = None
     injective = True

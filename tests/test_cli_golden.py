@@ -1,0 +1,48 @@
+"""Byte-identical CLI output on the benchmark's pipeline requests.
+
+Replays every request of the benchmark's ``pipeline`` workload (all
+variants of every slot, warm-up included) through ``cli.main`` and
+compares each exit code and stdout SHA-256 with ``bench/golden.json``.
+The request lists and the golden file are read from ``bench/``, not
+copied.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+from boolmetric.cli import main
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pipeline_requests_match_golden_outputs(tmp_path):
+    golden = json.loads((BENCH / "golden.json").read_text())
+    requests = load_workloads().pool("pipeline")
+    assert len(requests) == 208
+    mismatches = []
+    for i, req in enumerate(requests):
+        path = None
+        if req.text is not None:
+            path = tmp_path / f"{i:03d}.txt"
+            path.write_text(req.text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(req.argv(str(path) if path else None))
+        got = {"exit": code,
+               "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+        if got != golden[req.id]:
+            mismatches.append((req.id, golden[req.id], got))
+    assert not mismatches, mismatches[:5]

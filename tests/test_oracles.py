@@ -1,21 +1,28 @@
 """The closed-form map check, alpha profile, orthogonal complement and
 pattern-table transport against their definitional oracles (in
 ``boolmetric.suites``, or per point), on seeded random families over both
-algebras; the mask-based finite-cofinite elements and witness searches
+algebras; the per-atom extension pipelines against the composed building
+blocks; the mask-based finite-cofinite elements and witness searches
 against the frozenset model in ``fincof_model``."""
 
 import random
 from collections import Counter
+from math import prod
 from operator import and_, or_, sub, xor
 
 import pytest
 
 import fincof_model as model
 
-from boolmetric import (ConvexCoefficients, NotInHullError, PartialMap, Point,
-                        UnsupportedOperationError, alpha_profile_of_points,
-                        atomic_algebra, check_map, conv_hull, convex_combine,
-                        decompose, fincof_algebra, orthogonal_complement, space)
+from boolmetric import (BoolmetricError, ConvexCoefficients, FiniteSpace,
+                        InfeasibleError, NotInHullError, PartialMap, Point,
+                        StructureError, UnsupportedOperationError, VerificationError,
+                        alpha_profile_of_points, atomic_algebra, check_map,
+                        construct_isometry, conv_extend, conv_hull, convex_combine,
+                        decompose, extend_contraction, extend_isometry,
+                        fincof_algebra, homogeneity_isometry, identity_map,
+                        orthogonal_complement, orthogonal_join, space)
+from boolmetric.extension import _check_extension_input
 from boolmetric.algebra import FINITE_ATOMIC
 from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction_witness,
                                         isometry_obstruction_witness)
@@ -140,6 +147,146 @@ def test_complement_and_transport_match_per_point_oracles():
     # complements of every shape occur, non-trivial ones included
     assert min(shapes.values()) >= 20 and len(shapes) == 6, shapes
     assert min(transports.values()) >= 100, transports
+
+
+def composed_extend_isometry(pm, ambient):
+    """The isometry pipeline chained from its point-level building blocks."""
+    if not pm.pairs:
+        return identity_map(ambient)
+    _check_extension_input(pm, ambient)
+    verdict = check_map(pm)
+    if verdict.kind != "isometric":
+        raise InfeasibleError("the input pairs do not preserve distances",
+                              witness=verdict.witness)
+    anchor = pm.pairs[0][0]
+    hull_map = conv_extend(pm)
+    moved_anchor = hull_map(anchor)
+    swap = homogeneity_isometry(ambient, moved_anchor, anchor)
+    side = PartialMap(tuple((s, swap(t)) for s, t in hull_map.pairs))
+    domain_hull = conv_hull(pm.sources, basepoint=anchor)
+    image_hull = conv_hull(side.targets, basepoint=anchor)
+    if len(image_hull) != len(domain_hull):
+        raise VerificationError("the image of the domain hull failed to be convex")
+    pointed = ambient.with_basepoint(anchor)
+    domain_comp = orthogonal_complement(domain_hull, pointed)
+    image_comp = orthogonal_complement(image_hull, pointed)
+    try:
+        comp_map = construct_isometry(domain_comp, image_comp)
+    except InfeasibleError as exc:
+        raise VerificationError(
+            "complements of isometric subspaces must have equal profiles") from exc
+    joined = orthogonal_join(side, comp_map, pointed)
+    out = joined.then(swap.inverse())
+    if check_map(out).kind != "isometric" or set(out.targets) != set(ambient.points):
+        raise VerificationError("the assembled map is not a self-isometry")
+    for s, t in pm.pairs:
+        if out(s) != t:
+            raise VerificationError("the assembled map does not extend the input")
+    return out
+
+
+def composed_extend_contraction(pm, ambient):
+    """The contraction pipeline chained from its point-level building blocks."""
+    if not pm.pairs:
+        return identity_map(ambient)
+    _check_extension_input(pm, ambient)
+    verdict = check_map(pm)
+    if verdict.kind == "violation":
+        raise InfeasibleError("the input pairs do not contract distances",
+                              witness=verdict.witness)
+    anchor = pm.pairs[0][0]
+    hull_map = conv_extend(pm)
+    domain_hull = conv_hull(pm.sources, basepoint=anchor)
+    pointed = ambient.with_basepoint(anchor)
+    comp = orthogonal_complement(domain_hull, pointed)
+    anchor_image = hull_map(anchor)
+    constant = PartialMap(tuple((y, anchor_image) for y in comp))
+    out = orthogonal_join(hull_map, constant, pointed)
+    if check_map(out).kind == "violation":
+        raise VerificationError("the assembled map is not contractive")
+    for s, t in pm.pairs:
+        if out(s) != t:
+            raise VerificationError("the assembled map does not extend the input")
+    for _, t in out.pairs:
+        if t not in ambient:
+            raise VerificationError("the assembled map leaves the space")
+    return out
+
+
+def random_extension_instance(rng):
+    """A map and an ambient space: the ambient is a hull of at most 200
+    points over k <= 4 atoms in dimension <= 3, given by its pattern set
+    on each atom; the map sends a few of its points through per-atom
+    pattern permutations (isometric) or functions (contractive), to random
+    points, or is refused for its ambient (not convex, a point outside,
+    finite-cofinite)."""
+    k, dim = rng.randint(1, 4), rng.randint(1, 3)
+    alg = atomic_algebra(k)
+    while True:
+        per_atom = [rng.sample(range(1 << dim), rng.randint(1, 1 << dim)) for _ in range(k)]
+        if prod(map(len, per_atom)) <= 200:
+            break
+
+    def point(pats):  # pats[t]: the dim-bit pattern on atom t, bit j for coordinate j
+        return Point(alg._make(sum((pats[t] >> j & 1) << t for t in range(k)))
+                     for j in range(dim))
+
+    def patterns(x):
+        return [sum((c.bits >> t & 1) << j for j, c in enumerate(x.coords)) for t in range(k)]
+
+    gens = [point([pats[i % len(pats)] for pats in per_atom])
+            for i in range(max(map(len, per_atom)))]
+    ambient = conv_hull(gens, basepoint=rng.choice([None, gens[0]]))
+    sources = rng.sample(ambient.points, rng.randint(1, min(6, len(ambient))))
+    mode = rng.choice(["isometric"] * 4 + ["contractive"] * 3
+                      + ["random", "empty", "outside", "not convex", "finite-cofinite"])
+    if mode in ("isometric", "contractive"):
+        maps = [dict(zip(pats, rng.sample(pats, len(pats)) if mode == "isometric"
+                         else rng.choices(pats, k=len(pats)))) for pats in per_atom]
+        images = [point([m[p] for m, p in zip(maps, patterns(x))]) for x in sources]
+    else:
+        images = [rng.choice(ambient.points) for _ in sources]
+    pm = PartialMap(tuple(zip(sources, images)))
+    if mode == "empty":
+        pm = PartialMap(())
+    elif mode == "outside":
+        stray = point([rng.randrange(1 << dim) for _ in range(k)])
+        pm = PartialMap(((stray, stray),) + tuple(pr for pr in pm.pairs if pr[0] != stray))
+    elif mode == "not convex":
+        ambient = space(ambient.points)
+    elif mode == "finite-cofinite":
+        fc = fincof_algebra()
+        line = [Point((fc.fin(s),)) for s in ([], [1], [2], [1, 2])]
+        ambient = FiniteSpace(line, convex=True)
+        pm = PartialMap(((line[0], line[1]),) if rng.random() < 0.5
+                        else ((line[0], line[1]), (line[2], line[2])))
+    return mode, pm, ambient
+
+
+def extension_outcome(extend, pm, ambient):
+    try:
+        return extend(pm, ambient).pairs
+    except BoolmetricError as exc:
+        return type(exc)
+
+
+def test_pipelines_match_composed_building_blocks():
+    rng = random.Random(8191)
+    outcomes = Counter()
+    for _ in range(1000):
+        mode, pm, ambient = random_extension_instance(rng)
+        for name, extend, composed in (
+                ("isometry", extend_isometry, composed_extend_isometry),
+                ("contraction", extend_contraction, composed_extend_contraction)):
+            got = extension_outcome(extend, pm, ambient)
+            assert got == extension_outcome(composed, pm, ambient), (mode, name, pm)
+            outcomes[name, got if isinstance(got, type) else "extended"] += 1
+    # both pipelines extend often and refuse for every reason
+    for name in ("isometry", "contraction"):
+        assert outcomes[name, "extended"] >= 400, outcomes
+        for error in (InfeasibleError, StructureError, UnsupportedOperationError):
+            assert outcomes[name, error] >= 30, outcomes
+    assert outcomes["isometry", InfeasibleError] >= 100, outcomes
 
 
 PREDICATES = [IdealDescriptor(r, m) for m in range(2, 9) for r in range(m)]

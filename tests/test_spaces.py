@@ -233,3 +233,22 @@ def test_check_map_verdicts():
     assert verdict.witness is not None
     (s1, s2) = verdict.witness
     assert distance(s1, s2) != distance(stretch(s1), stretch(s2))
+
+
+def test_check_map_refuses_mixed_algebras_at_any_size():
+    fc = fincof_algebra()
+    x, y = pt("00"), pt("11")
+    u, v = Point((fc.fin([1]),)), Point((fc.cof([]),))
+    # one pair is refused like two: the verdict needs a common algebra
+    for pairs in (((x, u),), ((x, u), (y, v)), ((u, x),)):
+        with pytest.raises(StructureError, match="different algebras"):
+            check_map(PartialMap(pairs))
+    assert check_map(PartialMap(())).kind == "isometric"
+    assert check_map(PartialMap(((u, v),))).kind == "isometric"
+
+
+def test_partial_maps_compare_by_pairs():
+    x, y = pt("00", "00"), pt("11", "01")
+    assert PartialMap(((y, x), (x, y))) == PartialMap(((x, y), (y, x)))
+    assert PartialMap(((x, y),)) != PartialMap(((x, x),))
+    assert identity_map(space([x, y])) == PartialMap(((x, x), (y, y)))

@@ -14,6 +14,7 @@ file-format blocks under ``"blocks"``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -257,6 +258,7 @@ def cmd_counterexample(args) -> tuple[Report, int]:
     return rep, (1 if bad else 0)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boolmetric",

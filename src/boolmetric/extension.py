@@ -25,8 +25,10 @@ The central results implemented here, all with post-verified constructions:
   (self-contraction) of the whole space, the stages above composed per atom.
 
 Every stage is atom-local and costs points times atoms: one pattern table
-(``spaces._map_patterns``) carries all points of a space through per-atom
-pattern maps at once.
+(``spaces._transport``) carries all points of a space through per-atom
+pattern maps at once, and one post-check (``spaces._checked_map``) verifies
+every map built here to extend its inputs, to be contractive or isometric as
+claimed, and to stay inside (for isometries: onto) its target space.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (CapExceededError, InfeasibleError, NotInHullError,
                      StructureError, VerificationError)
 from .invariants import AlphaProfile
 from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace,
-                     PartialMap, Point, _atom_patterns, _map_patterns,
+                     PartialMap, Point, _atom_patterns, _checked_map,
                      _require_atomic, _transport, check_map, conv_hull, distance,
                      identity_map)
 
@@ -295,27 +297,11 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
     hull = conv_hull(pm.sources, max_points=max_points)
-    images = _transport(hull.points, pm.sources, pm.targets)
-    out = PartialMap(tuple(zip(hull.points, images)))
-    for s, t in pm.pairs:
-        if out(s) != t:
-            raise VerificationError("hull extension does not extend the input map")
-    out_verdict = check_map(out)
-    if out_verdict.kind == "violation":
-        raise VerificationError("hull extension is not contractive")
-    image_hull = conv_hull(pm.targets, max_points=max_points)
-    for _, t in out.pairs:
-        if t not in image_hull:
-            raise VerificationError("hull extension leaves the hull of the image")
-    if verdict.kind == "isometric":
-        if out_verdict.kind != "isometric":
-            raise VerificationError("extension of an isometry failed to be isometric")
-        if set(out.targets) != set(image_hull.points):
-            raise VerificationError("extension of an isometry is not onto the image hull")
-    if target is not None:
-        for _, t in out.pairs:
-            if t not in target:
-                raise VerificationError("hull extension leaves the requested target space")
+    out = _checked_map(hull.points, _transport(hull.points, pm.sources, pm.targets),
+                       inputs=(pm,), isometric=verdict.kind == "isometric",
+                       within=conv_hull(pm.targets, max_points=max_points))
+    if target is not None and not all(t in target for t in out.targets):
+        raise VerificationError("hull extension leaves the requested target space")
     return out
 
 
@@ -324,19 +310,19 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
 # ---------------------------------------------------------------------------
 
 
-def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
-                    tie_break: str = "min") -> PartialMap:
+def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> PartialMap:
     """Merge pointed contractions defined on a convex subspace and on its
     orthogonal complement into one map on the whole space.
 
     Every point of the ambient space is transported through the two domains
     together: on each atom its pattern goes to the image pattern of the
-    first domain point showing it (the last for ``tie_break="max"``), which
-    is its convex decomposition over the domains with the coefficients
-    applied to the images.  Contractions preserve convex combinations, so
-    the result is independent of the decomposition (the tie break only
-    picks one); it is verified to extend both inputs, to be contractive,
-    and to be isometric when both inputs are.
+    first domain point showing it, which is its convex decomposition over
+    the domains with the coefficients applied to the images.  Each input is
+    contractive, so all its domain points showing one pattern share the
+    image pattern; where f and g disagree on a pattern, no choice of
+    domain point extends both, and the check below fails.  The result is
+    verified to extend both inputs, to be contractive, and to be isometric
+    when both inputs are.
     """
     bp = ambient.require_basepoint()
     if not (f.defined_at(bp) and g.defined_at(bp)):
@@ -350,22 +336,13 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace,
     if not gv.ok:
         raise InfeasibleError("the complement map is not contractive", witness=gv.witness)
     try:
-        images = _transport(ambient.points, f.sources + g.sources, f.targets + g.targets,
-                            tie_break=tie_break)
+        images = _transport(ambient.points, f.sources + g.sources, f.targets + g.targets)
     except NotInHullError as exc:
         raise StructureError(
             "the two domains together must generate the space "
             f"(point {exc.point.literal} is not decomposable)") from exc
-    out = PartialMap(tuple(zip(ambient.points, images)))
-    for s, t in list(f.pairs) + list(g.pairs):
-        if out(s) != t:
-            raise VerificationError("orthogonal join does not extend its inputs")
-    verdict = check_map(out)
-    if verdict.kind == "violation":
-        raise VerificationError("orthogonal join is not contractive")
-    if fv.kind == "isometric" and gv.kind == "isometric" and verdict.kind != "isometric":
-        raise VerificationError("orthogonal join of isometries is not isometric")
-    return out
+    return _checked_map(ambient.points, images, inputs=(f, g),
+                        isometric=fv.kind == gv.kind == "isometric")
 
 
 # ---------------------------------------------------------------------------
@@ -379,27 +356,6 @@ def _check_extension_input(pm: PartialMap, ambient: FiniteSpace):
     for s, t in pm.pairs:
         if s not in ambient or t not in ambient:
             raise StructureError("the map must send points of the space into the space")
-
-
-def _extend_by_patterns(pm: PartialMap, ambient: FiniteSpace,
-                        stages: Callable[[int, dict, set], dict]) -> PartialMap:
-    """The map that carries the ambient points through ``stages(a, f, A)``
-    on each atom: ``a`` is the anchor's pattern (the anchor is the first
-    source), ``f`` the input's pattern map and A the ambient's pattern set,
-    on which the returned pattern map must be defined.  The result is
-    verified to extend the input."""
-    _require_atomic(ambient.algebra, "map extension")
-    n, m = len(ambient), len(pm)
-    atoms, table = _atom_patterns(ambient.points + pm.sources + pm.targets)
-    maps = [stages(row[n], dict(zip(row[n:n + m], row[n + m:])), set(row[:n]))
-            for row in table]
-    images = _map_patterns(ambient.algebra, atoms, ambient.dim, ambient.points,
-                           [row[:n] for row in table], maps)
-    out = PartialMap(tuple(zip(ambient.points, images)))
-    for s, t in pm.pairs:
-        if out(s) != t:
-            raise VerificationError("the assembled map does not extend the input")
-    return out
 
 
 def _isometry_stages(a: int, f: dict, patterns: set) -> dict:
@@ -435,10 +391,8 @@ def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     if verdict.kind != "isometric":
         raise InfeasibleError("the input pairs do not preserve distances",
                               witness=verdict.witness)
-    out = _extend_by_patterns(pm, ambient, _isometry_stages)
-    if check_map(out).kind != "isometric" or set(out.targets) != set(ambient.points):
-        raise VerificationError("the assembled map is not a self-isometry")
-    return out
+    images = _transport(ambient.points, pm.sources, pm.targets, stage=_isometry_stages)
+    return _checked_map(ambient.points, images, inputs=(pm,), isometric=True, within=ambient)
 
 
 def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
@@ -458,11 +412,6 @@ def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     if verdict.kind == "violation":
         raise InfeasibleError("the input pairs do not contract distances",
                               witness=verdict.witness)
-    out = _extend_by_patterns(pm, ambient, lambda a, f, patterns:
-                              dict.fromkeys(patterns, f[a]) | f)
-    if check_map(out).kind == "violation":
-        raise VerificationError("the assembled map is not contractive")
-    for _, t in out.pairs:
-        if t not in ambient:
-            raise VerificationError("the assembled map leaves the space")
-    return out
+    images = _transport(ambient.points, pm.sources, pm.targets,
+                        stage=lambda a, f, patterns: dict.fromkeys(patterns, f[a]) | f)
+    return _checked_map(ambient.points, images, inputs=(pm,), within=ambient)

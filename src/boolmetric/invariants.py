@@ -23,7 +23,7 @@ from typing import Sequence
 from .algebra import Algebra, Element
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      VerificationError)
-from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns,
+from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns, _checked_map,
                      _generator_sequence, _join_atoms, _point_from_patterns,
                      _require_atomic, _transport, check_map, distance,
                      is_orthogonal)
@@ -170,9 +170,10 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
     """Build an isometry between convex spaces with equal profiles.
 
     Bases are built over each space's basepoint (canonical-first when
-    unset), matched index by index, and every point is transported through
-    its convex decomposition, all points through one pattern table.  The
-    result is re-checked to be a bijective isometry before returning.
+    unset) and matched index by index; the matching is checked to be an
+    isometry, and every point is transported through its convex
+    decomposition, all points through one pattern table.  The result is
+    re-checked to be an isometry onto ``right`` extending the matching.
     """
     if not decide_isometric(left, right):
         raise InfeasibleError("spaces have different profiles, no isometry exists")
@@ -182,12 +183,12 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
     base_r = build_base(right.with_basepoint(bp_r))
     if base_l.rank != base_r.rank:
         raise VerificationError("equal profiles but mismatched base ranks")
-    images = _transport(left.points, [bp_l, *base_l.points], [bp_r, *base_r.points])
-    pm = PartialMap(tuple(zip(left.points, images)))
-    targets = set(pm.targets)
-    if check_map(pm).kind != "isometric" or targets != set(right.points):
-        raise VerificationError("base transport did not produce an isometry")
-    return pm
+    sources, targets = [bp_l, *base_l.points], [bp_r, *base_r.points]
+    matching = PartialMap(tuple(zip(sources, targets)))
+    if check_map(matching).kind != "isometric":
+        raise VerificationError("equal profiles but the bases are not isometric")
+    return _checked_map(left.points, _transport(left.points, sources, targets),
+                        inputs=(matching,), isometric=True, within=right)
 
 
 def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
@@ -196,26 +197,19 @@ def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
     Atom-wise it transposes the patterns of a and b and fixes all others:
     each point z goes to the convex combination of (b, a, z) with
     coefficients (where z agrees with a, where z agrees with b but not a,
-    the rest).  The result is verified to be an isometric involution
-    mapping a to b.
+    the rest).  The result is verified to be an isometry of the space onto
+    itself that swaps a and b and is an involution.
     """
     if not space.convex:
         raise StructureError("homogeneity applies to convex spaces")
     if a not in space or b not in space:
         raise StructureError("both points must belong to the space")
-    atoms, table = _atom_patterns([a, b] + list(space.points))
-    swaps = [{row[0]: row[1], row[1]: row[0]} for row in table]
-    pm = PartialMap(tuple(
-        (z, _point_from_patterns(space.algebra, atoms, space.dim,
-                                 [swap.get(row[i], row[i]) for swap, row in zip(swaps, table)]))
-        for i, z in enumerate(space.points, start=2)))
-    if pm(a) != b or pm(b) != a:
-        raise VerificationError("homogeneity map does not swap the chosen points")
-    for z, w in pm.pairs:
-        if pm(w) != z:
-            raise VerificationError("homogeneity map is not an involution")
-    if check_map(pm).kind != "isometric":
-        raise VerificationError("homogeneity map is not isometric")
+    images = _transport(space.points, [a, b], [b, a],
+                        stage=lambda _, f, patterns: {p: f.get(p, p) for p in patterns})
+    pm = _checked_map(space.points, images, inputs=(PartialMap(((a, b), (b, a))),),
+                      isometric=True, within=space)
+    if any(pm(w) != z for z, w in pm.pairs):
+        raise VerificationError("homogeneity map is not an involution")
     return pm
 
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .algebra import FINITE_ATOMIC, Algebra, Element, SetElement, _naturals
 from .errors import (CapExceededError, NotInHullError, StructureError,
-                     UnsupportedOperationError)
+                     UnsupportedOperationError, VerificationError)
 
 DEFAULT_MAX_HULL_POINTS = 10 ** 6
 
@@ -86,12 +86,6 @@ def _check_pair(x: Point, y: Point):
 def distance(x: Point, y: Point) -> Element:
     """Join of the coordinatewise symmetric differences."""
     _check_pair(x, y)
-    alg = x.algebra
-    if alg.kind == FINITE_ATOMIC:
-        acc = 0
-        for a, b in zip(x.coords, y.coords):
-            acc |= a.bits ^ b.bits
-        return alg._make(acc)
     acc = x.coords[0] ^ y.coords[0]
     for a, b in zip(x.coords[1:], y.coords[1:]):
         acc = acc | (a ^ b)
@@ -392,49 +386,39 @@ def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
     return ConvexCoefficients(tuple(assignment))
 
 
-def _transport(points: Sequence[Point], gens: Sequence[Point], images: Sequence[Point],
-               tie_break: str = "min") -> list[Point]:
-    """``convex_combine(decompose(x, gens, tie_break), images)`` for every
-    ``x`` in ``points``, from one pattern table.
+def _transport(points: Sequence[Point], sources: Sequence[Point], targets: Sequence[Point],
+               stage=None) -> list[Point]:
+    """Carry every point of ``points`` through one pattern map per atom,
+    from one pattern table: by default
+    ``convex_combine(decompose(x, sources), targets)`` for every ``x``.
 
-    ``images`` runs parallel to ``gens``.  On each atom, every generator
-    pattern goes to the image pattern of the first generator showing it
-    (the last for ``tie_break="max"``), which is the generator
-    :func:`decompose` selects there.  The first point, in the order given,
-    with an atom no generator matches raises the :class:`NotInHullError`
-    that :func:`decompose` raises for it.
+    ``targets`` runs parallel to ``sources``.  On each atom, every source
+    pattern goes to the target pattern of the first source showing it,
+    which is the source :func:`decompose` selects there.  ``stage(a, f, A)``,
+    when given, replaces that pattern map ``f`` on each atom; ``a`` is the
+    first source's pattern and ``A`` the set of the points' patterns.  The
+    first point, in the order given, with a pattern its atom's map lacks
+    raises the :class:`NotInHullError` that :func:`decompose` raises for it.
     """
-    gens = _generator_sequence(gens)
+    sources = _generator_sequence(sources)
     for x in points:
-        _check_pair(gens[0], x)
-    alg = gens[0].algebra
+        _check_pair(sources[0], x)
+    alg = sources[0].algebra
     _require_atomic(alg, "convex decomposition")
-    if tie_break not in ("min", "max"):
-        raise StructureError(f"unknown tie break rule {tie_break!r}")
-    images = _generator_sequence(images)
-    if images[0].algebra != alg:
+    targets = _generator_sequence(targets)
+    if targets[0].algebra != alg:
         raise StructureError("generators and images belong to different algebras")
-    if len(images) != len(gens):
+    if len(targets) != len(sources):
         raise StructureError("generators and images must be parallel lists")
     n = len(points)
-    atoms, table = _atom_patterns(list(points) + gens)
-    _, image_table = _atom_patterns(images)
-    maps = []
-    for row, image_row in zip(table, image_table):
-        shown = list(zip(row[n:], image_row))
-        maps.append(dict(reversed(shown) if tie_break == "min" else shown))
-    return _map_patterns(alg, atoms, images[0].dim, points,
-                         [row[:n] for row in table], maps)
-
-
-def _map_patterns(algebra: Algebra, atoms: Sequence, dim: int, points: Sequence[Point],
-                  table: Sequence[Sequence[int]], maps: Sequence[dict]) -> list[Point]:
-    """Carry every point through one pattern map per atom: ``table[t][i]``
-    is the pattern of ``points[i]`` on ``atoms[t]`` (from :func:`_atom_patterns`)
-    and ``maps[t]`` sends it to an image pattern of dimension ``dim``.  The
-    first point, in the order given, with a pattern its atom's map lacks
-    raises :class:`NotInHullError` naming that atom."""
-    columns = [[m.get(v) for v in row] for row, m in zip(table, maps)]
+    atoms, table = _atom_patterns(list(points) + sources)
+    _, target_table = _atom_patterns(targets)
+    columns = []
+    for row, target_row in zip(table, target_table):
+        f = dict(reversed(list(zip(row[n:], target_row))))
+        if stage is not None:
+            f = stage(row[n], f, set(row[:n]))
+        columns.append([f.get(v) for v in row[:n]])
     out = []
     for x, patterns in zip(points, zip(*columns)):
         if None in patterns:
@@ -442,7 +426,7 @@ def _map_patterns(algebra: Algebra, atoms: Sequence, dim: int, points: Sequence[
             raise NotInHullError(
                 f"point {x.literal} is not in the hull: no generator matches on atom {t}",
                 atom_index=t, point=x)
-        out.append(_point_from_patterns(algebra, atoms, dim, patterns))
+        out.append(_point_from_patterns(alg, atoms, targets[0].dim, patterns))
     return out
 
 
@@ -475,10 +459,12 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
 @dataclass(frozen=True)
 class PartialMap:
     """A finite list of (source, target) pairs, canonically ordered;
-    :func:`check_map` classifies it."""
+    :func:`check_map` classifies it once and keeps the verdict."""
 
     pairs: tuple[tuple[Point, Point], ...]
     _mapping: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _verdict: MapVerdict | None = field(init=False, repr=False, compare=False, hash=False,
+                                        default=None)
 
     def __post_init__(self):
         pairs = sorted(set(self.pairs), key=lambda pr: pr[0].sort_key())
@@ -557,7 +543,14 @@ def check_map(pm: PartialMap) -> MapVerdict:
     equal source patterns have equal images, isometric when these per-atom
     pattern maps are also injective.  A class of equal source patterns
     first fails at its first member and the next member with another image.
+    The verdict is kept on the (immutable) map for later calls.
     """
+    if pm._verdict is None:
+        object.__setattr__(pm, "_verdict", _classify(pm))
+    return pm._verdict
+
+
+def _classify(pm: PartialMap) -> MapVerdict:
     pairs = pm.pairs
     n = len(pairs)
     if pairs and pairs[0][0].algebra != pairs[0][1].algebra:
@@ -578,3 +571,25 @@ def check_map(pm: PartialMap) -> MapVerdict:
     if witness is not None:
         return MapVerdict("violation", witness=(pairs[witness[0]][0], pairs[witness[1]][0]))
     return MapVerdict("isometric" if injective else "contractive")
+
+
+def _checked_map(points: Sequence[Point], images: Sequence[Point],
+                 inputs: Sequence[PartialMap] = (), isometric: bool = False,
+                 within: FiniteSpace | None = None) -> PartialMap:
+    """The map ``points[i] -> images[i]``, verified to extend every map in
+    ``inputs``, to be contractive (isometric when ``isometric`` is set), to
+    take its values in ``within`` when that is given, and then, if it is an
+    isometry (so injective), to be onto ``within``.  Any failure is a bug of
+    the construction and raises :class:`VerificationError`."""
+    out = PartialMap(tuple(zip(points, images)))
+    if not all(out(s) == t for pm in inputs for s, t in pm.pairs):
+        raise VerificationError("the constructed map does not extend its inputs")
+    kind = check_map(out).kind
+    if kind == "violation" or isometric and kind != "isometric":
+        raise VerificationError(
+            f"the constructed map is not {'isometric' if isometric else 'contractive'}")
+    if within is not None and (not all(t in within for t in out.targets)
+                               or isometric and len(out) != len(within)):
+        raise VerificationError("the constructed map is not into (an isometry: onto) "
+                                "its target space")
+    return out

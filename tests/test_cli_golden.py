@@ -1,10 +1,11 @@
-"""Byte-identical CLI output on the benchmark's pipeline requests.
+"""Byte-identical CLI output on the benchmark's map-building requests.
 
 Replays every request of the benchmark's ``pipeline`` workload (all
-variants of every slot, warm-up included) through ``cli.main`` and
-compares each exit code and stdout SHA-256 with ``bench/golden.json``.
-The request lists and the golden file are read from ``bench/``, not
-copied.
+variants of every slot, warm-up included) and the ``isometric`` requests
+of its ``query`` workload, the CLI's one path through
+``construct_isometry``, through ``cli.main`` and compares each exit code
+and stdout SHA-256 with ``bench/golden.json``.  The request lists and the
+golden file are read from ``bench/``, not copied.
 """
 
 import contextlib
@@ -30,8 +31,11 @@ def load_workloads():
 
 def test_pipeline_requests_match_golden_outputs(tmp_path):
     golden = json.loads((BENCH / "golden.json").read_text())
-    requests = load_workloads().pool("pipeline")
-    assert len(requests) == 208
+    workloads = load_workloads()
+    pipeline = workloads.pool("pipeline")
+    isometric = [req for req in workloads.pool("query") if req.args[0] == "isometric"]
+    assert (len(pipeline), len(isometric)) == (208, 88)
+    requests = pipeline + isometric
     mismatches = []
     for i, req in enumerate(requests):
         path = None

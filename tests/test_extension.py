@@ -10,9 +10,9 @@ from boolmetric import (AlphaProfile, InfeasibleError, NotInHullError,
                         distance, extend_contraction, extend_isometry,
                         identity_map, is_monotone, monotone_cube,
                         monotone_decompose, orthogonal_join, space,
-                        uniqueness_certify, witt_cube_solutions,
-                        witt_first_failure, witt_residual, witt_solve,
-                        WittInstance)
+                        uniqueness_certify, VerificationError,
+                        witt_cube_solutions, witt_first_failure, witt_residual,
+                        witt_solve, WittInstance)
 
 A1 = atomic_algebra(1)
 A2 = atomic_algebra(2)
@@ -174,7 +174,6 @@ def test_conv_extend_rejects_expansion():
 
 
 def test_conv_extend_respects_target_check():
-    from boolmetric import VerificationError
     x, y = line2("00"), line2("11")
     pm = PartialMap(((x, y), (y, x)))
     small = space([x, y])
@@ -196,9 +195,12 @@ def test_orthogonal_join_frozen():
     out2 = orthogonal_join(f, g2, ambient)
     assert all(s == t for s, t in out2.pairs)
     assert check_map(out2).kind == "isometric"
-    # the tie break only picks a decomposition, never the map
-    assert orthogonal_join(f, g, ambient, tie_break="max") == out
-    assert orthogonal_join(f, g2, ambient, tie_break="max") == out2
+    # f and g3 are each contractive but send the pattern that 01 and 11
+    # share on one atom to different images: whichever domain point the
+    # transport picks there, one input is not extended
+    g3 = PartialMap(((line2("00"), line2("00")), (line2("11"), line2("00"))))
+    with pytest.raises(VerificationError):
+        orthogonal_join(f, g3, ambient)
 
 
 def test_orthogonal_join_needs_generating_domains():

@@ -19,8 +19,8 @@ import json
 import sys
 
 from .algebra import fincof_algebra
-from .counterexamples import (IdealDescriptor, bounded_candidates,
-                              contraction_obstruction_witness,
+from .counterexamples import (IdealDescriptor, _require_candidates_within,
+                              bounded_candidates, contraction_obstruction_witness,
                               isometry_obstruction_witness)
 from .errors import (BoolmetricError, CapExceededError, InfeasibleError,
                      ParseError, StructureError, UnsupportedOperationError,
@@ -229,6 +229,7 @@ def cmd_counterexample(args) -> tuple[Report, int]:
     rep.field("predicate", desc.label)
     bad = False
     if args.which in ("two-dim", "contraction"):
+        _require_candidates_within(args.max_support, args.max_points)
         rep.field("max_support", args.max_support)
         alg = fincof_algebra()
         total = 0
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", required=True, metavar="PATH",
                            help="input file in the plain-text format")
         p.add_argument("--max-points", type=int, default=DEFAULT_MAX_HULL_POINTS,
-                       metavar="N", help="hull enumeration cap")
+                       metavar="N", help="cap on hull points and on counterexample candidates")
         p.add_argument("--json", action="store_true",
                        help="print the report as JSON")
 

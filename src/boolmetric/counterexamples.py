@@ -37,7 +37,7 @@ from typing import Iterator
 
 from .algebra import (FINITE_ATOMIC, Algebra, Element, SetElement,
                       fincof_algebra)
-from .errors import (InfeasibleError, StructureError,
+from .errors import (CapExceededError, InfeasibleError, StructureError,
                      UnsupportedOperationError, VerificationError)
 from .spaces import PartialMap, Point
 
@@ -316,6 +316,14 @@ def bounded_candidates(max_support: int = 16,
     for mask in range(1 << (max_support + 1)):
         yield SetElement(alg, False, mask)
         yield SetElement(alg, True, mask)
+
+
+def _require_candidates_within(max_support: int, cap: int):
+    """Refuse a sweep whose ``2 ** (max_support + 2)`` candidates would
+    exceed ``cap``; exponents are compared, so no huge power is built."""
+    if max_support + 2 >= cap.bit_length():
+        raise CapExceededError(f"the sweep would exceed {cap} candidates; "
+                               "raise max_points to override")
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,8 @@ def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], El
     pairwise join to 1.
 
     All three hypotheses are checked (violations are reported, not
-    silently ignored), then the hull is enumerated and the zeros counted.
+    silently ignored; contractivity on the hull by :func:`check_map` on the
+    scalar as a one-coordinate map), then the hull's zeros are counted.
     """
     gens = sorted(set(generators), key=Point.sort_key)
     if len(gens) < 2:
@@ -261,10 +262,10 @@ def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], El
             failures.append(f"images of {a.literal} and {b.literal} do not join to 1")
     hull = conv_hull(gens, max_points=max_points)
     all_values = {p: scalar(p) for p in hull}
-    for a, b in combinations(hull.points, 2):
-        if not (all_values[a] ^ all_values[b]) <= distance(a, b):
-            failures.append(f"the map is not contractive on {a.literal}, {b.literal}")
-            break
+    verdict = check_map(PartialMap(tuple((p, Point((v,))) for p, v in all_values.items())))
+    if not verdict.ok:
+        a, b = verdict.witness
+        failures.append(f"the map is not contractive on {a.literal}, {b.literal}")
     zeros = tuple(p for p in hull if all_values[p].is_zero)
     return UniquenessReport(hypotheses_ok=not failures, failures=tuple(failures),
                             zeros=zeros)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import prod
 from typing import Sequence
 
 from .algebra import Algebra, Element
@@ -93,8 +92,8 @@ def alpha_profile_of_points(points: Sequence[Point]) -> AlphaProfile:
 def alpha_profile(source) -> AlphaProfile:
     """Profile of a space or point family; a hull's remembered generator
     set stands in for its points."""
-    if isinstance(source, FiniteSpace) and source.generators is not None:
-        return alpha_profile_of_points(source.generators)
+    if isinstance(source, FiniteSpace) and source._generators is not None:
+        return alpha_profile_of_points(source._generators)
     return alpha_profile_of_points(list(source))
 
 
@@ -134,12 +133,11 @@ def build_base(space: FiniteSpace) -> Base:
                                          for pats in per_atom])
                    for i in range(1, rank + 1)]
 
-    # Condition: basepoint and base generate the space.  A space lies inside
-    # the product of its per-atom pattern sets, so it equals the hull of
-    # basepoint and base when the pattern sets agree and the sizes match.
+    # Condition: basepoint and base generate the space.  A convex space is
+    # the product of its per-atom pattern sets, so it is the hull of
+    # basepoint and base when these show the same pattern sets.
     _, generated = _atom_patterns([bp] + base_points)
-    if ([set(row) for row in generated] != [set(pats) for pats in per_atom]
-            or len(space) != prod(map(len, per_atom))):
+    if [set(row) for row in generated] != [set(pats) for pats in per_atom]:
         raise VerificationError("base construction failed: wrong hull")
     # Condition: pairwise orthogonality.
     for a, b in combinations(base_points, 2):

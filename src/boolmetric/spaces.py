@@ -242,16 +242,13 @@ class FiniteSpace:
 
     The canonical order is lexicographic on the concatenated coordinate bit
     vectors (for the finite-cofinite algebra: on the tag plus ascending
-    support).  ``convex`` marks spaces produced by hull materialization or
-    proven closed under convex combinations; ``generators`` remembers a
-    generating set when one is known, which keeps invariant computations
-    small.
+    support).  Whether the space is convex is read off its points, never
+    passed in: see :attr:`convex`.
     """
 
-    __slots__ = ("points", "algebra", "dim", "basepoint", "convex", "generators", "_index")
+    __slots__ = ("points", "algebra", "dim", "basepoint", "_index", "_convex", "_generators")
 
-    def __init__(self, points: Iterable[Point], basepoint: Point | None = None,
-                 convex: bool = False, generators: tuple[Point, ...] | None = None):
+    def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = sorted(set(points), key=Point.sort_key)
         if not pts:
             raise StructureError("a space needs at least one point")
@@ -265,8 +262,21 @@ class FiniteSpace:
         if basepoint is not None and basepoint not in self._index:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
-        self.convex = convex
-        self.generators = generators
+        self._convex = None
+        self._generators = None  # a generating set, kept by conv_hull
+
+    @property
+    def convex(self) -> bool:
+        """Closed under convex combinations: the space is the product of its
+        per-atom pattern sets (its size is the product of their sizes), and
+        over the finite-cofinite algebra its points agree on the atom
+        outside every support, which a combination could split."""
+        if self._convex is None:
+            atoms, table = _atom_patterns(self.points)
+            counts = [len(set(row)) for row in table]
+            self._convex = (len(self) == prod(counts)
+                            and (atoms[-1] is not None or counts[-1] == 1))
+        return self._convex
 
     def __len__(self) -> int:
         return len(self.points)
@@ -305,7 +315,7 @@ class FiniteSpace:
 
 
 def space(points: Iterable[Point], basepoint: Point | None = None) -> FiniteSpace:
-    """Plain space constructor (no convexity claim)."""
+    """The space of the given points, pointed at ``basepoint`` if given."""
     return FiniteSpace(points, basepoint=basepoint)
 
 
@@ -346,7 +356,9 @@ def conv_hull(source, basepoint: Point | None = None,
             f"hull would exceed {max_points} points; raise max_points to override")
     points = [_point_from_patterns(alg, atoms, gens[0].dim, choice)
               for choice in product(*per_atom)]
-    return FiniteSpace(points, basepoint=basepoint, convex=True, generators=tuple(gens))
+    hull = FiniteSpace(points, basepoint=basepoint)
+    hull._convex, hull._generators = True, tuple(gens)
+    return hull
 
 
 def hull_contains(x: Point, source) -> bool:
@@ -434,7 +446,7 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
     """All points of ``ambient`` orthogonal to every point of ``inner``.
 
     Both spaces must carry the same basepoint, which always belongs to the
-    result.  When both spaces are convex the result is convex as well.
+    result, convex (as its points show) when both spaces are.
 
     Orthogonality splits over atoms: ``y`` is orthogonal to every point of
     ``inner`` exactly when on each atom its pattern is the basepoint's or
@@ -453,7 +465,7 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
     allowed = [(set(row[m:]) - set(row[:m])) | {row[b]} for row in table]
     kept = [y for y, *patterns in zip(ambient.points, *(row[m:] for row in table))
             if all(pat in ok for pat, ok in zip(patterns, allowed))]
-    return FiniteSpace(kept, basepoint=bp, convex=inner.convex and ambient.convex)
+    return FiniteSpace(kept, basepoint=bp)
 
 
 @dataclass(frozen=True)

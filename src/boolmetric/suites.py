@@ -9,6 +9,7 @@ and the acceptance tests both run these.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -16,10 +17,10 @@ from itertools import combinations, product
 
 from .algebra import (Algebra, Element, atomic_algebra, fincof_algebra,
                       inf_family, sup_family)
-from .counterexamples import (IdealDescriptor, bounded_candidates,
-                              contraction_obstruction_witness, flatten_pair,
-                              isometry_obstruction_witness, line_extension,
-                              unflatten_line_point)
+from .counterexamples import (IdealDescriptor, _require_candidates_within,
+                              bounded_candidates, contraction_obstruction_witness,
+                              flatten_pair, isometry_obstruction_witness,
+                              line_extension, unflatten_line_point)
 from .errors import BoolmetricError, CapExceededError
 from .extension import (WittInstance, _profile_tuple, conv_extend,
                         corner_images, cube_generators, extend_contraction,
@@ -67,6 +68,26 @@ class SuiteResult:
 
     def fail(self, message: str):
         self.failures.append(message)
+
+
+SUITES: dict = {}  # suite name -> run(cfg), filled by @_suite
+
+
+def _suite(name: str):
+    """Register ``checks(res, cfg, ...)`` as the suite ``name``.  The
+    registered function takes ``(cfg, ...)``, makes the result, times the
+    checks into ``elapsed`` and returns the result."""
+    def register(checks):
+        @functools.wraps(checks)
+        def run(cfg: RunConfig, *args, **kwargs) -> SuiteResult:
+            res = SuiteResult(name)
+            start = time.perf_counter()
+            checks(res, cfg, *args, **kwargs)
+            res.elapsed = time.perf_counter() - start
+            return res
+        SUITES[name] = run
+        return run
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +186,7 @@ def pairwise_orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> 
     norms = {p: distance(p, bp) for p in ambient}
     kept = [y for y in ambient
             if all(distance(x, y) == norms[x] | norms[y] for x in inner)]
-    return FiniteSpace(kept, basepoint=bp, convex=inner.convex and ambient.convex)
+    return FiniteSpace(kept, basepoint=bp)
 
 
 def enumerated_alpha_profile(points: list[Point]) -> AlphaProfile:
@@ -219,12 +240,11 @@ def enumerate_contractive_extensions(pm: PartialMap, domain: list[Point],
 # ---------------------------------------------------------------------------
 
 
-def run_sum_law(cfg: RunConfig) -> SuiteResult:
+@_suite("sum-law")
+def run_sum_law(res: SuiteResult, cfg: RunConfig):
     """Profile of a space against profiles of a convex subspace and its
     orthogonal complement: alpha_n(X) must equal the join over i of
     alpha_i(U) & alpha_(n-i) of the complement, exactly, at every level."""
-    res = SuiteResult("sum-law")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     for idx in range(cfg.instances):
         res.total += 1
@@ -248,18 +268,15 @@ def run_sum_law(cfg: RunConfig) -> SuiteResult:
                 res.fail(f"instance {idx}: level {level}: "
                          f"{pa.alpha(level).literal} != {rhs.literal}")
                 break
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
 def _small_hull(rng: random.Random, alg: Algebra, dim: int, cap: int) -> FiniteSpace:
     return random_hull(rng, alg, dim, max_generators=3, max_size=cap)
 
 
-def run_isometry_oracle(cfg: RunConfig) -> SuiteResult:
+@_suite("isometry-oracle")
+def run_isometry_oracle(res: SuiteResult, cfg: RunConfig):
     """decide_isometric against exhaustive isometry search on small pairs."""
-    res = SuiteResult("isometry-oracle")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     for idx in range(cfg.instances):
         res.total += 1
@@ -292,16 +309,13 @@ def run_isometry_oracle(cfg: RunConfig) -> SuiteResult:
             continue
         if found is not None and check_map(found).kind != "isometric":
             res.fail(f"instance {idx}: search returned a non-isometry")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_witt(cfg: RunConfig) -> SuiteResult:
+@_suite("witt")
+def run_witt(res: SuiteResult, cfg: RunConfig):
     """The profile cancellation solver on instances built from real
     subspace/complement pairs, with exhaustive uniqueness checks on the
     small ones."""
-    res = SuiteResult("witt")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     cube_checked = 0
     for idx in range(cfg.instances):
@@ -332,17 +346,14 @@ def run_witt(cfg: RunConfig) -> SuiteResult:
             if sols != [expected]:
                 res.fail(f"instance {idx}: cube search found {len(sols)} solutions")
     res.info["cube_checked"] = cube_checked
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_uniqueness_battery(cfg: RunConfig) -> SuiteResult:
+@_suite("uniqueness-battery")
+def run_uniqueness_battery(res: SuiteResult, cfg: RunConfig):
     """Exhaustive hypothesis check for the at-most-one-zero lemma: for
     every valid profile pair the staircase images pairwise join to 1, the
     last image has its closed form, and small systems have exactly one
     solution on the cube."""
-    res = SuiteResult("uniqueness-battery")
-    start = time.perf_counter()
     certified = 0
     for k in range(1, min(3, cfg.atoms) + 1):
         alg = atomic_algebra(k)
@@ -373,15 +384,12 @@ def run_uniqueness_battery(cfg: RunConfig) -> SuiteResult:
                     else:
                         certified += 1
     res.info["certified_unique"] = certified
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_extend_isometry(cfg: RunConfig) -> SuiteResult:
+@_suite("extend-isometry")
+def run_extend_isometry(res: SuiteResult, cfg: RunConfig):
     """Full pipeline: restrict a certified random self-isometry to a random
     subset, extend, and check the result is a self-isometry extending it."""
-    res = SuiteResult("extend-isometry")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     for idx in range(cfg.instances):
         res.total += 1
@@ -406,14 +414,11 @@ def run_extend_isometry(cfg: RunConfig) -> SuiteResult:
             continue
         if any(out(s) != t for s, t in pm.pairs):
             res.fail(f"instance {idx}: extension does not restrict to the input")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_extend_contraction(cfg: RunConfig) -> SuiteResult:
+@_suite("extend-contraction")
+def run_extend_contraction(res: SuiteResult, cfg: RunConfig):
     """Same shape as extend-isometry, for contractions."""
-    res = SuiteResult("extend-contraction")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     for idx in range(cfg.instances):
         res.total += 1
@@ -441,15 +446,12 @@ def run_extend_contraction(cfg: RunConfig) -> SuiteResult:
             continue
         if any(out(s) != t for s, t in pm.pairs):
             res.fail(f"instance {idx}: extension does not restrict to the input")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_conv_uniqueness(cfg: RunConfig) -> SuiteResult:
+@_suite("conv-uniqueness")
+def run_conv_uniqueness(res: SuiteResult, cfg: RunConfig):
     """The hull extension against exhaustive enumeration of all contractive
     extensions: there must be exactly one and it must match pointwise."""
-    res = SuiteResult("conv-uniqueness")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
     for idx in range(cfg.instances):
         res.total += 1
@@ -478,17 +480,16 @@ def run_conv_uniqueness(cfg: RunConfig) -> SuiteResult:
             continue
         if found[0] != dict(out.pairs):
             res.fail(f"instance {idx}: search disagrees with the closed form")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_counterexamples(cfg: RunConfig,
-                        desc: IdealDescriptor | None = None) -> SuiteResult:
+@_suite("counterexamples")
+def run_counterexamples(res: SuiteResult, cfg: RunConfig,
+                        desc: IdealDescriptor | None = None):
     """Every bounded candidate is refuted by a verified finite witness, for
     both obstruction constructions, and the plane merge map preserves
-    distances on sampled pairs."""
-    res = SuiteResult("counterexamples")
-    start = time.perf_counter()
+    distances on sampled pairs.  Sweeps beyond ``cfg.max_points``
+    candidates are refused."""
+    _require_candidates_within(cfg.max_support, cfg.max_points)
     desc = desc if desc is not None else IdealDescriptor.evens()
     alg = fincof_algebra()
     for v in bounded_candidates(cfg.max_support, alg):
@@ -529,15 +530,12 @@ def run_counterexamples(cfg: RunConfig,
             continue
         if any(unflatten_line_point(desc, m) != p for m, p in zip(merged, pts)):
             res.fail("merge map round trip failed")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_line_extension(cfg: RunConfig) -> SuiteResult:
+@_suite("line-extension")
+def run_line_extension(res: SuiteResult, cfg: RunConfig):
     """Translations recovered from sampled distance-preserving line maps,
     over both algebras."""
-    res = SuiteResult("line-extension")
-    start = time.perf_counter()
     rng = random.Random(cfg.seed)
 
     def random_fincof(alg):
@@ -581,16 +579,13 @@ def run_line_extension(cfg: RunConfig) -> SuiteResult:
                 res.fail(f"instance {idx}: translation moved a distance")
             elif any(ext(s) != t for s, t in pm.pairs):
                 res.fail(f"instance {idx}: translation does not extend the input")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
-def run_structural(cfg: RunConfig) -> SuiteResult:
+@_suite("structural")
+def run_structural(res: SuiteResult, cfg: RunConfig):
     """Exhaustive small-scale law checks: lattice laws, triangle
     inequality, hull idempotence, generator invariance, hull membership
     against coefficient search, base conditions, complement convexity."""
-    res = SuiteResult("structural")
-    start = time.perf_counter()
 
     # Lattice laws, finite atomic, up to 4 atoms.
     for k in range(1, 5):
@@ -723,28 +718,12 @@ def run_structural(cfg: RunConfig) -> SuiteResult:
         back = convex_combine(monotone_decompose(p), gens)
         if back != p:
             res.fail(f"staircase round trip failed at {p.literal}")
-    res.elapsed = time.perf_counter() - start
-    return res
 
 
 def _subsets(values) -> list[frozenset[int]]:
     vals = list(values)
     return [frozenset(c) for size in range(len(vals) + 1)
             for c in combinations(vals, size)]
-
-
-SUITES = {
-    "sum-law": run_sum_law,
-    "isometry-oracle": run_isometry_oracle,
-    "witt": run_witt,
-    "uniqueness-battery": run_uniqueness_battery,
-    "extend-isometry": run_extend_isometry,
-    "extend-contraction": run_extend_contraction,
-    "conv-uniqueness": run_conv_uniqueness,
-    "counterexamples": run_counterexamples,
-    "line-extension": run_line_extension,
-    "structural": run_structural,
-}
 
 
 def run_suite(name: str, cfg: RunConfig) -> SuiteResult:

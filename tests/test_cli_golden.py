@@ -1,11 +1,13 @@
-"""Byte-identical CLI output on the benchmark's map-building requests.
+"""Byte-identical CLI output on the benchmark's requests.
 
 Replays every request of the benchmark's ``pipeline`` workload (all
-variants of every slot, warm-up included) and the ``isometric`` requests
-of its ``query`` workload, the CLI's one path through
-``construct_isometry``, through ``cli.main`` and compares each exit code
-and stdout SHA-256 with ``bench/golden.json``.  The request lists and the
-golden file are read from ``bench/``, not copied.
+variants of every slot, warm-up included) and, from its ``query``
+workload, the ``isometric`` requests (the CLI's one path through
+``construct_isometry``), the ``alpha`` requests and the first variant of
+each ``base`` slot (the CLI's one path through ``build_base``), through
+``cli.main``, and compares each exit code and stdout SHA-256 with
+``bench/golden.json``.  The request lists and the golden file are read
+from ``bench/``, not copied.
 """
 
 import contextlib
@@ -33,9 +35,12 @@ def test_pipeline_requests_match_golden_outputs(tmp_path):
     golden = json.loads((BENCH / "golden.json").read_text())
     workloads = load_workloads()
     pipeline = workloads.pool("pipeline")
-    isometric = [req for req in workloads.pool("query") if req.args[0] == "isometric"]
-    assert (len(pipeline), len(isometric)) == (208, 88)
-    requests = pipeline + isometric
+    query = workloads.pool("query")
+    isometric, alpha = ([req for req in query if req.args[0] == command]
+                        for command in ("isometric", "alpha"))
+    base = [req for req in query if req.args[0] == "base" and req.id.endswith("/0")]
+    assert (len(pipeline), len(isometric), len(alpha), len(base)) == (208, 88, 88, 4)
+    requests = pipeline + isometric + alpha + base
     mismatches = []
     for i, req in enumerate(requests):
         path = None

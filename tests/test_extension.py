@@ -138,6 +138,16 @@ def test_uniqueness_certificate():
     assert any("join to 1" in f for f in bad.failures)
     assert len(bad.zeros) == 2
 
+    # a scalar that is not contractive on the hull: the first offending
+    # pair in canonical order is reported
+    def twisted(p):  # the first coordinate xor the second with its atoms swapped
+        b = p.coords[1].bits
+        return p.coords[0] ^ A2._make((b & 1) << 1 | b >> 1)
+
+    bad = uniqueness_certify(cube_generators(A2, 2), twisted)
+    assert bad.failures == ("images of 00 00 and 11 11 do not join to 1",
+                            "the map is not contractive on 00 00, 01 01")
+
 
 # ---------------------------------------------------------------------------
 # Extension to the hull.

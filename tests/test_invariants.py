@@ -2,12 +2,14 @@
 
 import pytest
 
-from boolmetric import (AlphaProfile, CapExceededError, InfeasibleError, Point,
-                        StructureError, alpha_profile, alpha_profile_of_points,
-                        atomic_algebra, brute_force_isometry, build_base,
-                        check_map, construct_isometry, conv_hull,
-                        decide_isometric, distance, fincof_algebra,
-                        homogeneity_isometry, is_orthogonal)
+from boolmetric import (AlphaProfile, CapExceededError, FiniteSpace,
+                        InfeasibleError, PartialMap, Point, StructureError,
+                        alpha_profile, alpha_profile_of_points, atomic_algebra,
+                        brute_force_isometry, build_base, check_map,
+                        construct_isometry, conv_hull, decide_isometric,
+                        distance, extend_contraction, extend_isometry,
+                        fincof_algebra, homogeneity_isometry, is_orthogonal,
+                        space)
 from boolmetric.suites import enumerated_alpha_profile
 
 A2 = atomic_algebra(2)
@@ -126,13 +128,40 @@ def test_base_needs_pointed_convex_space():
 
 def test_decide_isometric_requires_convexity_and_common_algebra():
     sp = hexagon()
-    from boolmetric import space as plain_space
-    flat = plain_space(list(sp.points))
+    dented = space(sp.points[1:])  # 5 of the 6 points its pattern sets span
+    assert not dented.convex
     with pytest.raises(StructureError):
-        decide_isometric(sp, flat)
+        decide_isometric(sp, dented)
     other = conv_hull([Point.from_literals(atomic_algebra(3), "000", "000")])
     with pytest.raises(StructureError):
         decide_isometric(sp, other)
+
+
+def test_convexity_is_read_off_the_points():
+    hull = hexagon()
+    plain = space(hull.points)
+    assert plain.convex
+    assert decide_isometric(plain, hull)
+    for bp in hull:
+        assert build_base(plain.with_basepoint(bp)) == build_base(hull.with_basepoint(bp))
+    for option in ({"convex": True}, {"generators": hull.points[:1]}):
+        with pytest.raises(TypeError):
+            FiniteSpace(hull.points, **option)
+
+
+def test_non_convex_space_is_refused_everywhere():
+    # {00, 11} spans two patterns on each of two atoms: its hull has 4 points
+    x, y = pt("00"), pt("11")
+    pair = space([x, y], basepoint=x)
+    assert not pair.convex
+    move = PartialMap(((x, y), (y, x)))
+    for call in (lambda: decide_isometric(pair, conv_hull([x, y])),
+                 lambda: build_base(pair),
+                 lambda: homogeneity_isometry(pair, x, y),
+                 lambda: extend_isometry(move, pair),
+                 lambda: extend_contraction(move, pair)):
+        with pytest.raises(StructureError):
+            call()
 
 
 def test_isometric_decision_frozen_pairs():

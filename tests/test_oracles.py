@@ -1,12 +1,15 @@
-"""The closed-form map check, alpha profile, orthogonal complement and
-pattern-table transport against their definitional oracles (in
-``boolmetric.suites``, or per point), on seeded random families over both
-algebras; the per-atom extension pipelines against the composed building
-blocks; the mask-based finite-cofinite elements and witness searches
-against the frozenset model in ``fincof_model``."""
+"""The closed-form map check, alpha profile, orthogonal complement,
+pattern-table transport and convexity test against their definitional
+oracles (in ``boolmetric.suites``, per point, or closure under convex
+combinations), on seeded random families over both algebras; the
+per-atom extension pipelines against the composed building blocks; the
+mask-based finite-cofinite elements and witness searches against the
+frozenset model in ``fincof_model``."""
 
 import random
 from collections import Counter
+from functools import reduce
+from itertools import product
 from math import prod
 from operator import and_, or_, sub, xor
 
@@ -148,6 +151,51 @@ def test_complement_and_transport_match_per_point_oracles():
     assert min(transports.values()) >= 100, transports
 
 
+def combinations_by_lattice(points):
+    """Every convex combination of finite-cofinite ``points`` whose
+    coefficients join atoms among: each natural in the supports, one
+    natural m outside them, and the rest; built with the lattice operations
+    as the join over i of ``coefficient_i & points[i]``, coordinatewise."""
+    alg = points[0].algebra
+    union = sorted(set().union(*(c.support for p in points for c in p.coords)))
+    m = max(union, default=-1) + 1
+    atoms = [alg.fin([n]) for n in union + [m]] + [alg.cof(union + [m])]
+    for assignment in product(range(len(points)), repeat=len(atoms)):
+        coefficients = [reduce(or_, (a for a, i in zip(atoms, assignment) if i == j), alg.zero)
+                        for j in range(len(points))]
+        yield Point(reduce(or_, (c & x.coords[d] for c, x in zip(coefficients, points)))
+                    for d in range(points[0].dim))
+
+
+def test_convexity_matches_closure_under_combinations():
+    rng = random.Random(1729)
+    seen = Counter()
+    for _ in range(600):
+        alg = atomic_algebra(rng.randint(1, 3)) if rng.random() < 0.5 else fincof_algebra()
+
+        def element():
+            if alg.kind == FINITE_ATOMIC:
+                return alg._make(rng.randrange(1 << alg.atom_count))
+            support = rng.sample(range(3), rng.randint(0, 2))
+            return alg.cof(support) if rng.random() < 0.3 else alg.fin(support)
+        dim = rng.randint(1, 2)
+        points = list(dict.fromkeys(Point(element() for _ in range(dim))
+                                    for _ in range(rng.randint(1, 4))))
+        if rng.random() < 0.3 and alg.kind == FINITE_ATOMIC:
+            points = list(conv_hull(points).points)[:4]
+        sp = space(points)
+        if alg.kind == FINITE_ATOMIC:
+            combos = (convex_combine(ConvexCoefficients(a), sp.points)
+                      for a in product(range(len(sp)), repeat=alg.atom_count))
+        else:
+            combos = combinations_by_lattice(sp.points)
+        closed = all(x in sp for x in combos)
+        assert sp.convex == closed, sp.points
+        seen[alg.kind, closed] += 1
+    # convex and non-convex families occur often over both algebras
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
+
+
 def composed_extend_isometry(pm, ambient):
     """The isometry pipeline chained from its point-level building blocks."""
     if not pm.pairs:
@@ -217,8 +265,8 @@ def random_extension_instance(rng):
     points over k <= 4 atoms in dimension <= 3, given by its pattern set
     on each atom; the map sends a few of its points through per-atom
     pattern permutations (isometric) or functions (contractive), to random
-    points, or is refused for its ambient (not convex, a point outside,
-    finite-cofinite)."""
+    points, or is refused for its ambient (not convex: the hull less a
+    point, a point outside, finite-cofinite)."""
     k, dim = rng.randint(1, 4), rng.randint(1, 3)
     alg = atomic_algebra(k)
     while True:
@@ -251,12 +299,12 @@ def random_extension_instance(rng):
     elif mode == "outside":
         stray = point([rng.randrange(1 << dim) for _ in range(k)])
         pm = PartialMap(((stray, stray),) + tuple(pr for pr in pm.pairs if pr[0] != stray))
-    elif mode == "not convex":
-        ambient = space(ambient.points)
+    elif mode == "not convex":  # the hull less a point: convex only when one atom varies
+        ambient = space(ambient.points[1:] if len(ambient) >= 3 else ambient.points)
     elif mode == "finite-cofinite":
         fc = fincof_algebra()
         line = [Point((fc.fin(s),)) for s in ([], [1], [2], [1, 2])]
-        ambient = FiniteSpace(line, convex=True)
+        ambient = FiniteSpace(line)
         pm = PartialMap(((line[0], line[1]),) if rng.random() < 0.5
                         else ((line[0], line[1]), (line[2], line[2])))
     return mode, pm, ambient
@@ -280,12 +328,14 @@ def test_pipelines_match_composed_building_blocks():
             got = extension_outcome(extend, pm, ambient)
             assert got == extension_outcome(composed, pm, ambient), (mode, name, pm)
             outcomes[name, got if isinstance(got, type) else "extended"] += 1
+        outcomes["non-convex ambient"] += not ambient.convex
     # both pipelines extend often and refuse for every reason
     for name in ("isometry", "contraction"):
         assert outcomes[name, "extended"] >= 400, outcomes
         for error in (InfeasibleError, StructureError, UnsupportedOperationError):
             assert outcomes[name, error] >= 30, outcomes
     assert outcomes["isometry", InfeasibleError] >= 100, outcomes
+    assert outcomes["non-convex ambient"] >= 30, outcomes
 
 
 PREDICATES = [IdealDescriptor(r, m) for m in range(2, 9) for r in range(m)]

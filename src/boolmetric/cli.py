@@ -104,7 +104,7 @@ def cmd_base(args) -> tuple[Report, int]:
     name = args.space or parsed.only_space()
     hull = _hulled(parsed, name, args.max_points)
     if hull.basepoint is None:
-        hull = hull.with_basepoint(hull.points[0])
+        hull = hull.with_basepoint(hull._first())
     base = build_base(hull)
     rep = Report()
     rep.field("algebra", _algebra_label(parsed.algebra))
@@ -229,11 +229,12 @@ def cmd_counterexample(args) -> tuple[Report, int]:
     rep.field("predicate", desc.label)
     bad = False
     if args.which in ("two-dim", "contraction"):
-        _require_candidates_within(args.max_support, args.max_points)
-        rep.field("max_support", args.max_support)
+        max_support = 3 if args.max_support is None else args.max_support
+        _require_candidates_within(max_support, args.max_points)
+        rep.field("max_support", max_support)
         alg = fincof_algebra()
         total = 0
-        for v in bounded_candidates(args.max_support, alg):
+        for v in bounded_candidates(max_support, alg):
             total += 1
             if args.which == "two-dim":
                 w = isometry_obstruction_witness((v, ~v), desc)
@@ -247,8 +248,7 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         rep.field("candidates", total)
         rep.field("refuted", "all" if not bad else "INCOMPLETE")
     else:
-        cfg = RunConfig(seed=args.seed, instances=args.instances,
-                        max_support=args.max_support)
+        cfg = RunConfig(seed=args.seed, instances=args.instances)
         result = run_line_extension(cfg)
         rep.field("seed", cfg.seed)
         rep.field("instances", result.total)
@@ -330,8 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="two-dim")
     p.add_argument("--predicate", default="evens", metavar="P",
                    help="evens, odds, or mod:r,m")
-    p.add_argument("--max-support", type=int, default=3, metavar="N",
-                   help="candidate supports range over {0..N}")
+    p.add_argument("--max-support", type=int, metavar="N",
+                   help="candidate supports range over {0..N} (default 3; "
+                        "two-dim and contraction only)")
     p.add_argument("--seed", type=int, default=0, metavar="N")
     p.add_argument("--instances", type=int, default=50, metavar="N")
     p.set_defaults(handler=cmd_counterexample)
@@ -344,8 +345,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for flag, minimum in (("max_points", 1), ("instances", 1), ("atoms", 1), ("dim", 1),
                           ("max_support", 0)):
-        if getattr(args, flag, minimum) < minimum:
+        value = getattr(args, flag, None)
+        if value is not None and value < minimum:
             parser.error(f"argument --{flag.replace('_', '-')}: must be at least {minimum}")
+    if getattr(args, "which", None) == "line" and args.max_support is not None:
+        parser.error("argument --max-support: not allowed with --which line, "
+                     "whose supports are drawn from {0..11}")
     try:
         report, code = args.handler(args)
     except ParseError as exc:

@@ -354,9 +354,8 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
 def _check_extension_input(pm: PartialMap, ambient: FiniteSpace):
     if not ambient.convex:
         raise StructureError("the ambient space must be convex")
-    for s, t in pm.pairs:
-        if s not in ambient or t not in ambient:
-            raise StructureError("the map must send points of the space into the space")
+    if not ambient._holds(pm.sources + pm.targets):
+        raise StructureError("the map must send points of the space into the space")
 
 
 def _isometry_stages(a: int, f: dict, patterns: set) -> dict:

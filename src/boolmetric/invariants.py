@@ -23,9 +23,9 @@ from .algebra import Algebra, Element
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      VerificationError)
 from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns, _checked_map,
-                     _generator_sequence, _join_atoms, _point_from_patterns,
-                     _require_atomic, _transport, check_map, distance,
-                     is_orthogonal)
+                     _generator_sequence, _join_atoms, _pattern_sets,
+                     _point_from_patterns, _require_atomic, _transport, check_map,
+                     distance, is_orthogonal)
 
 
 @dataclass(frozen=True)
@@ -77,24 +77,26 @@ class AlphaProfile:
             for k in range(1, max(values, default=0) + 1)))
 
 
-def alpha_profile_of_points(points: Sequence[Point]) -> AlphaProfile:
-    """Profile of a finite point family: ``alpha_k`` is the join of the atoms
-    on which the points show more than ``k`` distinct patterns (checked
-    against ``suites.enumerated_alpha_profile``).  A generator set has the
-    profile of its hull, so callers may pass generators for a whole space.
-    """
-    pts = _generator_sequence(points)
-    atoms, table = _atom_patterns(pts)
-    return AlphaProfile.from_counts(
-        pts[0].algebra, {a: len(set(row)) - 1 for a, row in zip(atoms, table)})
-
-
 def alpha_profile(source) -> AlphaProfile:
-    """Profile of a space or point family; a hull's remembered generator
-    set stands in for its points."""
-    if isinstance(source, FiniteSpace) and source._generators is not None:
-        return alpha_profile_of_points(source._generators)
-    return alpha_profile_of_points(list(source))
+    """Profile of a space or a finite point family: ``alpha_k`` is the join
+    of the atoms on which it shows more than ``k`` distinct patterns
+    (checked against ``suites.enumerated_alpha_profile``).  A generator set
+    has the profile of its hull, and a space reads the counts off its
+    per-atom pattern view, so a hull's profile costs its generators'
+    patterns, whatever its size.
+    """
+    if isinstance(source, FiniteSpace):
+        algebra, (atoms, patterns) = source.algebra, source._patterns
+    else:
+        pts = _generator_sequence(source)
+        algebra, (atoms, patterns) = pts[0].algebra, _pattern_sets(pts)
+    return AlphaProfile.from_counts(algebra, {a: len(pats) - 1
+                                              for a, pats in zip(atoms, patterns)})
+
+
+def alpha_profile_of_points(points: Sequence[Point]) -> AlphaProfile:
+    """Profile of a finite point family, as :func:`alpha_profile` gives it."""
+    return alpha_profile(points)
 
 
 @dataclass(frozen=True)
@@ -114,19 +116,23 @@ class Base:
 def build_base(space: FiniteSpace) -> Base:
     """Construct and verify a base of a pointed convex space.
 
-    Construction is atom by atom: on each atom, list the distinct patterns
-    of the space with the basepoint's pattern first, the rest in ascending
-    order; the i-th base point copies the i-th pattern where it exists and
-    falls back to the basepoint's pattern elsewhere.  The three defining
-    conditions are re-checked before returning.
+    Construction is atom by atom, from the space's per-atom pattern view
+    and the basepoint's patterns, never from the space's points: on each
+    atom, list the distinct patterns of the space with the basepoint's
+    pattern first, the rest in ascending order; the i-th base point copies
+    the i-th pattern where it exists and falls back to the basepoint's
+    pattern elsewhere.  So a hull's base costs atoms times its generators'
+    patterns, whatever its size.  The three defining conditions are
+    re-checked before returning.
     """
     bp = space.require_basepoint()
     if not space.convex:
         raise StructureError("bases exist for convex spaces; materialize a hull first")
     alg = space.algebra
     _require_atomic(alg, "base construction")
-    atoms, table = _atom_patterns([bp] + list(space.points))
-    per_atom = [[row[0]] + sorted(set(row) - {row[0]}) for row in table]
+    atoms, patterns = space._patterns
+    _, at_bp = _atom_patterns([bp])
+    per_atom = [[b] + [p for p in pats if p != b] for (b,), pats in zip(at_bp, patterns)]
     rank = max(len(pats) for pats in per_atom) - 1
     base_points = [_point_from_patterns(alg, atoms, space.dim,
                                         [pats[i] if i < len(pats) else pats[0]
@@ -137,7 +143,7 @@ def build_base(space: FiniteSpace) -> Base:
     # the product of its per-atom pattern sets, so it is the hull of
     # basepoint and base when these show the same pattern sets.
     _, generated = _atom_patterns([bp] + base_points)
-    if [set(row) for row in generated] != [set(pats) for pats in per_atom]:
+    if [set(row) for row in generated] != [set(pats) for pats in patterns]:
         raise VerificationError("base construction failed: wrong hull")
     # Condition: pairwise orthogonality.
     for a, b in combinations(base_points, 2):
@@ -175,8 +181,8 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
     """
     if not decide_isometric(left, right):
         raise InfeasibleError("spaces have different profiles, no isometry exists")
-    bp_l = left.basepoint if left.basepoint is not None else left.points[0]
-    bp_r = right.basepoint if right.basepoint is not None else right.points[0]
+    bp_l = left.basepoint if left.basepoint is not None else left._first()
+    bp_r = right.basepoint if right.basepoint is not None else right._first()
     base_l = build_base(left.with_basepoint(bp_l))
     base_r = build_base(right.with_basepoint(bp_r))
     if base_l.rank != base_r.rank:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass, field
-from itertools import product
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -141,6 +140,13 @@ def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
     return atoms, [[v & spread << t for v in packed] for t in range(k)]
 
 
+def _pattern_sets(points: Sequence[Point]) -> tuple[list, list[tuple[int, ...]]]:
+    """The atoms of :func:`_atom_patterns` and, per atom, the sorted tuple
+    of the distinct patterns the points show there."""
+    atoms, table = _atom_patterns(points)
+    return atoms, [tuple(sorted(set(row))) for row in table]
+
+
 def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
     """The join of the atoms ``atoms[t]`` whose bit ``t`` is set in
     ``mask``, for atoms listed as by :func:`_atom_patterns`."""
@@ -244,9 +250,14 @@ class FiniteSpace:
     vectors (for the finite-cofinite algebra: on the tag plus ascending
     support).  Whether the space is convex is read off its points, never
     passed in: see :attr:`convex`.
+
+    Its questions are answered from one per-atom pattern view (see
+    :attr:`_patterns`), read off the points once.  A hull from
+    :func:`conv_hull` is stored as that view alone, the product of its
+    per-atom sets, and builds its points and index when first read.
     """
 
-    __slots__ = ("points", "algebra", "dim", "basepoint", "_index", "_convex", "_generators")
+    __slots__ = ("algebra", "dim", "basepoint", "_points", "_lookup", "_view", "_convex")
 
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = sorted(set(points), key=Point.sort_key)
@@ -255,15 +266,31 @@ class FiniteSpace:
         first = pts[0]
         for p in pts[1:]:
             _check_pair(first, p)
-        self.points = tuple(pts)
-        self.algebra = first.algebra
-        self.dim = first.dim
-        self._index = {p: i for i, p in enumerate(self.points)}
-        if basepoint is not None and basepoint not in self._index:
+        self.algebra, self.dim = first.algebra, first.dim
+        self._points, self._lookup, self._view, self._convex = tuple(pts), None, None, None
+        if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
-        self._convex = None
-        self._generators = None  # a generating set, kept by conv_hull
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        if self._points is None:
+            self._points = _product_points(self.algebra, self.dim, self._view[1])
+        return self._points
+
+    @property
+    def _index(self) -> dict:
+        if self._lookup is None:
+            self._lookup = {p: i for i, p in enumerate(self.points)}
+        return self._lookup
+
+    @property
+    def _patterns(self) -> tuple[list, list[tuple[int, ...]]]:
+        """The atoms (as :func:`_atom_patterns` labels them) and, per atom,
+        the sorted patterns the points show there."""
+        if self._view is None:
+            self._view = _pattern_sets(self.points)
+        return self._view
 
     @property
     def convex(self) -> bool:
@@ -272,20 +299,40 @@ class FiniteSpace:
         over the finite-cofinite algebra its points agree on the atom
         outside every support, which a combination could split."""
         if self._convex is None:
-            atoms, table = _atom_patterns(self.points)
-            counts = [len(set(row)) for row in table]
+            atoms, patterns = self._patterns
+            counts = [len(pats) for pats in patterns]
             self._convex = (len(self) == prod(counts)
                             and (atoms[-1] is not None or counts[-1] == 1))
         return self._convex
 
+    def _first(self) -> Point:
+        """The canonical first point of a convex space: on every atom, its
+        least pattern."""
+        atoms, patterns = self._patterns
+        return _point_from_patterns(self.algebra, atoms, self.dim, [pats[0] for pats in patterns])
+
     def __len__(self) -> int:
-        return len(self.points)
+        if self._points is None:  # a hull: the product of its pattern counts
+            return prod(map(len, self._view[1]))
+        return len(self._points)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
 
     def __contains__(self, p: Point) -> bool:
-        return p in self._index
+        return self._holds([p])
+
+    def _holds(self, points: Sequence[Point]) -> bool:
+        """Whether all ``points`` belong to the space: by index once its
+        points are built, else (a hull) per atom, at O(atoms x dim) a point:
+        each pattern they show must be in that atom's set."""
+        if self._points is not None:
+            index = self._index
+            return all(p in index for p in points)
+        if any(p.algebra != self.algebra or p.dim != self.dim for p in points):
+            return False
+        _, table = _atom_patterns(points)
+        return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
 
     def index(self, p: Point) -> int:
         try:
@@ -299,9 +346,9 @@ class FiniteSpace:
         return self.basepoint
 
     def with_basepoint(self, basepoint: Point) -> "FiniteSpace":
-        """The same space (points, order and index shared) pointed at
+        """The same space (points, index and view shared) pointed at
         ``basepoint``, which must be one of its points."""
-        if basepoint not in self._index:
+        if basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         out = copy(self)
         out.basepoint = basepoint
@@ -311,7 +358,7 @@ class FiniteSpace:
         return distance(x, self.require_basepoint())
 
     def __repr__(self):
-        return f"<space of {len(self.points)} points, dim {self.dim}>"
+        return f"<space of {len(self)} points, dim {self.dim}>"
 
 
 def space(points: Iterable[Point], basepoint: Point | None = None) -> FiniteSpace:
@@ -334,31 +381,54 @@ def _generator_sequence(source) -> list[Point]:
     return gens
 
 
+def _product_points(algebra: Algebra, dim: int, patterns) -> tuple[Point, ...]:
+    """Every choice of one pattern per atom (finite atomic), as points in
+    canonical order: the integer order of the code that puts atom ``t`` of
+    coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``, as the literals list
+    it.  A pattern moves there by one shift and a code sums them.  Distinct
+    choices are distinct points of one algebra and dimension, so nothing is
+    deduplicated or re-checked."""
+    k = len(patterns)
+    codes = [0]
+    for t, pats in enumerate(patterns):
+        moved = [p >> t << k - 1 - t for p in pats]
+        codes = [c + m for c in codes for m in moved]
+    codes.sort()
+    low, shifts = (1 << k) - 1, [k * (dim - 1 - j) for j in range(dim)]
+    element = {chunk: algebra._make(int(format(chunk, f"0{k}b")[::-1], 2))
+               for chunk in {c >> s & low for c in codes for s in shifts}}
+    return tuple(Point([element[c >> s & low] for s in shifts]) for c in codes)
+
+
 def conv_hull(source, basepoint: Point | None = None,
               max_points: int = DEFAULT_MAX_HULL_POINTS) -> FiniteSpace:
-    """Materialize the convex hull of the given generators.
+    """The convex hull of the given generators (a point family or a space).
 
     The hull consists of all points obtained by choosing, independently on
-    each atom, the pattern of one generator.  Its size is the product over
-    atoms of the number of distinct generator patterns, at most
+    each atom, the pattern of one generator: it is the product of the
+    generators' per-atom pattern sets, and it is stored as those sets.  Its
+    size is the product of their sizes, at most
     ``len(generators) ** atom_count``; anything beyond ``max_points`` is
-    refused.
+    refused.  Its points are built, in canonical order, only when a caller
+    first reads them.
     """
-    gens = sorted(set(_generator_sequence(source)), key=Point.sort_key)
-    alg = gens[0].algebra
-    _require_atomic(alg, "hull materialization")
-    if basepoint is None and isinstance(source, FiniteSpace):
-        basepoint = source.basepoint
-    atoms, table = _atom_patterns(gens)
-    per_atom = [sorted(set(row)) for row in table]
-    if prod(map(len, per_atom)) > max_points:
+    if isinstance(source, FiniteSpace):
+        if basepoint is None:
+            basepoint = source.basepoint
+        algebra, dim = source.algebra, source.dim
+    else:
+        source = _generator_sequence(source)
+        algebra, dim = source[0].algebra, source[0].dim
+    _require_atomic(algebra, "hull materialization")
+    hull = FiniteSpace.__new__(FiniteSpace)
+    hull.algebra, hull.dim, hull.basepoint = algebra, dim, None
+    hull._points = hull._lookup = None
+    hull._view = source._patterns if isinstance(source, FiniteSpace) else _pattern_sets(source)
+    hull._convex = True
+    if len(hull) > max_points:
         raise CapExceededError(
             f"hull would exceed {max_points} points; raise max_points to override")
-    points = [_point_from_patterns(alg, atoms, gens[0].dim, choice)
-              for choice in product(*per_atom)]
-    hull = FiniteSpace(points, basepoint=basepoint)
-    hull._convex, hull._generators = True, tuple(gens)
-    return hull
+    return hull if basepoint is None else hull.with_basepoint(basepoint)
 
 
 def hull_contains(x: Point, source) -> bool:
@@ -456,9 +526,8 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
     bp = ambient.require_basepoint()
     if inner.require_basepoint() != bp:
         raise StructureError("inner and ambient spaces must share the basepoint")
-    for p in inner:
-        if p not in ambient:
-            raise StructureError("the inner space must be a subset of the ambient space")
+    if not ambient._holds(inner.points):
+        raise StructureError("the inner space must be a subset of the ambient space")
     m = len(inner)
     b = inner.index(bp)
     _, table = _atom_patterns(inner.points + ambient.points)
@@ -600,7 +669,7 @@ def _checked_map(points: Sequence[Point], images: Sequence[Point],
     if kind == "violation" or isometric and kind != "isometric":
         raise VerificationError(
             f"the constructed map is not {'isometric' if isometric else 'contractive'}")
-    if within is not None and (not all(t in within for t in out.targets)
+    if within is not None and (not within._holds(out.targets)
                                or isometric and len(out) != len(within)):
         raise VerificationError("the constructed map is not into (an isometry: onto) "
                                 "its target space")

@@ -1,13 +1,13 @@
 """Byte-identical CLI output on the benchmark's requests.
 
-Replays every request of the benchmark's ``pipeline`` workload (all
-variants of every slot, warm-up included) and, from its ``query``
-workload, the ``isometric`` requests (the CLI's one path through
-``construct_isometry``), the ``alpha`` requests and the first variant of
-each ``base`` slot (the CLI's one path through ``build_base``), through
-``cli.main``, and compares each exit code and stdout SHA-256 with
-``bench/golden.json``.  The request lists and the golden file are read
-from ``bench/``, not copied.
+Replays every request of the benchmark's ``pipeline`` and ``query``
+workloads (all variants of every slot, warm-ups included) through
+``cli.main`` and compares each exit code and stdout SHA-256 with
+``bench/golden.json``.  Together they cover every CLI path through the
+extension pipelines, ``conv``, ``alpha``, ``base`` (``build_base`` on
+hulls of up to 9,216 points) and ``isometric`` (the decision, and
+``construct_isometry`` where the profiles agree).  The request lists and
+the golden file are read from ``bench/``, not copied.
 """
 
 import contextlib
@@ -36,11 +36,10 @@ def test_pipeline_requests_match_golden_outputs(tmp_path):
     workloads = load_workloads()
     pipeline = workloads.pool("pipeline")
     query = workloads.pool("query")
-    isometric, alpha = ([req for req in query if req.args[0] == command]
-                        for command in ("isometric", "alpha"))
-    base = [req for req in query if req.args[0] == "base" and req.id.endswith("/0")]
-    assert (len(pipeline), len(isometric), len(alpha), len(base)) == (208, 88, 88, 4)
-    requests = pipeline + isometric + alpha + base
+    commands = [req.args[0] for req in query]
+    assert (len(pipeline), len(query)) == (208, 208)
+    assert [commands.count(c) for c in ("alpha", "base", "isometric")] == [88, 32, 88]
+    requests = pipeline + query
     mismatches = []
     for i, req in enumerate(requests):
         path = None

@@ -270,6 +270,21 @@ def test_counterexample_line(capsys):
     assert code == 0 and "result = 5/5 exact" in out
 
 
+@pytest.mark.parametrize("support", ["0", "3", "40"])
+def test_counterexample_line_refuses_max_support(capsys, support):
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--which", "line", "--max-support", support])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "error: argument --max-support" in err
+    assert "Traceback" not in err
+
+
+def test_counterexample_sweeps_default_to_max_support_three(capsys):
+    for which in ("two-dim", "contraction"):
+        code, out, _ = run_cli(capsys, "counterexample", "--which", which)
+        assert code == 0 and "max_support = 3\n" in out and "candidates = 32\n" in out
+
+
 # ---------------------------------------------------------------- failures
 
 def test_parse_failure_is_exit_two(tmp_path, capsys):

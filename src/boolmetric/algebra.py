@@ -280,32 +280,26 @@ class SetElement(Element):
     def __hash__(self):
         return hash((self.cofinite, self.mask))
 
+    @property
+    def pair(self) -> tuple[bool, int]:
+        """The ``(cofinite, mask)`` pair the lattice rules below act on.
+        The operators spell it out, saving a property call per operand."""
+        return self.cofinite, self.mask
+
     def __and__(self, other):
         _same(self, other)
-        a, b = self, other
-        if not a.cofinite and not b.cofinite:
-            return SetElement(a.algebra, False, a.mask & b.mask)
-        if not a.cofinite:
-            return SetElement(a.algebra, False, a.mask & ~b.mask)
-        if not b.cofinite:
-            return SetElement(a.algebra, False, b.mask & ~a.mask)
-        return SetElement(a.algebra, True, a.mask | b.mask)
+        cofinite, mask = fc_meet((self.cofinite, self.mask), (other.cofinite, other.mask))
+        return SetElement(self.algebra, cofinite, mask)
 
     def __or__(self, other):
         _same(self, other)
-        a, b = self, other
-        if not a.cofinite and not b.cofinite:
-            return SetElement(a.algebra, False, a.mask | b.mask)
-        if not a.cofinite:
-            return SetElement(a.algebra, True, b.mask & ~a.mask)
-        if not b.cofinite:
-            return SetElement(a.algebra, True, a.mask & ~b.mask)
-        return SetElement(a.algebra, True, a.mask & b.mask)
+        cofinite, mask = fc_join((self.cofinite, self.mask), (other.cofinite, other.mask))
+        return SetElement(self.algebra, cofinite, mask)
 
     def __xor__(self, other):
         _same(self, other)
-        a, b = self, other
-        return SetElement(a.algebra, a.cofinite != b.cofinite, a.mask ^ b.mask)
+        cofinite, mask = fc_xor((self.cofinite, self.mask), (other.cofinite, other.mask))
+        return SetElement(self.algebra, cofinite, mask)
 
     def __sub__(self, other):
         return self & ~other
@@ -315,17 +309,11 @@ class SetElement(Element):
 
     def __le__(self, other):
         _same(self, other)
-        a, b = self, other
-        if not a.cofinite:
-            # a finite set is below b when it avoids what b leaves out
-            return not a.mask & (b.mask if b.cofinite else ~b.mask)
-        # a cofinite set is below cofinite sets leaving out less only
-        return b.cofinite and not b.mask & ~a.mask
+        return fc_leq((self.cofinite, self.mask), (other.cofinite, other.mask))
 
     @property
     def literal(self) -> str:
-        tag = "cof" if self.cofinite else "fin"
-        return tag + "{" + _support_text(self.mask) + "}"
+        return fc_literal(self.pair)
 
     def sort_key(self):
         return (1 if self.cofinite else 0, tuple(_naturals(self.mask)))
@@ -333,6 +321,52 @@ class SetElement(Element):
     def contains(self, n: int) -> bool:
         """Set membership of the natural ``n``."""
         return (self.mask >> n & 1) != self.cofinite
+
+
+# -- the finite-cofinite lattice on (cofinite, mask) pairs -----------------
+#
+# A finite-cofinite element is the pair (cofinite, mask): the finite set
+# ``mask`` (bit n is the natural n) or its complement.  These rules are the
+# only code that combines such pairs: ``SetElement`` wraps them, and the
+# counterexample searches run on them directly.
+
+def fc_meet(a: tuple[bool, int], b: tuple[bool, int]) -> tuple[bool, int]:
+    (ac, am), (bc, bm) = a, b
+    if ac and bc:
+        return True, am | bm
+    if ac:
+        return False, bm & ~am
+    if bc:
+        return False, am & ~bm
+    return False, am & bm
+
+
+def fc_join(a: tuple[bool, int], b: tuple[bool, int]) -> tuple[bool, int]:
+    (ac, am), (bc, bm) = a, b
+    if ac and bc:
+        return True, am & bm
+    if ac:
+        return True, am & ~bm
+    if bc:
+        return True, bm & ~am
+    return False, am | bm
+
+
+def fc_xor(a: tuple[bool, int], b: tuple[bool, int]) -> tuple[bool, int]:
+    return a[0] != b[0], a[1] ^ b[1]
+
+
+def fc_leq(a: tuple[bool, int], b: tuple[bool, int]) -> bool:
+    (ac, am), (bc, bm) = a, b
+    if not ac:
+        # a finite set is below b when it avoids what b leaves out
+        return not am & (bm if bc else ~bm)
+    # a cofinite set is below cofinite sets leaving out less only
+    return bc and not bm & ~am
+
+
+def fc_literal(a: tuple[bool, int]) -> str:
+    return ("cof{" if a[0] else "fin{") + _support_text(a[1]) + "}"
 
 
 # -- functional spellings of the lattice operations -----------------------

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator, TextIO
 
-from .algebra import fincof_algebra
-from .counterexamples import (IdealDescriptor, _require_candidates_within,
-                              bounded_candidates, contraction_obstruction_witness,
-                              isometry_obstruction_witness)
+from .algebra import fc_literal
+from .counterexamples import (IdealDescriptor, _describe,
+                              _require_candidates_within, _sweep, _violated)
 from .errors import (BoolmetricError, CapExceededError, InfeasibleError,
                      ParseError, StructureError, UnsupportedOperationError,
                      VerificationError)
@@ -35,11 +36,16 @@ from .suites import SUITES, RunConfig, run_line_extension, run_suite
 
 
 class Report:
-    """An ordered key/value report plus free lines and emitted blocks."""
+    """An ordered key/value report plus free lines and emitted blocks.
+
+    ``lines`` is a list, or any iterable that yields them once: a long
+    listing can be produced while it is written, never held whole."""
+
+    CHUNK = 4096  # lines per write
 
     def __init__(self):
         self.fields: dict[str, object] = {}
-        self.lines: list[str] = []
+        self.lines: Iterable[str] = []
         self.blocks: list[str] = []
 
     def field(self, key: str, value):
@@ -57,16 +63,32 @@ class Report:
             return "true" if value else "false"
         return str(value)
 
-    def render(self, as_json: bool) -> str:
+    def _chunks(self) -> Iterator[list[str]]:
+        lines = iter(self.lines)
+        while chunk := list(itertools.islice(lines, self.CHUNK)):
+            yield chunk
+
+    def render(self, as_json: bool, out: TextIO):
+        """Write the report to ``out``, the lines a chunk at a time.  The
+        JSON form is byte for byte ``json.dumps`` of the fields, lines and
+        blocks with ``indent=2``."""
         if as_json:
-            return json.dumps({"fields": self.fields, "lines": self.lines,
-                               "blocks": self.blocks}, indent=2) + "\n"
-        out = [f"{k} = {self._fmt(v)}" for k, v in self.fields.items()]
-        out.extend(self.lines)
+            def nested(value) -> str:
+                return json.dumps(value, indent=2).replace("\n", "\n  ")
+            out.write('{\n  "fields": ' + nested(self.fields) + ',\n  "lines": [')
+            wrote = False
+            for chunk in self._chunks():
+                out.write(("," if wrote else "") + "\n    "
+                          + ",\n    ".join(map(json.dumps, chunk)))
+                wrote = True
+            out.write(("\n  ]" if wrote else "]")
+                      + ',\n  "blocks": ' + nested(self.blocks) + "\n}\n")
+            return
+        out.write("".join(f"{k} = {self._fmt(v)}\n" for k, v in self.fields.items()))
+        for chunk in self._chunks():
+            out.write("\n".join(chunk) + "\n")
         for b in self.blocks:
-            out.append("")
-            out.append(b)
-        return "\n".join(out) + "\n"
+            out.write(f"\n{b}\n")
 
 
 def _algebra_label(algebra) -> str:
@@ -222,6 +244,20 @@ def cmd_verify(args) -> tuple[Report, int]:
     return rep, (1 if bad else 0)
 
 
+def _sweep_lines(which: str, max_support: int, desc: IdealDescriptor,
+                 unverified: set[int]) -> Iterator[str]:
+    """The report line of every swept candidate; the candidates numbered
+    (from 1) in ``unverified`` failed their re-check."""
+    for i, (v, (kind, element, lhs, rhs)) in enumerate(
+            _sweep(which, max_support, desc), start=1):
+        if which == "two-dim":
+            label = f"candidate ({fc_literal(v)}, {fc_literal((not v[0], v[1]))})"
+        else:
+            label = f"candidate {fc_literal(v)}"
+        tag = "UNVERIFIED" if i in unverified else "refuted"
+        yield f"{label}: {_describe(kind, element, lhs, rhs)} [{tag}]"
+
+
 def cmd_counterexample(args) -> tuple[Report, int]:
     desc = IdealDescriptor.parse(args.predicate)
     rep = Report()
@@ -232,21 +268,18 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         max_support = 3 if args.max_support is None else args.max_support
         _require_candidates_within(max_support, args.max_points)
         rep.field("max_support", max_support)
-        alg = fincof_algebra()
-        total = 0
-        for v in bounded_candidates(max_support, alg):
-            total += 1
-            if args.which == "two-dim":
-                w = isometry_obstruction_witness((v, ~v), desc)
-                label = f"candidate ({v.literal}, {(~v).literal})"
-            else:
-                w = contraction_obstruction_witness(v, desc)
-                label = f"candidate {v.literal}"
-            verified = w.verified
-            rep.line(f"{label}: {w.describe()} [{'refuted' if verified else 'UNVERIFIED'}]")
-            bad = bad or not verified
+        # Pass 1 re-checks every witness, so the fields printed above the
+        # lines are final; pass 2 finds the witnesses again and renders
+        # each line as the report is written.
+        total, unverified = 0, set()
+        for total, (_, (_, _, lhs, rhs)) in enumerate(
+                _sweep(args.which, max_support, desc), start=1):
+            if not _violated(lhs, rhs):
+                unverified.add(total)
+        bad = bool(unverified)
         rep.field("candidates", total)
         rep.field("refuted", "all" if not bad else "INCOMPLETE")
+        rep.lines = _sweep_lines(args.which, max_support, desc, unverified)
     else:
         cfg = RunConfig(seed=args.seed, instances=args.instances)
         result = run_line_extension(cfg)
@@ -365,7 +398,7 @@ def main(argv=None) -> int:
     except (VerificationError, BoolmetricError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(report.render(args.json))
+    report.render(args.json, sys.stdout)
     return code
 
 

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .algebra import (FINITE_ATOMIC, Algebra, Element, SetElement,
+                      fc_join, fc_leq, fc_literal, fc_meet, fc_xor,
                       fincof_algebra)
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      UnsupportedOperationError, VerificationError)
@@ -216,6 +217,64 @@ def unflatten_line_point(desc: IdealDescriptor, p: Point) -> Point:
 # ---------------------------------------------------------------------------
 
 
+def _members_window(desc: IdealDescriptor, *masks: int) -> int:
+    """M below a width that exceeds every mask's by one period, so that
+    each window of ``modulus`` naturals above a support is decided."""
+    return desc.member_mask(max(m.bit_length() for m in masks) + desc.modulus)
+
+
+def _isometry_witness(a: tuple[bool, int], b: tuple[bool, int], members: int):
+    """The kernel of :func:`isometry_obstruction_witness` on ``(cofinite,
+    mask)`` pairs: ``(kind, element, lhs, rhs)``, with ``members`` from
+    :func:`_members_window` of both masks.  Every witness but "overlap" is
+    a singleton, found as the lowest set bit of what a coordinate leaves
+    out."""
+    (ac, am), (bc, bm) = a, b
+    # A member of M that a leaves out: an element of I not below a.
+    out = am & members if ac else members & ~am
+    if out:
+        x = (False, out & -out)
+        return "ideal", x, fc_join(fc_xor(x, a), b), (True, x[1])
+    # A non-member that b leaves out: an element of J not below b.
+    out = bm & ~members if bc else ~(members | bm)
+    if out:
+        y = (False, out & -out)
+        return "orthogonal", y, fc_join(fc_xor(y, b), a), (True, y[1])
+    # Now a contains M and b its complement: both are cofinite, so their
+    # meet is cofinite, in particular nonzero.
+    overlap = fc_meet(a, b)
+    if overlap == (False, 0):
+        raise VerificationError("overlap witness failed; this cannot happen")
+    return "overlap", overlap, overlap, None
+
+
+def _contraction_witness(v: tuple[bool, int], members: int):
+    """The kernel of :func:`contraction_obstruction_witness` on ``(cofinite,
+    mask)`` pairs: ``(kind, element, lhs, rhs)``, with ``members`` from
+    :func:`_members_window` of v's mask.  Above its support v is constant
+    while M is not, so they disagree inside the window."""
+    vc, vm = v
+    disagree = ~(vm ^ members) if vc else vm ^ members
+    bit = disagree & -disagree
+    return "contraction", (False, bit), fc_xor(v, (False, bit & members)), (True, bit)
+
+
+def _violated(lhs: tuple[bool, int], rhs: tuple[bool, int] | None) -> bool:
+    """Re-check a witness: its inequality ``lhs <= rhs`` (``lhs = 0`` when
+    ``rhs`` is None) fails."""
+    if rhs is None:
+        return lhs != (False, 0)
+    return not fc_leq(lhs, rhs)
+
+
+def _describe(kind: str, element, lhs, rhs) -> str:
+    if rhs is None:
+        return (f"kind={kind} witness={fc_literal(element)} "
+                f"violates {fc_literal(lhs)} = 0")
+    return (f"kind={kind} witness={fc_literal(element)} "
+            f"violates {fc_literal(lhs)} <= {fc_literal(rhs)}")
+
+
 @dataclass(frozen=True)
 class Witness:
     """A finite refutation of one candidate.
@@ -233,18 +292,23 @@ class Witness:
     lhs: Element
     rhs: Element | None
 
+    @classmethod
+    def _of(cls, alg: Algebra, kind: str, element, lhs, rhs) -> "Witness":
+        """The witness of a kernel's ``(kind, element, lhs, rhs)`` pairs."""
+        return cls(kind, SetElement(alg, *element), SetElement(alg, *lhs),
+                   None if rhs is None else SetElement(alg, *rhs))
+
+    def _pairs(self):
+        return (self.element.pair, self.lhs.pair,
+                None if self.rhs is None else self.rhs.pair)
+
     @property
     def verified(self) -> bool:
-        if self.rhs is None:
-            return not self.lhs.is_zero
-        return not self.lhs <= self.rhs
+        _, lhs, rhs = self._pairs()
+        return _violated(lhs, rhs)
 
     def describe(self) -> str:
-        if self.rhs is None:
-            return (f"kind={self.kind} witness={self.element.literal} "
-                    f"violates {self.lhs.literal} = 0")
-        return (f"kind={self.kind} witness={self.element.literal} "
-                f"violates {self.lhs.literal} <= {self.rhs.literal}")
+        return _describe(self.kind, *self._pairs())
 
 
 def isometry_obstruction_witness(candidate: tuple[Element, Element],
@@ -260,31 +324,8 @@ def isometry_obstruction_witness(candidate: tuple[Element, Element],
     returned with its violated inequality.
     """
     a, b = (_as_fincof(candidate[0]), _as_fincof(candidate[1]))
-    alg = a.algebra
-    # An element of I not below a.
-    if not a.cofinite:
-        m: int | None = desc.least_member_outside(a.mask)
-    else:
-        left_out = a.mask & desc.member_mask(a.mask.bit_length())
-        m = _lowest_bit(left_out) if left_out else None
-    if m is not None:
-        x = SetElement(alg, False, 1 << m)
-        return Witness("ideal", x, (x ^ a) | b, ~x)
-    # An element of J not below b.
-    if not b.cofinite:
-        m = desc.least_nonmember_outside(b.mask)
-    else:
-        left_out = b.mask & ~desc.member_mask(b.mask.bit_length())
-        m = _lowest_bit(left_out) if left_out else None
-    if m is not None:
-        y = SetElement(alg, False, 1 << m)
-        return Witness("orthogonal", y, (y ^ b) | a, ~y)
-    # Now a contains M and b contains its complement: both are cofinite,
-    # so their meet is cofinite, in particular nonzero.
-    overlap = a & b
-    if overlap.is_zero:
-        raise VerificationError("overlap witness failed; this cannot happen")
-    return Witness("overlap", overlap, overlap, None)
+    members = _members_window(desc, a.mask, b.mask)
+    return Witness._of(a.algebra, *_isometry_witness(a.pair, b.pair, members))
 
 
 def contraction_obstruction_witness(candidate: Element,
@@ -298,14 +339,16 @@ def contraction_obstruction_witness(candidate: Element,
     because v is finite or cofinite while M is neither.
     """
     v = _as_fincof(candidate)
-    # Above its support v is constant while M is not, so they disagree
-    # below the support's width plus one period.
-    width = v.mask.bit_length() + desc.modulus
-    disagree = v.mask ^ desc.member_mask(width)
-    if v.cofinite:
-        disagree ^= (1 << width) - 1
-    x = SetElement(v.algebra, False, disagree & -disagree)
-    return Witness("contraction", x, v ^ desc.meet_with(x), ~x)
+    members = _members_window(desc, v.mask)
+    return Witness._of(v.algebra, *_contraction_witness(v.pair, members))
+
+
+def _bounded_pairs(max_support: int) -> Iterator[tuple[bool, int]]:
+    """The ``(cofinite, mask)`` pairs of :func:`bounded_candidates`, in its
+    order."""
+    for mask in range(1 << (max_support + 1)):
+        yield False, mask
+        yield True, mask
 
 
 def bounded_candidates(max_support: int = 16,
@@ -313,9 +356,22 @@ def bounded_candidates(max_support: int = 16,
     """All fin S and cof S with S inside {0..max_support}, in a fixed
     order: supports by binary counting, fin before cof."""
     alg = algebra if algebra is not None else fincof_algebra()
-    for mask in range(1 << (max_support + 1)):
-        yield SetElement(alg, False, mask)
-        yield SetElement(alg, True, mask)
+    for cofinite, mask in _bounded_pairs(max_support):
+        yield SetElement(alg, cofinite, mask)
+
+
+def _sweep(which: str, max_support: int, desc: IdealDescriptor):
+    """``(candidate, witness)`` for every bounded candidate, in the order of
+    :func:`bounded_candidates`, all on ``(cofinite, mask)`` pairs: for
+    "contraction" the candidate is the line value v, for "two-dim" it is
+    v and the plane candidate is (v, ~v)."""
+    members = _members_window(desc, (1 << max_support + 1) - 1)
+    if which == "contraction":
+        for v in _bounded_pairs(max_support):
+            yield v, _contraction_witness(v, members)
+    else:
+        for v in _bounded_pairs(max_support):
+            yield v, _isometry_witness(v, (not v[0], v[1]), members)
 
 
 def _require_candidates_within(max_support: int, cap: int):

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, atomic_algebra, fincof_algebra
+from .algebra import Algebra, Element, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
 from .spaces import FiniteSpace, PartialMap, Point, space
 
@@ -247,8 +247,18 @@ def format_algebra(algebra: Algebra) -> str:
 
 
 def format_space(name: str, sp: FiniteSpace) -> str:
+    # A built hull shares its coordinate elements, so each distinct one's
+    # literal is rendered once.
+    literals: dict[Element, str] = {}
+
+    def literal(c: Element) -> str:
+        text = literals.get(c)
+        if text is None:
+            text = literals[c] = c.literal
+        return text
+
     lines = [f"space {name} dim={sp.dim}"]
-    lines.extend("point " + " ".join(c.literal for c in p.coords) for p in sp)
+    lines.extend("point " + " ".join(map(literal, p.coords)) for p in sp)
     if sp.basepoint is not None:
         lines.append(f"basepoint {sp.index(sp.basepoint)}")
     return "\n".join(lines)

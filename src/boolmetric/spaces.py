@@ -39,7 +39,7 @@ class Point:
             raise StructureError("a point needs at least one coordinate")
         alg = coords[0].algebra
         for c in coords[1:]:
-            if c.algebra != alg:
+            if c.algebra is not alg and c.algebra != alg:
                 raise StructureError("all coordinates of a point must share one algebra")
         object.__setattr__(self, "coords", coords)
 

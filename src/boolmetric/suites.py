@@ -15,12 +15,12 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .algebra import (Algebra, Element, atomic_algebra, fincof_algebra,
-                      inf_family, sup_family)
+from .algebra import (Algebra, Element, atomic_algebra, fc_literal,
+                      fincof_algebra, inf_family, sup_family)
 from .counterexamples import (IdealDescriptor, _require_candidates_within,
-                              bounded_candidates, contraction_obstruction_witness,
-                              flatten_pair, isometry_obstruction_witness,
-                              line_extension, unflatten_line_point)
+                              _sweep, _violated, flatten_pair,
+                              isometry_obstruction_witness, line_extension,
+                              unflatten_line_point)
 from .errors import BoolmetricError, CapExceededError
 from .extension import (WittInstance, _profile_tuple, conv_extend,
                         corner_images, cube_generators, extend_contraction,
@@ -492,16 +492,14 @@ def run_counterexamples(res: SuiteResult, cfg: RunConfig,
     _require_candidates_within(cfg.max_support, cfg.max_points)
     desc = desc if desc is not None else IdealDescriptor.evens()
     alg = fincof_algebra()
-    for v in bounded_candidates(cfg.max_support, alg):
+    for v, (_, _, lhs, rhs) in _sweep("contraction", cfg.max_support, desc):
         res.total += 1
-        w = contraction_obstruction_witness(v, desc)
-        if not w.verified:
-            res.fail(f"contraction candidate {v.literal}: unverified witness")
-    for a in bounded_candidates(cfg.max_support, alg):
+        if not _violated(lhs, rhs):
+            res.fail(f"contraction candidate {fc_literal(v)}: unverified witness")
+    for a, (_, _, lhs, rhs) in _sweep("two-dim", cfg.max_support, desc):
         res.total += 1
-        w = isometry_obstruction_witness((a, ~a), desc)
-        if not w.verified:
-            res.fail(f"plane candidate ({a.literal}, ~): unverified witness")
+        if not _violated(lhs, rhs):
+            res.fail(f"plane candidate ({fc_literal(a)}, ~): unverified witness")
     # Candidates hitting the overlap branch: both coordinates cofinite.
     non_members = [n for n in range(8) if not desc.member(n)][:4]
     members = [n for n in range(9) if desc.member(n)][:4]

@@ -6,8 +6,11 @@ workloads (all variants of every slot, warm-ups included) through
 ``bench/golden.json``.  Together they cover every CLI path through the
 extension pipelines, ``conv``, ``alpha``, ``base`` (``build_base`` on
 hulls of up to 9,216 points) and ``isometric`` (the decision, and
-``construct_isometry`` where the profiles agree).  The request lists and
-the golden file are read from ``bench/``, not copied.
+``construct_isometry`` where the profiles agree).  The ``sweep``
+workload's requests are replayed up to a max-support of 11: both
+counterexample sweeps and the counterexamples suite under all eight
+predicates and suite seeds, and every line-extension request.  The request
+lists and the golden file are read from ``bench/``, not copied.
 """
 
 import contextlib
@@ -31,15 +34,9 @@ def load_workloads():
     return module
 
 
-def test_pipeline_requests_match_golden_outputs(tmp_path):
+def replay(requests, tmp_path):
+    """The requests whose exit code or stdout digest differs from golden."""
     golden = json.loads((BENCH / "golden.json").read_text())
-    workloads = load_workloads()
-    pipeline = workloads.pool("pipeline")
-    query = workloads.pool("query")
-    commands = [req.args[0] for req in query]
-    assert (len(pipeline), len(query)) == (208, 208)
-    assert [commands.count(c) for c in ("alpha", "base", "isometric")] == [88, 32, 88]
-    requests = pipeline + query
     mismatches = []
     for i, req in enumerate(requests):
         path = None
@@ -53,4 +50,37 @@ def test_pipeline_requests_match_golden_outputs(tmp_path):
                "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
         if got != golden[req.id]:
             mismatches.append((req.id, golden[req.id], got))
+    return mismatches
+
+
+def test_pipeline_requests_match_golden_outputs(tmp_path):
+    workloads = load_workloads()
+    pipeline = workloads.pool("pipeline")
+    query = workloads.pool("query")
+    commands = [req.args[0] for req in query]
+    assert (len(pipeline), len(query)) == (208, 208)
+    assert [commands.count(c) for c in ("alpha", "base", "isometric")] == [88, 32, 88]
+    mismatches = replay(pipeline + query, tmp_path)
+    assert not mismatches, mismatches[:5]
+
+
+def max_support(req):
+    args = req.args
+    return int(args[args.index("--max-support") + 1]) if "--max-support" in args else None
+
+
+def test_sweep_requests_match_golden_outputs(tmp_path):
+    workloads = load_workloads()
+    requests = [req for req in workloads.pool("sweep") if (max_support(req) or 0) <= 11]
+    kinds = [(req.args[2], max_support(req)) for req in requests]
+    assert len(requests) == 104
+    assert [kinds.count(k) for k in (("contraction", 6), ("two-dim", 10), ("two-dim", 11),
+                                     ("contraction", 10), ("contraction", 11),
+                                     ("counterexamples", 10), ("counterexamples", 11),
+                                     ("line", None), ("line-extension", None))] == \
+        [8, 8, 8, 8, 8, 8, 8, 24, 24]
+    predicates = {req.args[req.args.index("--predicate") + 1]
+                  for req in requests if "--predicate" in req.args}
+    assert predicates == set(workloads.PREDICATES)
+    mismatches = replay(requests, tmp_path)
     assert not mismatches, mismatches[:5]

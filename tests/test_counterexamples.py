@@ -1,9 +1,10 @@
-"""Finite refutations over the finite-cofinite algebra, frozen cases."""
+"""Finite refutations over the finite-cofinite algebra: frozen cases, and
+the mask kernel against the ``Witness`` wrappers and the set model."""
 
 import pytest
 
 from boolmetric import (IdealDescriptor, InfeasibleError, PartialMap, Point,
-                        StructureError, UnsupportedOperationError,
+                        StructureError, UnsupportedOperationError, Witness,
                         bounded_candidates, check_map,
                         contraction_obstruction_witness, distance,
                         fincof_algebra, flatten_pair, in_ideal,
@@ -11,6 +12,10 @@ from boolmetric import (IdealDescriptor, InfeasibleError, PartialMap, Point,
                         is_line_point, is_split_pair,
                         isometry_obstruction_witness, line_extension,
                         split_line_point, unflatten_line_point)
+
+from boolmetric.counterexamples import (_contraction_witness, _isometry_witness,
+                                       _members_window, _violated)
+import fincof_model as model
 
 ALG = fincof_algebra()
 EVENS = IdealDescriptor.evens()
@@ -121,6 +126,68 @@ def test_every_bounded_candidate_is_refuted():
         assert isometry_obstruction_witness((v, ~v), EVENS).verified
 
 
+def descriptors():
+    yield EVENS
+    yield IdealDescriptor.odds()
+    for m in range(3, 9):
+        for r in range(m):
+            yield IdealDescriptor.parse(f"mod:{r},{m}")
+
+
+def model_pair(p):
+    """A kernel's (cofinite, mask) pair as a model pair."""
+    return None if p is None else (p[0], frozenset(n for n in range(p[1].bit_length())
+                                                   if p[1] >> n & 1))
+
+
+def model_verified(lhs, rhs):
+    return lhs != (False, frozenset()) if rhs is None else not model.leq(lhs, rhs)
+
+
+def agree(kernel, wrapper, expected):
+    """The kernel's pairs, the public ``Witness`` and the model's
+    (kind, element, lhs, rhs) agree, and so does each one's verdict."""
+    kind, element, lhs, rhs = kernel
+    from_kernel = (kind, model_pair(element), model_pair(lhs), model_pair(rhs),
+                   _violated(lhs, rhs))
+    from_wrapper = model.witness_as_model(wrapper) + (wrapper.verified,)
+    from_model = expected + (model_verified(expected[2], expected[3]),)
+    assert from_kernel == from_wrapper == from_model
+    assert from_model[-1]
+
+
+def test_mask_kernel_wrappers_and_model_agree():
+    kinds = set()
+    for desc in descriptors():
+        wide = _members_window(desc, (1 << 9) - 1)
+        for mask in range(1 << 9):
+            for cofinite in (False, True):
+                v = (cofinite, mask)
+                x = model_pair(v)
+                elem = model.build(x)
+                agree(_contraction_witness(v, wide),
+                      contraction_obstruction_witness(elem, desc),
+                      model.contraction_witness(x, desc))
+                b = (not cofinite, mask)
+                agree(_isometry_witness(v, b, wide),
+                      isometry_obstruction_witness((elem, ~elem), desc),
+                      model.isometry_witness(x, model_pair(b), desc))
+        # General plane candidates (a, b), both-cofinite ones included.
+        for am in range(1 << 4):
+            for bm in range(1 << 4):
+                for ac in (False, True):
+                    for bc in (False, True):
+                        a, b = (ac, am), (bc, bm)
+                        kernel = _isometry_witness(a, b, _members_window(desc, am, bm))
+                        kinds.add(kernel[0])
+                        agree(kernel,
+                              isometry_obstruction_witness(
+                                  (model.build(model_pair(a)), model.build(model_pair(b))),
+                                  desc),
+                              model.isometry_witness(model_pair(a), model_pair(b), desc))
+    assert kinds == {"ideal", "orthogonal", "overlap"}
+
+
 def test_bounded_candidates_order_and_count():
     first = list(bounded_candidates(1, ALG))
     assert [c.literal for c in first] == [
@@ -133,6 +200,11 @@ def test_witness_descriptions_are_recheckable():
     w = isometry_obstruction_witness((ALG.fin({2}), ALG.cof(())), EVENS)
     text = w.describe()
     assert "fin{0}" in text and "violates" in text
+    # the re-check rejects an inequality that holds
+    assert not Witness("overlap", ALG.zero, ALG.zero, None).verified
+    assert not Witness("ideal", ALG.fin({0}), ALG.fin({1}), ALG.cof({0})).verified
+    assert Witness("overlap", ALG.cof({0}), ALG.cof({0}), None).describe() == \
+        "kind=overlap witness=cof{0} violates cof{0} = 0"
 
 
 def test_line_extension_recovers_offsets():

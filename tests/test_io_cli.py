@@ -4,8 +4,10 @@ import json
 
 import pytest
 
-from boolmetric import ParseError, conv_hull
-from boolmetric.cli import main
+from boolmetric import (IdealDescriptor, ParseError, Point, atomic_algebra,
+                        bounded_candidates, contraction_obstruction_witness,
+                        conv_hull, isometry_obstruction_witness)
+from boolmetric.cli import Report, main
 from boolmetric.io import format_map, format_space, parse_input, read_input
 
 PLANE = """\
@@ -92,6 +94,22 @@ def test_format_round_trips():
     source = parsed.spaces["W"]
     text += "\n\n" + format_map("F", pm, "W", "W", source, source)
     assert parse_input(text).maps["F"].map.pairs == pm.pairs
+
+
+def test_format_space_renders_each_distinct_element_once(monkeypatch):
+    from boolmetric.algebra import BitsElement
+    alg = atomic_algebra(5)
+    gens = [Point.from_literals(alg, *lits) for lits in
+            (("00000", "00000"), ("11100", "01010"), ("10011", "11001"))]
+    hull = conv_hull(gens)
+    expected = "\n".join([f"space H dim={hull.dim}"]
+                         + ["point " + " ".join(c.literal for c in p.coords) for p in hull])
+    calls = []
+    literal = BitsElement.literal
+    monkeypatch.setattr(BitsElement, "literal",
+                        property(lambda e: calls.append(e) or literal.fget(e)))
+    assert format_space("H", hull) == expected
+    assert len(hull) == 108 and len(calls) == len(set(calls)) <= 2 * 2 ** 5
 
 
 def test_read_input(tmp_path):
@@ -283,6 +301,90 @@ def test_counterexample_sweeps_default_to_max_support_three(capsys):
     for which in ("two-dim", "contraction"):
         code, out, _ = run_cli(capsys, "counterexample", "--which", which)
         assert code == 0 and "max_support = 3\n" in out and "candidates = 32\n" in out
+
+
+def object_path_report(which, predicate, support):
+    """The fields and lines of a sweep report, built from the public
+    ``Witness`` objects one candidate at a time."""
+    desc = IdealDescriptor.parse(predicate)
+    lines = []
+    for v in bounded_candidates(support):
+        if which == "two-dim":
+            w = isometry_obstruction_witness((v, ~v), desc)
+            label = f"candidate ({v.literal}, {(~v).literal})"
+        else:
+            w = contraction_obstruction_witness(v, desc)
+            label = f"candidate {v.literal}"
+        lines.append(f"{label}: {w.describe()} [{'refuted' if w.verified else 'UNVERIFIED'}]")
+    fields = {"which": which, "predicate": desc.label, "max_support": support,
+              "candidates": len(lines), "refuted": "all"}
+    return fields, lines
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("which", ["two-dim", "contraction"])
+def test_streamed_sweep_report_equals_the_object_path(capsys, monkeypatch, which, chunk):
+    if chunk is not None:  # several writes per listing, one ending short
+        monkeypatch.setattr(Report, "CHUNK", chunk)
+    for support in range(5):
+        for predicate in ("evens", "mod:2,5"):
+            fields, lines = object_path_report(which, predicate, support)
+            argv = ("counterexample", "--which", which, "--predicate", predicate,
+                    "--max-support", str(support))
+            code, out, _ = run_cli(capsys, *argv, "--json")
+            assert code == 0
+            assert out == json.dumps({"fields": fields, "lines": lines, "blocks": []},
+                                     indent=2) + "\n"
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == "".join(f"{k} = {v}\n" for k, v in fields.items()) + \
+                "".join(line + "\n" for line in lines)
+
+
+def test_reports_without_lines_render_like_json_dumps(tmp_path, capsys):
+    path = write(tmp_path, PLANE)
+    code, out, _ = run_cli(capsys, "conv", "--input", path, "--json")
+    data = json.loads(out)
+    assert code == 0 and data["lines"] == [] and len(data["blocks"]) == 2
+    assert out == json.dumps(data, indent=2) + "\n"
+
+
+def test_a_failed_recheck_marks_exactly_its_line(capsys, monkeypatch):
+    from boolmetric import cli
+    recheck = cli._violated
+    # candidate fin{0,2} against the evens: witness fin{4}, lhs fin{0,2,4}
+    target = ((False, 0b10101), (True, 0b10000))
+    monkeypatch.setattr(cli, "_violated",
+                        lambda lhs, rhs: (lhs, rhs) != target and recheck(lhs, rhs))
+    for as_json in (False, True):
+        code, out, _ = run_cli(capsys, "counterexample", "--which", "contraction",
+                               "--max-support", "2", *(["--json"] if as_json else []))
+        assert code == 1
+        if as_json:
+            data = json.loads(out)
+            fields, lines = data["fields"], data["lines"]
+        else:
+            head, _, rest = out.partition("\ncandidate ")
+            fields = dict(line.split(" = ") for line in head.splitlines())
+            lines = ("candidate " + rest).splitlines()
+        assert fields["refuted"] == "INCOMPLETE" and int(fields["candidates"]) == 16
+        marked = [line for line in lines if "UNVERIFIED" in line]
+        assert marked == ["candidate fin{0,2}: kind=contraction witness=fin{4} "
+                          "violates fin{0,2,4} <= cof{4} [UNVERIFIED]"]
+        assert sum(line.endswith("[refuted]") for line in lines) == 15
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--predicate", "primes"], 2),
+    (["--predicate", "mod:5,3"], 2),
+    (["--which", "contraction", "--predicate", "mod:1,9"], 2),
+    (["--max-support", "10", "--max-points", "4000"], 3),
+    (["--which", "contraction", "--max-support", "40"], 3),
+])
+def test_refused_sweeps_print_nothing(capsys, argv, exit_code):
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "counterexample", *argv, *extra)
+        assert code == exit_code and out == "" and err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------- failures

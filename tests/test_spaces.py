@@ -51,6 +51,15 @@ def test_dimension_and_algebra_mismatches():
         Point(())
 
 
+def test_point_coordinates_share_one_algebra():
+    twin = atomic_algebra(2)  # an equal handle, not the same object
+    assert twin is not A2
+    assert Point((A2.parse("10"), twin.parse("01"))) == pt("10", "01")
+    for other in (atomic_algebra(3).parse("010"), fincof_algebra().zero):
+        with pytest.raises(StructureError, match="share one algebra"):
+            Point((A2.parse("10"), other))
+
+
 def test_product_distance_and_norm():
     x, y = pt("10", "00"), pt("01", "00")
     u, v = pt("00", "01"), pt("00", "01")

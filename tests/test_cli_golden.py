@@ -11,6 +11,9 @@ workload's requests are replayed up to a max-support of 11: both
 counterexample sweeps and the counterexamples suite under all eight
 predicates and suite seeds, and every line-extension request.  The request
 lists and the golden file are read from ``bench/``, not copied.
+
+The bench's hulls stop at 1,296 points, so four reports on 6,561-point
+hulls (k=8, dim 3) are pinned here by digest as well.
 """
 
 import contextlib
@@ -20,6 +23,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from boolmetric.cli import main
 
@@ -84,3 +89,35 @@ def test_sweep_requests_match_golden_outputs(tmp_path):
     assert predicates == set(workloads.PREDICATES)
     mismatches = replay(requests, tmp_path)
     assert not mismatches, mismatches[:5]
+
+
+K8 = "0" * 8, "1" * 8
+LARGE_W = ("algebra finite k=8\nspace W dim=3\n"
+           "point {0} {0} {0}\npoint {1} {0} {0}\npoint {0} {1} {0}\n"
+           "map F from=W to=W\npair 1 -> 2\npair 2 -> 1\n").format(*K8)
+LARGE_WV = ("algebra finite k=8\nspace W dim=3\n"
+            "point {0} {0} {0}\npoint {1} {0} {0}\npoint {0} {1} {0}\n"
+            "space V dim=3\npoint {1} {1} {1}\npoint 10101010 01010101 11110000\n"
+            "point {0} {0} {0}\nbasepoint 1\n").format(*K8)
+
+
+@pytest.mark.parametrize("command, text, spaces, sha256", [
+    ("conv", LARGE_W, 1, "810317883bc1e36c230b9ec9e94138a733a4061941949900d2220a7c0a6ef759"),
+    ("extend", LARGE_W, 1, "f1b22ba6f72822b13c1661bcf27152461e8447e8381ff559784330bec8f08820"),
+    ("extend-contraction", LARGE_W, 1,
+     "c5b98fd5e07010ef7cca07447e0fccbf2b8d235b0ccd55b06e14cc077b5a3c3a"),
+    ("isometric", LARGE_WV, 2,
+     "d00b16e5fced95302dda092ab6ec0ff12200114e41f9d3b79254acb671b80589"),
+], ids=["conv", "extend", "extend-contraction", "isometric"])
+def test_large_hull_reports_match_frozen_digests(tmp_path, command, text, spaces, sha256):
+    """Every report on the 3^8-point hulls (the isometric one with equal
+    profiles, so its witness map is printed) keeps the bytes recorded
+    before hulls and maps were carried as integer codes."""
+    path = tmp_path / "large.txt"
+    path.write_text(text, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main([command, "--input", str(path)])
+    assert code == 0
+    assert out.getvalue().count("\npoint ") == spaces * 3 ** 8
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == sha256

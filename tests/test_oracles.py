@@ -399,3 +399,50 @@ def test_fincof_masks_match_set_model():
                 assert w.verified
     assert wide >= 500, wide
     assert min(kinds.values()) >= 1000 and len(kinds) == 3, kinds
+
+
+def constructed_maps(rng):
+    """A finite atomic hull (k <= 4, dim <= 3, at most 64 points) and a
+    map from each of the six constructors on it."""
+    while True:
+        k, dim = rng.randint(1, 4), rng.randint(1, 3)
+        alg = atomic_algebra(k)
+        gens = [Point(alg._make(rng.randrange(1 << k)) for _ in range(dim))
+                for _ in range(rng.randint(1, 4))]
+        hull = conv_hull(gens)
+        if len(hull) <= 64:
+            break
+    points = hull.points
+    a, b = rng.choice(points), rng.choice(points)
+    sources = rng.sample(points, rng.randint(1, min(4, len(points))))
+    twist = homogeneity_isometry(hull, a, b)
+    squash = PartialMap(tuple((s, rng.choice(sources)) for s in sources))
+    squash = squash if check_map(squash).ok else PartialMap(((sources[0], b),))
+    pointed = hull.with_basepoint(a)
+    inner = conv_hull([a, b], basepoint=a)
+    constant = PartialMap(tuple((y, a) for y in orthogonal_complement(inner, pointed)))
+    return {
+        "homogeneity_isometry": twist,
+        "construct_isometry": construct_isometry(hull, pointed.with_basepoint(b)),
+        "conv_extend": conv_extend(squash),
+        "extend_isometry": extend_isometry(PartialMap(((a, b),)), hull),
+        "extend_contraction": extend_contraction(squash, hull),
+        "orthogonal_join": orthogonal_join(identity_map(inner), constant, pointed),
+    }
+
+
+def test_constructed_map_verdicts_match_pointwise_and_pairwise():
+    """The verdict a constructor's map carries equals the pointwise
+    check_map of its pairs and the pairwise oracle."""
+    rng = random.Random(1111)
+    kinds = Counter()
+    for _ in range(150):
+        for name, out in constructed_maps(rng).items():
+            pointwise = PartialMap(out.pairs)
+            verdict = check_map(out)
+            assert verdict == check_map(pointwise) == pairwise_map_verdict(pointwise), name
+            kinds[name, verdict.kind] += 1
+    assert all(kinds[name, "isometric"] >= 20 for name in (
+        "homogeneity_isometry", "construct_isometry", "extend_isometry")), kinds
+    for name in ("conv_extend", "extend_contraction", "orthogonal_join"):
+        assert kinds[name, "contractive"] >= 20, kinds

@@ -39,10 +39,10 @@ from .io import (ParsedInput, ParsedMap, format_algebra, format_map,
                  format_space, parse_input, read_input)
 from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
                      Point, check_map, conv_hull, convex_combine, decompose,
-                     distance, hull_contains, identity_map, is_orthogonal,
-                     norm, orthogonal_complement, product_distance, space)
+                     distance, identity_map, is_orthogonal, norm,
+                     orthogonal_complement, space)
 from .suites import (SUITES, RunConfig, SuiteResult,
-                     enumerate_contractive_extensions, run_suite)
+                     enumerate_contractive_extensions, hull_contains, run_suite)
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,7 @@ __all__ = [
     "ConvexCoefficients", "FiniteSpace", "MapVerdict", "PartialMap", "Point",
     "check_map", "conv_hull", "convex_combine", "decompose", "distance",
     "hull_contains", "identity_map", "is_orthogonal", "norm",
-    "orthogonal_complement", "product_distance", "space",
+    "orthogonal_complement", "space",
     "SUITES", "RunConfig", "SuiteResult", "enumerate_contractive_extensions",
     "run_suite",
     "__version__",

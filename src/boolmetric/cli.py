@@ -14,9 +14,11 @@ file-format blocks under ``"blocks"``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
+import os
 import sys
 from typing import Iterable, Iterator, TextIO
 
@@ -216,14 +218,6 @@ def _cmd_extend(args, kind: str) -> tuple[Report, int]:
     return rep, 0
 
 
-def cmd_extend(args) -> tuple[Report, int]:
-    return _cmd_extend(args, "isometry")
-
-
-def cmd_extend_contraction(args) -> tuple[Report, int]:
-    return _cmd_extend(args, "contraction")
-
-
 def cmd_verify(args) -> tuple[Report, int]:
     cfg = RunConfig(seed=args.seed, instances=args.instances, atoms=args.atoms,
                     dim=args.dim, max_points=args.max_points,
@@ -310,39 +304,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true",
                        help="print the report as JSON")
 
-    p = sub.add_parser("alpha", help="alpha profile of a space")
-    common(p)
-    p.add_argument("--space", metavar="NAME")
-    p.set_defaults(handler=cmd_alpha)
-
-    p = sub.add_parser("base", help="orthogonal base of the hull of a space")
-    common(p)
-    p.add_argument("--space", metavar="NAME")
-    p.set_defaults(handler=cmd_base)
-
-    p = sub.add_parser("conv", help="convex hull of a space")
-    common(p)
-    p.add_argument("--space", metavar="NAME")
-    p.set_defaults(handler=cmd_conv)
-
-    p = sub.add_parser("isometric", help="decide whether two hulls are isometric")
-    common(p)
-    p.add_argument("--left", metavar="NAME")
-    p.add_argument("--right", metavar="NAME")
-    p.set_defaults(handler=cmd_isometric)
-
-    p = sub.add_parser("extend", help="extend a partial isometry to the whole space")
-    common(p)
-    p.add_argument("--map", metavar="NAME")
-    p.add_argument("--target", metavar="NAME", help="ambient space name")
-    p.set_defaults(handler=cmd_extend)
-
-    p = sub.add_parser("extend-contraction",
-                       help="extend a contractive map to the whole space")
-    common(p)
-    p.add_argument("--map", metavar="NAME")
-    p.add_argument("--target", metavar="NAME", help="ambient space name")
-    p.set_defaults(handler=cmd_extend_contraction)
+    for name, text, handler, options in (
+            ("alpha", "alpha profile of a space", cmd_alpha, {"--space": None}),
+            ("base", "orthogonal base of the hull of a space", cmd_base, {"--space": None}),
+            ("conv", "convex hull of a space", cmd_conv, {"--space": None}),
+            ("isometric", "decide whether two hulls are isometric", cmd_isometric,
+             {"--left": None, "--right": None}),
+            ("extend", "extend a partial isometry to the whole space",
+             functools.partial(_cmd_extend, kind="isometry"),
+             {"--map": None, "--target": "ambient space name"}),
+            ("extend-contraction", "extend a contractive map to the whole space",
+             functools.partial(_cmd_extend, kind="contraction"),
+             {"--map": None, "--target": "ambient space name"})):
+        p = sub.add_parser(name, help=text)
+        common(p)
+        for flag, flag_help in options.items():
+            p.add_argument(flag, metavar="NAME", help=flag_help)
+        p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
     common(p, needs_input=False)
@@ -398,9 +376,11 @@ def main(argv=None) -> int:
     except (VerificationError, BoolmetricError) as exc:
         print(f"violation: {exc}", file=sys.stderr)
         return 1
-    report.render(args.json, sys.stdout)
+    try:
+        report.render(args.json, sys.stdout)
+    except BrokenPipeError:
+        # The reader left (``| head``): stop quietly, and point stdout at
+        # the null device so that the final flush cannot fail again.
+        with contextlib.suppress(OSError, ValueError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

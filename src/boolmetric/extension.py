@@ -24,11 +24,13 @@ The central results implemented here, all with post-verified constructions:
   between finite subsets of a convex space extends to a self-isometry
   (self-contraction) of the whole space, the stages above composed per atom.
 
-Every stage is atom-local and costs points times atoms: one pattern table
-(``spaces._transport``) carries all points of a space through per-atom
-pattern maps at once, and one post-check (``spaces._checked_map``) verifies
-every map built here to extend its inputs, to be contractive or isometric as
-claimed, and to stay inside (for isometries: onto) its target space.
+Every stage is atom-local: one pattern table (``spaces._transport``)
+gives the relation carrying a space through its generators on each atom,
+and one post-check (``spaces._checked_map``) verifies every map built here
+per atom, whatever the space's size, to be contractive or isometric as
+claimed, to extend its inputs and to stay inside (for isometries: onto) its
+target space.  The map keeps its per-atom pattern maps; its points are
+built only when read.
 """
 
 from __future__ import annotations
@@ -298,10 +300,10 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
     hull = conv_hull(pm.sources, max_points=max_points)
-    out = _checked_map(hull.points, _transport(hull.points, pm.sources, pm.targets),
+    out = _checked_map(hull, _transport(hull, pm.sources, pm.targets), pm.targets[0].dim,
                        inputs=(pm,), isometric=verdict.kind == "isometric",
                        within=conv_hull(pm.targets, max_points=max_points))
-    if target is not None and not all(t in target for t in out.targets):
+    if target is not None and not target._holds(out.targets):
         raise VerificationError("hull extension leaves the requested target space")
     return out
 
@@ -330,6 +332,8 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
         raise StructureError("both maps must be defined at the basepoint")
     if f(bp) != g(bp):
         raise StructureError("the maps disagree at the basepoint")
+    if not ambient._holds(f.sources + g.sources):
+        raise StructureError("both maps must be defined on points of the space")
     fv = check_map(f)
     gv = check_map(g)
     if not fv.ok:
@@ -337,12 +341,12 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
     if not gv.ok:
         raise InfeasibleError("the complement map is not contractive", witness=gv.witness)
     try:
-        images = _transport(ambient.points, f.sources + g.sources, f.targets + g.targets)
+        relations = _transport(ambient, f.sources + g.sources, f.targets + g.targets)
     except NotInHullError as exc:
         raise StructureError(
             "the two domains together must generate the space "
             f"(point {exc.point.literal} is not decomposable)") from exc
-    return _checked_map(ambient.points, images, inputs=(f, g),
+    return _checked_map(ambient, relations, f(bp).dim, inputs=(f, g),
                         isometric=fv.kind == gv.kind == "isometric")
 
 
@@ -391,8 +395,9 @@ def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     if verdict.kind != "isometric":
         raise InfeasibleError("the input pairs do not preserve distances",
                               witness=verdict.witness)
-    images = _transport(ambient.points, pm.sources, pm.targets, stage=_isometry_stages)
-    return _checked_map(ambient.points, images, inputs=(pm,), isometric=True, within=ambient)
+    relations = _transport(ambient, pm.sources, pm.targets, stage=_isometry_stages)
+    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), isometric=True,
+                        within=ambient)
 
 
 def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
@@ -412,6 +417,6 @@ def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     if verdict.kind == "violation":
         raise InfeasibleError("the input pairs do not contract distances",
                               witness=verdict.witness)
-    images = _transport(ambient.points, pm.sources, pm.targets,
-                        stage=lambda a, f, patterns: dict.fromkeys(patterns, f[a]) | f)
-    return _checked_map(ambient.points, images, inputs=(pm,), within=ambient)
+    relations = _transport(ambient, pm.sources, pm.targets,
+                           stage=lambda a, f, patterns: dict.fromkeys(patterns, f[a]) | f)
+    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), within=ambient)

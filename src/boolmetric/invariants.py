@@ -24,7 +24,7 @@ from .errors import (CapExceededError, InfeasibleError, StructureError,
                      VerificationError)
 from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns, _checked_map,
                      _generator_sequence, _join_atoms, _pattern_sets,
-                     _point_from_patterns, _require_atomic, _transport, check_map,
+                     _code_points, _require_atomic, _transport, check_map,
                      distance, is_orthogonal)
 
 
@@ -73,7 +73,8 @@ class AlphaProfile:
         ``spaces._atom_patterns`` (indices, for a finite atomic algebra)."""
         atoms, values = list(counts), list(counts.values())
         return cls(algebra, tuple(
-            _join_atoms(algebra, atoms, sum(1 << t for t, c in enumerate(values) if c >= k))
+            _join_atoms(algebra, atoms,
+                        sum(1 << len(values) - 1 - t for t, c in enumerate(values) if c >= k))
             for k in range(1, max(values, default=0) + 1)))
 
 
@@ -130,19 +131,18 @@ def build_base(space: FiniteSpace) -> Base:
         raise StructureError("bases exist for convex spaces; materialize a hull first")
     alg = space.algebra
     _require_atomic(alg, "base construction")
-    atoms, patterns = space._patterns
+    _, patterns = space._patterns
     _, at_bp = _atom_patterns([bp])
     per_atom = [[b] + [p for p in pats if p != b] for (b,), pats in zip(at_bp, patterns)]
     rank = max(len(pats) for pats in per_atom) - 1
-    base_points = [_point_from_patterns(alg, atoms, space.dim,
-                                        [pats[i] if i < len(pats) else pats[0]
-                                         for pats in per_atom])
-                   for i in range(1, rank + 1)]
+    base_points = _code_points(alg, space.dim, [
+        sum(pats[i] if i < len(pats) else pats[0] for pats in per_atom)
+        for i in range(1, rank + 1)])
 
     # Condition: basepoint and base generate the space.  A convex space is
     # the product of its per-atom pattern sets, so it is the hull of
     # basepoint and base when these show the same pattern sets.
-    _, generated = _atom_patterns([bp] + base_points)
+    _, generated = _atom_patterns([bp, *base_points])
     if [set(row) for row in generated] != [set(pats) for pats in patterns]:
         raise VerificationError("base construction failed: wrong hull")
     # Condition: pairwise orthogonality.
@@ -150,14 +150,14 @@ def build_base(space: FiniteSpace) -> Base:
         if not is_orthogonal(a, b, bp):
             raise VerificationError("base construction failed: not orthogonal")
     # Condition: norms realize the profile, which also pins the rank.
-    profile = alpha_profile_of_points([bp] + base_points)
+    profile = alpha_profile_of_points([bp, *base_points])
     if profile.rank != rank:
         raise VerificationError("base construction failed: rank mismatch")
     for i, x in enumerate(base_points, start=1):
         nx = distance(x, bp)
         if nx != profile.alpha(i) or nx.is_zero:
             raise VerificationError("base construction failed: norm != alpha")
-    return Base(tuple(base_points), bp)
+    return Base(base_points, bp)
 
 
 def decide_isometric(left: FiniteSpace, right: FiniteSpace) -> bool:
@@ -191,7 +191,7 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
     matching = PartialMap(tuple(zip(sources, targets)))
     if check_map(matching).kind != "isometric":
         raise VerificationError("equal profiles but the bases are not isometric")
-    return _checked_map(left.points, _transport(left.points, sources, targets),
+    return _checked_map(left, _transport(left, sources, targets), right.dim,
                         inputs=(matching,), isometric=True, within=right)
 
 
@@ -208,11 +208,11 @@ def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
         raise StructureError("homogeneity applies to convex spaces")
     if a not in space or b not in space:
         raise StructureError("both points must belong to the space")
-    images = _transport(space.points, [a, b], [b, a],
-                        stage=lambda _, f, patterns: {p: f.get(p, p) for p in patterns})
-    pm = _checked_map(space.points, images, inputs=(PartialMap(((a, b), (b, a))),),
+    relations = _transport(space, [a, b], [b, a],
+                           stage=lambda _, f, patterns: {p: f.get(p, p) for p in patterns})
+    pm = _checked_map(space, relations, space.dim, inputs=(PartialMap(((a, b), (b, a))),),
                       isometric=True, within=space)
-    if any(pm(w) != z for z, w in pm.pairs):
+    if any(g[g[p]] != p for g in pm._atom_maps for p in g):
         raise VerificationError("homogeneity map is not an involution")
     return pm
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, Element, atomic_algebra, fincof_algebra
+from .algebra import FINITE_ATOMIC, Algebra, Element, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
 from .spaces import FiniteSpace, PartialMap, Point, space
 
@@ -236,7 +236,9 @@ def read_input(path: str) -> ParsedInput:
 
 # ---------------------------------------------------------------------------
 # Emission.  Emitted blocks re-parse to the same objects; points come out
-# in canonical order.
+# in canonical order.  Over a finite atomic algebra both blocks are written
+# from codes: a coordinate's literal is its chunk of the code in binary, and
+# a pair is the positions of the two codes.
 # ---------------------------------------------------------------------------
 
 
@@ -247,18 +249,19 @@ def format_algebra(algebra: Algebra) -> str:
 
 
 def format_space(name: str, sp: FiniteSpace) -> str:
-    # A built hull shares its coordinate elements, so each distinct one's
-    # literal is rendered once.
-    literals: dict[Element, str] = {}
-
-    def literal(c: Element) -> str:
-        text = literals.get(c)
-        if text is None:
-            text = literals[c] = c.literal
-        return text
-
     lines = [f"space {name} dim={sp.dim}"]
-    lines.extend("point " + " ".join(map(literal, p.coords)) for p in sp)
+    if sp.algebra.kind == FINITE_ATOMIC:
+        k = sp.algebra.atom_count
+        columns = [[c >> k * (sp.dim - 1 - j) & (1 << k) - 1 for c in sp.codes]
+                   for j in range(sp.dim)]
+        literals = {chunk: format(chunk, f"0{k}b") for chunk in set().union(*columns)}
+        lines.extend(map(("point" + " {}" * sp.dim).format,
+                         *[map(literals.__getitem__, column) for column in columns]))
+    else:
+        # each distinct element's literal is rendered once
+        literals: dict[Element, str] = {}
+        lines.extend("point " + " ".join([literals.get(c) or literals.setdefault(c, c.literal)
+                                          for c in p.coords]) for p in sp)
     if sp.basepoint is not None:
         lines.append(f"basepoint {sp.index(sp.basepoint)}")
     return "\n".join(lines)
@@ -267,6 +270,13 @@ def format_space(name: str, sp: FiniteSpace) -> str:
 def format_map(name: str, pm: PartialMap, source_name: str, target_name: str,
                source: FiniteSpace, target: FiniteSpace) -> str:
     lines = [f"map {name} from={source_name} to={target_name}"]
-    lines.extend(f"pair {source.index(s)} -> {target.index(t)}"
-                 for s, t in pm.pairs)
+    if pm._atom_maps is not None:
+        at, to = source._index, target._index
+        try:
+            lines.extend(f"pair {at[s]} -> {to[t]}"
+                         for s, t in zip(pm._domain.codes, pm._image_codes))
+        except KeyError:
+            raise StructureError("the map's points are not in the given spaces") from None
+    else:
+        lines.extend(f"pair {source.index(s)} -> {target.index(t)}" for s, t in pm.pairs)
     return "\n".join(lines)

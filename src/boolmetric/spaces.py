@@ -12,12 +12,19 @@ each coordinate is either 0 or that atom, so a point leaves a 0/1
 >= atom exactly when their patterns on that atom differ.  Convex
 combinations splice patterns from different points, one choice per atom.
 :func:`_atom_patterns` is the one place that reads patterns off points.
+
+A pattern is kept at its place in the point's canonical integer code (atom
+``t`` of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t`` for ``k`` atoms),
+so a point's patterns sum to its code, and over a finite atomic algebra
+codes order like the points' literals.  Hulls and the maps the
+constructors build are carried as codes and one pattern map per atom;
+``Point`` objects are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -91,12 +98,6 @@ def distance(x: Point, y: Point) -> Element:
     return acc
 
 
-def product_distance(pair_a: tuple[Point, Point], pair_b: tuple[Point, Point]) -> Element:
-    """Distance between pairs in the product space: the join of the
-    componentwise distances."""
-    return distance(pair_a[0], pair_b[0]) | distance(pair_a[1], pair_b[1])
-
-
 def norm(x: Point, basepoint: Point) -> Element:
     """Distance to the designated basepoint."""
     return distance(x, basepoint)
@@ -108,36 +109,49 @@ def is_orthogonal(x: Point, y: Point, basepoint: Point) -> bool:
     return distance(x, y) == norm(x, basepoint) | norm(y, basepoint)
 
 
+def _flip(bits: int, k: int) -> int:
+    """The ``k`` low bits of ``bits`` in reverse order: an element's atom
+    mask (atom ``t`` at bit ``t``) as its chunk of a code (atom ``t`` at bit
+    ``k-1-t``, so the chunk reads like the literal), and back."""
+    return int(format(bits, f"0{k}b")[::-1], 2)
+
+
+def _atom_masks(k: int, dim: int) -> list[int]:
+    """Per atom ``t``, the bits of a code that hold its pattern."""
+    spread = sum(1 << k * j for j in range(dim))
+    return [spread << k - 1 - t for t in range(k)]
+
+
 def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
     """The atoms of the subalgebra the coordinates generate (a finite atomic
     algebra's own, by index; over the finite-cofinite algebra ``{n}`` for
     each ``n`` in the union U of the supports, labelled ``n``, and the rest
     of the naturals, labelled ``None``) and ``table[t][i]``, the pattern of
-    ``points[i]`` on ``atoms[t]``: the point packed into one integer
-    (coordinate ``j`` as an atom mask shifted by ``len(atoms) * (dim-1-j)``)
-    and cut down to that atom's bits.  The points share one algebra.  On one
-    atom, points of one dimension order like 0/1 tuples, and a point's
-    patterns sum to its packing.
+    ``points[i]`` on ``atoms[t]``: the point's code (atom ``t`` of coordinate
+    ``j`` at bit ``k*(dim-1-j) + k-1-t``, ``k = len(atoms)``) cut down to
+    that atom's bits.  The points share one algebra.  On one atom, points of
+    one dimension order like 0/1 tuples, and a point's patterns sum to its
+    code.
     """
     alg = points[0].algebra
     if alg.kind == FINITE_ATOMIC:
         atoms = list(range(alg.atom_count))
-        masks = [[c.bits for c in p.coords] for p in points]
+        k = len(atoms)
+        masks = [[_flip(c.bits, k) for c in p.coords] for p in points]
     else:
         union = 0
         for p in points:
             for c in p.coords:
                 union |= c.mask
         atoms = _naturals(union)
-        index = {n: i for i, n in enumerate(atoms)}
-        full = (1 << len(atoms) + 1) - 1
-        masks = [[sum(1 << index[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
+        k = len(atoms) + 1
+        place = {n: 1 << k - 1 - i for i, n in enumerate(atoms)}
+        full = (1 << k) - 1
+        masks = [[sum(place[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
                   for c in p.coords] for p in points]
         atoms.append(None)
-    k = len(atoms)
     packed = [sum(b << k * j for j, b in enumerate(reversed(bs))) for bs in masks]
-    spread = sum(1 << k * j for j in range(max(map(len, masks))))
-    return atoms, [[v & spread << t for v in packed] for t in range(k)]
+    return atoms, [[v & m for v in packed] for m in _atom_masks(k, max(map(len, masks)))]
 
 
 def _pattern_sets(points: Sequence[Point]) -> tuple[list, list[tuple[int, ...]]]:
@@ -148,29 +162,21 @@ def _pattern_sets(points: Sequence[Point]) -> tuple[list, list[tuple[int, ...]]]
 
 
 def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
-    """The join of the atoms ``atoms[t]`` whose bit ``t`` is set in
-    ``mask``, for atoms listed as by :func:`_atom_patterns`."""
+    """The join of the atoms ``atoms[t]`` whose bit ``k-1-t`` is set in
+    ``mask`` (a chunk of a code), for the ``k`` atoms listed as by
+    :func:`_atom_patterns`."""
+    k = len(atoms)
     if algebra.kind == FINITE_ATOMIC:
-        return algebra._make(mask)
+        return algebra._make(_flip(mask, k))
     chosen = left_out = 0
     for t, n in enumerate(atoms[:-1]):
-        if mask >> t & 1:
+        if mask >> k - 1 - t & 1:
             chosen |= 1 << n
         else:
             left_out |= 1 << n
-    if mask >> len(atoms) - 1 & 1:
+    if mask & 1:
         return SetElement(algebra, True, left_out)
     return SetElement(algebra, False, chosen)
-
-
-def _point_from_patterns(algebra: Algebra, atoms: Sequence, dim: int,
-                         patterns: Iterable[int]) -> Point:
-    """The point of dimension ``dim`` with the given pattern on each atom."""
-    packed = sum(patterns)
-    k = len(atoms)
-    low = (1 << k) - 1
-    return Point(_join_atoms(algebra, atoms, packed >> k * (dim - 1 - j) & low)
-                 for j in range(dim))
 
 
 def _require_atomic(algebra: Algebra, what: str):
@@ -238,26 +244,27 @@ def convex_combine(coeffs: ConvexCoefficients, points: Sequence[Point]) -> Point
     for i in coeffs.assignment:
         if not 0 <= i < len(points):
             raise StructureError(f"coefficient index {i} out of range")
-    atoms, table = _atom_patterns([points[i] for i in coeffs.assignment])
-    return _point_from_patterns(alg, atoms, points[0].dim,
-                                [row[t] for t, row in enumerate(table)])
+    _, table = _atom_patterns([points[i] for i in coeffs.assignment])
+    return _code_points(alg, points[0].dim, [sum(row[t] for t, row in enumerate(table))])[0]
 
 
 class FiniteSpace:
     """A finite set of points, deduplicated and canonically ordered.
 
     The canonical order is lexicographic on the concatenated coordinate bit
-    vectors (for the finite-cofinite algebra: on the tag plus ascending
-    support).  Whether the space is convex is read off its points, never
-    passed in: see :attr:`convex`.
+    vectors, the order of the codes (for the finite-cofinite algebra: on
+    the tag plus ascending support).  Whether the space is convex is read
+    off its points, never passed in: see :attr:`convex`.
 
     Its questions are answered from one per-atom pattern view (see
     :attr:`_patterns`), read off the points once.  A hull from
     :func:`conv_hull` is stored as that view alone, the product of its
-    per-atom sets, and builds its points and index when first read.
+    per-atom sets, and builds its :attr:`codes`, and from them its points,
+    when first read.
     """
 
-    __slots__ = ("algebra", "dim", "basepoint", "_points", "_lookup", "_view", "_convex")
+    __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view",
+                 "_convex")
 
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = sorted(set(points), key=Point.sort_key)
@@ -267,22 +274,41 @@ class FiniteSpace:
         for p in pts[1:]:
             _check_pair(first, p)
         self.algebra, self.dim = first.algebra, first.dim
-        self._points, self._lookup, self._view, self._convex = tuple(pts), None, None, None
+        self._points, self._codes, self._lookup, self._view, self._convex = (
+            tuple(pts), None, None, None, None)
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
 
     @property
+    def codes(self) -> list[int]:
+        """The points' codes, ascending (finite atomic only)."""
+        if self._codes is None:
+            _require_atomic(self.algebra, "integer codes")
+            self._codes = (self._keys(self._points) if self._points
+                           else _product_codes(self._view[1]))
+        return self._codes
+
+    @property
     def points(self) -> tuple[Point, ...]:
         if self._points is None:
-            self._points = _product_points(self.algebra, self.dim, self._view[1])
+            self._points = _code_points(self.algebra, self.dim, self.codes)
         return self._points
 
     @property
     def _index(self) -> dict:
+        """The position of every point, keyed by its code (finite atomic)
+        or by the point (finite-cofinite)."""
         if self._lookup is None:
-            self._lookup = {p: i for i, p in enumerate(self.points)}
+            keys = self.codes if self.algebra.kind == FINITE_ATOMIC else self.points
+            self._lookup = {key: i for i, key in enumerate(keys)}
         return self._lookup
+
+    def _keys(self, points: Sequence[Point]) -> list:
+        """The keys of ``points`` in :attr:`_index`."""
+        if self.algebra.kind != FINITE_ATOMIC:
+            return list(points)
+        return [sum(col) for col in zip(*_atom_patterns(points)[1])]
 
     @property
     def _patterns(self) -> tuple[list, list[tuple[int, ...]]]:
@@ -308,8 +334,7 @@ class FiniteSpace:
     def _first(self) -> Point:
         """The canonical first point of a convex space: on every atom, its
         least pattern."""
-        atoms, patterns = self._patterns
-        return _point_from_patterns(self.algebra, atoms, self.dim, [pats[0] for pats in patterns])
+        return _code_points(self.algebra, self.dim, [sum(pats[0] for pats in self._patterns[1])])[0]
 
     def __len__(self) -> int:
         if self._points is None:  # a hull: the product of its pattern counts
@@ -326,19 +351,17 @@ class FiniteSpace:
         """Whether all ``points`` belong to the space: by index once its
         points are built, else (a hull) per atom, at O(atoms x dim) a point:
         each pattern they show must be in that atom's set."""
-        if self._points is not None:
-            index = self._index
-            return all(p in index for p in points)
         if any(p.algebra != self.algebra or p.dim != self.dim for p in points):
             return False
+        if self._points is not None:
+            return all(key in self._index for key in self._keys(points))
         _, table = _atom_patterns(points)
         return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
 
     def index(self, p: Point) -> int:
-        try:
-            return self._index[p]
-        except KeyError:
-            raise StructureError(f"point {p.literal} is not in the space") from None
+        if p not in self:
+            raise StructureError(f"point {p.literal} is not in the space")
+        return self._index[self._keys([p])[0]]
 
     def require_basepoint(self) -> Point:
         if self.basepoint is None:
@@ -346,7 +369,7 @@ class FiniteSpace:
         return self.basepoint
 
     def with_basepoint(self, basepoint: Point) -> "FiniteSpace":
-        """The same space (points, index and view shared) pointed at
+        """The same space (points, codes, index and view shared) pointed at
         ``basepoint``, which must be one of its points."""
         if basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
@@ -381,21 +404,23 @@ def _generator_sequence(source) -> list[Point]:
     return gens
 
 
-def _product_points(algebra: Algebra, dim: int, patterns) -> tuple[Point, ...]:
-    """Every choice of one pattern per atom (finite atomic), as points in
-    canonical order: the integer order of the code that puts atom ``t`` of
-    coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``, as the literals list
-    it.  A pattern moves there by one shift and a code sums them.  Distinct
-    choices are distinct points of one algebra and dimension, so nothing is
-    deduplicated or re-checked."""
-    k = len(patterns)
+def _product_codes(patterns) -> list[int]:
+    """Every choice of one pattern per atom, summed into its code, in
+    canonical order; distinct choices have distinct codes."""
     codes = [0]
-    for t, pats in enumerate(patterns):
-        moved = [p >> t << k - 1 - t for p in pats]
-        codes = [c + m for c in codes for m in moved]
+    for pats in patterns:
+        codes = [c + p for c in codes for p in pats]
     codes.sort()
+    return codes
+
+
+def _code_points(algebra: Algebra, dim: int, codes: Sequence[int]) -> tuple[Point, ...]:
+    """The finite atomic points with the given codes, in their order, one
+    element object per distinct coordinate chunk."""
+    _require_atomic(algebra, "points from codes")
+    k = algebra.atom_count
     low, shifts = (1 << k) - 1, [k * (dim - 1 - j) for j in range(dim)]
-    element = {chunk: algebra._make(int(format(chunk, f"0{k}b")[::-1], 2))
+    element = {chunk: algebra._make(_flip(chunk, k))
                for chunk in {c >> s & low for c in codes for s in shifts}}
     return tuple(Point([element[c >> s & low] for s in shifts]) for c in codes)
 
@@ -409,8 +434,8 @@ def conv_hull(source, basepoint: Point | None = None,
     generators' per-atom pattern sets, and it is stored as those sets.  Its
     size is the product of their sizes, at most
     ``len(generators) ** atom_count``; anything beyond ``max_points`` is
-    refused.  Its points are built, in canonical order, only when a caller
-    first reads them.
+    refused.  Its codes and points are built, in canonical order, only when
+    a caller first reads them.
     """
     if isinstance(source, FiniteSpace):
         if basepoint is None:
@@ -422,23 +447,13 @@ def conv_hull(source, basepoint: Point | None = None,
     _require_atomic(algebra, "hull materialization")
     hull = FiniteSpace.__new__(FiniteSpace)
     hull.algebra, hull.dim, hull.basepoint = algebra, dim, None
-    hull._points = hull._lookup = None
+    hull._points = hull._codes = hull._lookup = None
     hull._view = source._patterns if isinstance(source, FiniteSpace) else _pattern_sets(source)
     hull._convex = True
     if len(hull) > max_points:
         raise CapExceededError(
             f"hull would exceed {max_points} points; raise max_points to override")
     return hull if basepoint is None else hull.with_basepoint(basepoint)
-
-
-def hull_contains(x: Point, source) -> bool:
-    """Hull membership without materialization: on every atom some
-    generator must agree with ``x``."""
-    gens = _generator_sequence(source)
-    _check_pair(gens[0], x)
-    _require_atomic(x.algebra, "hull membership")
-    _, table = _atom_patterns([x] + gens)
-    return all(row[0] in row[1:] for row in table)
 
 
 def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
@@ -468,48 +483,41 @@ def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
     return ConvexCoefficients(tuple(assignment))
 
 
-def _transport(points: Sequence[Point], sources: Sequence[Point], targets: Sequence[Point],
-               stage=None) -> list[Point]:
-    """Carry every point of ``points`` through one pattern map per atom,
-    from one pattern table: by default
-    ``convex_combine(decompose(x, sources), targets)`` for every ``x``.
+def _transport(domain: FiniteSpace, sources: Sequence[Point], targets: Sequence[Point],
+               stage=None) -> list[list[tuple[int, int]]]:
+    """The relations, one per atom, that carry ``domain`` through the
+    generators: by default ``convex_combine(decompose(x, sources), targets)``
+    for every point ``x``.
 
-    ``targets`` runs parallel to ``sources``.  On each atom, every source
-    pattern goes to the target pattern of the first source showing it,
-    which is the source :func:`decompose` selects there.  ``stage(a, f, A)``,
-    when given, replaces that pattern map ``f`` on each atom; ``a`` is the
-    first source's pattern and ``A`` the set of the points' patterns.  The
-    first point, in the order given, with a pattern its atom's map lacks
-    raises the :class:`NotInHullError` that :func:`decompose` raises for it.
+    ``targets`` runs parallel to ``sources``.  On each atom the relation
+    pairs every source's pattern with its target's, a function when the
+    generators map contractively.  ``stage(a, f, A)``, when given, adds the
+    pairs of a pattern map built from the relation ``f`` (a dict, its first
+    pair kept per pattern); ``a`` is the first source's pattern and ``A``
+    the set of the domain's patterns.  The first domain point, in canonical
+    order, with a pattern no source shows raises the
+    :class:`NotInHullError` that :func:`decompose` raises for it.
     """
     sources = _generator_sequence(sources)
-    for x in points:
-        _check_pair(sources[0], x)
     alg = sources[0].algebra
+    if domain.algebra != alg or domain.dim != sources[0].dim:
+        raise StructureError("the domain and the generators differ in algebra or dimension")
     _require_atomic(alg, "convex decomposition")
     targets = _generator_sequence(targets)
     if targets[0].algebra != alg:
         raise StructureError("generators and images belong to different algebras")
     if len(targets) != len(sources):
         raise StructureError("generators and images must be parallel lists")
-    n = len(points)
-    atoms, table = _atom_patterns(list(points) + sources)
-    _, target_table = _atom_patterns(targets)
-    columns = []
-    for row, target_row in zip(table, target_table):
-        f = dict(reversed(list(zip(row[n:], target_row))))
-        if stage is not None:
-            f = stage(row[n], f, set(row[:n]))
-        columns.append([f.get(v) for v in row[:n]])
-    out = []
-    for x, patterns in zip(points, zip(*columns)):
-        if None in patterns:
-            t = patterns.index(None)
-            raise NotInHullError(
-                f"point {x.literal} is not in the hull: no generator matches on atom {t}",
-                atom_index=t, point=x)
-        out.append(_point_from_patterns(alg, atoms, targets[0].dim, patterns))
-    return out
+    table, target_table = _atom_patterns(sources)[1], _atom_patterns(targets)[1]
+    if stage is None and any(set(pats) - set(row)
+                             for pats, row in zip(domain._patterns[1], table)):
+        for x in domain.points:
+            decompose(x, sources)
+    relations = [list(zip(row, target_row)) for row, target_row in zip(table, target_table)]
+    if stage is not None:
+        for relation, pats in zip(relations, domain._patterns[1]):
+            relation += stage(relation[0][0], dict(reversed(relation)), set(pats)).items()
+    return relations
 
 
 def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpace:
@@ -537,18 +545,19 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
     return FiniteSpace(kept, basepoint=bp)
 
 
-@dataclass(frozen=True)
 class PartialMap:
     """A finite list of (source, target) pairs, canonically ordered;
-    :func:`check_map` classifies it once and keeps the verdict."""
+    :func:`check_map` classifies it once and keeps the verdict.
 
-    pairs: tuple[tuple[Point, Point], ...]
-    _mapping: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _verdict: MapVerdict | None = field(init=False, repr=False, compare=False, hash=False,
-                                        default=None)
+    A map from :func:`_checked_map` is kept as its domain, a finite atomic
+    space, and one pattern map per atom, and builds its image codes, and
+    its pairs in the same order, when first read."""
 
-    def __post_init__(self):
-        pairs = sorted(set(self.pairs), key=lambda pr: pr[0].sort_key())
+    __slots__ = ("_pairs", "_mapping", "_verdict", "_domain", "_atom_maps", "_dim",
+                 "_images")
+
+    def __init__(self, pairs: Iterable[tuple[Point, Point]]):
+        pairs = sorted(set(pairs), key=lambda pr: pr[0].sort_key())
         if pairs:
             s0, t0 = pairs[0]
             for s, t in pairs[1:]:
@@ -559,8 +568,34 @@ class PartialMap:
             if s in mapping:
                 raise StructureError(f"conflicting images for source point {s.literal}")
             mapping[s] = t
-        object.__setattr__(self, "pairs", tuple(pairs))
-        object.__setattr__(self, "_mapping", mapping)
+        self._pairs, self._mapping, self._verdict = tuple(pairs), mapping, None
+        self._domain = self._atom_maps = self._dim = self._images = None
+
+    @property
+    def pairs(self) -> tuple[tuple[Point, Point], ...]:
+        if self._pairs is None:
+            targets = _code_points(self._domain.algebra, self._dim, self._image_codes)
+            self._pairs = tuple(zip(self._domain.points, targets))
+            self._mapping = dict(self._pairs)
+        return self._pairs
+
+    @property
+    def _image_codes(self) -> list[int]:
+        """The image code of every domain code, in domain order.  A table per
+        half of the atoms maps a code's part on them (few distinct values:
+        on a hull, the product of their pattern counts) to its image there,
+        so each code costs two lookups."""
+        if self._images is None:
+            codes, maps = self._domain.codes, self._atom_maps
+            masks = _atom_masks(len(maps), self._domain.dim)
+            tables = []
+            for half in (range(len(maps) // 2), range(len(maps) // 2, len(maps))):
+                mask = sum(masks[t] for t in half)
+                tables.append((mask, {part: sum(maps[t][part & masks[t]] for t in half)
+                                      for part in {c & mask for c in codes}}))
+            (low, at_low), (high, at_high) = tables
+            self._images = [at_low[c & low] + at_high[c & high] for c in codes]
+        return self._images
 
     @property
     def sources(self) -> tuple[Point, ...]:
@@ -571,16 +606,24 @@ class PartialMap:
         return tuple(t for _, t in self.pairs)
 
     def __call__(self, x: Point) -> Point:
-        try:
-            return self._mapping[x]
-        except KeyError:
-            raise StructureError(f"point {x.literal} is outside the map's domain") from None
+        if not self.defined_at(x):
+            raise StructureError(f"point {x.literal} is outside the map's domain")
+        return self._mapping[x]
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._domain) if self._pairs is None else len(self._pairs)
+
+    def __eq__(self, other):
+        return isinstance(other, PartialMap) and other.pairs == self.pairs
+
+    def __hash__(self):
+        return hash(self.pairs)
+
+    def __repr__(self):
+        return f"PartialMap(pairs={self.pairs!r})"
 
     def defined_at(self, x: Point) -> bool:
-        return x in self._mapping
+        return bool(self.pairs) and x in self._mapping
 
     def inverse(self) -> "PartialMap":
         targets = self.targets
@@ -624,14 +667,20 @@ def check_map(pm: PartialMap) -> MapVerdict:
     equal source patterns have equal images, isometric when these per-atom
     pattern maps are also injective.  A class of equal source patterns
     first fails at its first member and the next member with another image.
-    The verdict is kept on the (immutable) map for later calls.
+    A map kept as per-atom pattern maps is contractive by construction and
+    isometric when each is injective on the domain's patterns.  The verdict
+    is kept on the (immutable) map for later calls.
     """
     if pm._verdict is None:
-        object.__setattr__(pm, "_verdict", _classify(pm))
+        pm._verdict = _classify(pm)
     return pm._verdict
 
 
 def _classify(pm: PartialMap) -> MapVerdict:
+    if pm._atom_maps is not None:
+        injective = all(len({g[p] for p in pats}) == len(pats)
+                        for g, pats in zip(pm._atom_maps, pm._domain._patterns[1]))
+        return MapVerdict("isometric" if injective else "contractive")
     pairs = pm.pairs
     n = len(pairs)
     if pairs and pairs[0][0].algebra != pairs[0][1].algebra:
@@ -654,23 +703,48 @@ def _classify(pm: PartialMap) -> MapVerdict:
     return MapVerdict("isometric" if injective else "contractive")
 
 
-def _checked_map(points: Sequence[Point], images: Sequence[Point],
-                 inputs: Sequence[PartialMap] = (), isometric: bool = False,
+def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, int]]],
+                 dim: int, inputs: Sequence[PartialMap] = (), isometric: bool = False,
                  within: FiniteSpace | None = None) -> PartialMap:
-    """The map ``points[i] -> images[i]``, verified to extend every map in
-    ``inputs``, to be contractive (isometric when ``isometric`` is set), to
-    take its values in ``within`` when that is given, and then, if it is an
-    isometry (so injective), to be onto ``within``.  Any failure is a bug of
-    the construction and raises :class:`VerificationError`."""
-    out = PartialMap(tuple(zip(points, images)))
-    if not all(out(s) == t for pm in inputs for s, t in pm.pairs):
-        raise VerificationError("the constructed map does not extend its inputs")
-    kind = check_map(out).kind
-    if kind == "violation" or isometric and kind != "isometric":
-        raise VerificationError(
-            f"the constructed map is not {'isometric' if isometric else 'contractive'}")
-    if within is not None and (not within._holds(out.targets)
-                               or isometric and len(out) != len(within)):
+    """The map on the finite atomic space ``domain``, into points of
+    dimension ``dim``, that sends a point's pattern on atom ``t`` to its
+    image under ``relations[t]`` (pairs of patterns), verified per atom in
+    O(the domain's patterns + input pairs x atoms), whatever its size:
+
+    * each relation is a function on the domain's patterns (the map is
+      contractive), injective there when ``isometric`` is set;
+    * the map extends every map in ``inputs``: their sources lie in the
+      domain, and on each atom a source's pattern goes to its target's;
+    * it takes its values in ``within`` when given: on each atom its image
+      patterns are among ``within``'s, so a product (convex) target holds
+      every image (another target is checked point by point); an isometry,
+      injective, is onto exactly when the domain is as large as ``within``.
+
+    Any failure is a bug of the construction and raises
+    :class:`VerificationError`."""
+    _require_atomic(domain.algebra, "pattern maps")
+    out = PartialMap.__new__(PartialMap)
+    out._pairs = out._mapping = out._verdict = out._images = None
+    out._domain, out._atom_maps, out._dim = domain, [], dim
+    for relation, pats in zip(relations, domain._patterns[1]):
+        g: dict = {}
+        if any(g.setdefault(p, q) != q for p, q in relation) or not g.keys() >= set(pats):
+            raise VerificationError("the constructed map is not a function on its domain")
+        out._atom_maps.append(g)
+    if isometric and check_map(out).kind != "isometric":
+        raise VerificationError("the constructed map is not isometric")
+    for pm in filter(len, inputs):
+        n, (_, table) = len(pm), _atom_patterns(pm.sources + pm.targets)
+        if not domain._holds(pm.sources) or any(
+                g.get(p) != q for g, row in zip(out._atom_maps, table)
+                for p, q in zip(row[:n], row[n:])):
+            raise VerificationError("the constructed map does not extend its inputs")
+    if within is not None and not (
+            within.algebra == domain.algebra and within.dim == dim
+            and (all({g[p] for p in pats} <= set(targets) for g, pats, targets
+                     in zip(out._atom_maps, domain._patterns[1], within._patterns[1]))
+                 if within.convex else within._holds(out.targets))
+            and (not isometric or len(domain) == len(within))):
         raise VerificationError("the constructed map is not into (an isometry: onto) "
                                 "its target space")
     return out

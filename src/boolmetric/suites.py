@@ -10,6 +10,7 @@ and the acceptance tests both run these.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -31,8 +32,7 @@ from .invariants import (AlphaProfile, alpha_profile, alpha_profile_of_points,
                          homogeneity_isometry)
 from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
                      Point, check_map, conv_hull, convex_combine, distance,
-                     hull_contains, identity_map, is_orthogonal,
-                     orthogonal_complement)
+                     identity_map, is_orthogonal, orthogonal_complement)
 
 
 @dataclass(frozen=True)
@@ -156,6 +156,12 @@ def random_contractive_self_map(rng: random.Random, space: FiniteSpace) -> Parti
 # ---------------------------------------------------------------------------
 # Independent oracles.
 # ---------------------------------------------------------------------------
+
+
+def hull_contains(x: Point, source) -> bool:
+    """Hull membership without materialization: the factored hull checks
+    on every atom that some generator agrees with ``x``."""
+    return x in conv_hull(source, max_points=math.inf)
 
 
 def exhaustive_hull_membership(x: Point, generators: list[Point]) -> bool:

@@ -1,6 +1,11 @@
 """Input-file parsing and the command-line front end."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -101,15 +106,18 @@ def test_format_space_renders_each_distinct_element_once(monkeypatch):
     alg = atomic_algebra(5)
     gens = [Point.from_literals(alg, *lits) for lits in
             (("00000", "00000"), ("11100", "01010"), ("10011", "11001"))]
-    hull = conv_hull(gens)
-    expected = "\n".join([f"space H dim={hull.dim}"]
-                         + ["point " + " ".join(c.literal for c in p.coords) for p in hull])
+    built = conv_hull(gens)
+    expected = "\n".join([f"space H dim={built.dim}"]
+                         + ["point " + " ".join(c.literal for c in p.coords) for p in built])
     calls = []
     literal = BitsElement.literal
     monkeypatch.setattr(BitsElement, "literal",
                         property(lambda e: calls.append(e) or literal.fget(e)))
-    assert format_space("H", hull) == expected
-    assert len(hull) == 108 and len(calls) == len(set(calls)) <= 2 * 2 ** 5
+    assert format_space("H", built) == expected
+    assert len(built) == 108 and len(calls) == len(set(calls)) <= 2 * 2 ** 5
+    # a hull whose points were never read is printed from its codes alone
+    hull = conv_hull(gens)
+    assert format_space("H", hull) == expected and hull._points is None
 
 
 def test_read_input(tmp_path):
@@ -487,3 +495,36 @@ def test_output_is_deterministic(tmp_path, capsys):
     _, first, _ = run_cli(capsys, "extend", "--input", path)
     _, second, _ = run_cli(capsys, "extend", "--input", path)
     assert first == second
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away, as under ``| head``."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["extend"], 0),
+    (["extend", "--json"], 0),
+    (["counterexample", "--max-support", "6"], 0),
+])
+def test_a_closed_stdout_ends_quietly_with_the_report_code(tmp_path, capsys, monkeypatch,
+                                                           argv, exit_code):
+    if argv[0] == "extend":
+        argv = argv + ["--input", write(tmp_path, TWIST)]
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(argv) == exit_code
+    assert capsys.readouterr().err == ""
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path, capsys):
+    path = write(tmp_path, PLANE)
+    code, out, err = run_cli(capsys, "conv", "--input", path)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-m", "boolmetric", "conv", "--input", path],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (code, out, err)
+    assert code == 0 and "points = 6" in out

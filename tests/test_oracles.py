@@ -29,7 +29,7 @@ from boolmetric.extension import _check_extension_input
 from boolmetric.algebra import FINITE_ATOMIC
 from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction_witness,
                                         isometry_obstruction_witness)
-from boolmetric.spaces import _transport
+from boolmetric.spaces import _atom_patterns, _checked_map, _code_points, _transport
 from boolmetric.suites import (enumerated_alpha_profile, pairwise_map_verdict,
                                pairwise_orthogonal_complement)
 
@@ -88,16 +88,29 @@ def test_closed_forms_match_definitional_oracles():
 
 
 def per_point_transport(points, gens, images):
-    """decompose plus convex_combine, one point at a time: the images, or
-    the first point not in the hull with its NotInHullError."""
+    """decompose plus convex_combine, one point at a time in canonical
+    order: the images, or the first point not in the hull with its
+    NotInHullError."""
     out = []
-    for x in points:
+    for x in sorted(set(points), key=Point.sort_key):
         try:
             coeffs = decompose(x, gens, tie_break="min")
         except NotInHullError as exc:
             return x, exc
         out.append(convex_combine(coeffs, images))
     return out
+
+
+def transported(points, gens, images):
+    """The images of the space of ``points`` under the relations
+    ``_transport`` builds, in canonical order, the first generator showing
+    a pattern winning on each atom as in ``decompose``."""
+    domain = space(points)
+    maps = [dict(reversed(relation)) for relation in _transport(domain, gens, images)]
+    _, table = _atom_patterns(domain.points)
+    return list(_code_points(gens[0].algebra, images[0].dim,
+                             [sum(g[row[i]] for g, row in zip(maps, table))
+                              for i in range(len(domain))]))
 
 
 def test_complement_and_transport_match_per_point_oracles():
@@ -127,7 +140,7 @@ def test_complement_and_transport_match_per_point_oracles():
         images = random_images(rng, element, gens)
         if not atomic:
             with pytest.raises(UnsupportedOperationError):
-                _transport(ambient.points, gens, images)
+                _transport(ambient, gens, images)
             continue
         # mostly points of the hull of gens, sometimes any point of the space
         probes = [convex_combine(ConvexCoefficients(tuple(
@@ -137,12 +150,12 @@ def test_complement_and_transport_match_per_point_oracles():
             probes.insert(rng.randrange(len(probes) + 1), rng.choice(ambient.points))
         expected = per_point_transport(probes, gens, images)
         if isinstance(expected, list):
-            assert _transport(probes, gens, images) == expected
+            assert transported(probes, gens, images) == expected
             transports["ok"] += 1
             continue
         x, exc = expected
         with pytest.raises(NotInHullError) as err:
-            _transport(probes, gens, images)
+            transported(probes, gens, images)
         assert err.value.point == x and err.value.atom_index == exc.atom_index
         assert str(err.value) == str(exc)
         transports["not in hull"] += 1
@@ -402,8 +415,9 @@ def test_fincof_masks_match_set_model():
 
 
 def constructed_maps(rng):
-    """A finite atomic hull (k <= 4, dim <= 3, at most 64 points) and a
-    map from each of the six constructors on it."""
+    """On a finite atomic hull (k <= 4, dim <= 3, at most 64 points), a
+    map from each of the six constructors and one from random per-atom
+    pattern functions (permutations half the time)."""
     while True:
         k, dim = rng.randint(1, 4), rng.randint(1, 3)
         alg = atomic_algebra(k)
@@ -421,7 +435,11 @@ def constructed_maps(rng):
     pointed = hull.with_basepoint(a)
     inner = conv_hull([a, b], basepoint=a)
     constant = PartialMap(tuple((y, a) for y in orthogonal_complement(inner, pointed)))
+    permute = rng.random() < 0.5
+    relations = [zip(pats, rng.sample(pats, len(pats)) if permute
+                     else rng.choices(pats, k=len(pats))) for pats in hull._patterns[1]]
     return {
+        "pattern maps": _checked_map(hull, relations, hull.dim, isometric=permute, within=hull),
         "homogeneity_isometry": twist,
         "construct_isometry": construct_isometry(hull, pointed.with_basepoint(b)),
         "conv_extend": conv_extend(squash),
@@ -444,5 +462,36 @@ def test_constructed_map_verdicts_match_pointwise_and_pairwise():
             kinds[name, verdict.kind] += 1
     assert all(kinds[name, "isometric"] >= 20 for name in (
         "homogeneity_isometry", "construct_isometry", "extend_isometry")), kinds
-    for name in ("conv_extend", "extend_contraction", "orthogonal_join"):
+    for name in ("conv_extend", "extend_contraction", "orthogonal_join", "pattern maps"):
         assert kinds[name, "contractive"] >= 20, kinds
+    assert kinds["pattern maps", "isometric"] >= 50, kinds
+
+
+def test_pattern_map_post_check_catches_each_broken_map():
+    """The per-atom post-check accepts the identity and a collapse, and
+    refuses one broken map per condition it verifies."""
+    alg = atomic_algebra(2)
+    gens = [Point.from_literals(alg, *lits) for lits in (("00", "00"), ("11", "10"),
+                                                         ("10", "01"))]
+    hull = conv_hull(gens)  # three patterns on each atom, nine points
+    p, q, r = hull._patterns[1][0]
+    ident = [[(x, x) for x in pats] for pats in hull._patterns[1]]
+    collapse = [[(p, p), (q, p), (r, r)]] + ident[1:]  # contractive, not injective
+    bigger = conv_hull(gens + [Point.from_literals(alg, "01", "11")])
+    fixed = PartialMap(tuple((g, g) for g in gens))
+    out = _checked_map(hull, ident, 2, inputs=(fixed,), isometric=True, within=hull)
+    assert out.pairs == identity_map(hull).pairs and check_map(out).kind == "isometric"
+    out = _checked_map(hull, collapse, 2, inputs=(PartialMap(((gens[0], gens[0]),)),),
+                       within=bigger)
+    assert check_map(out).kind == "contractive" and len(out) == 9
+    broken = {
+        "not a function": dict(relations=[ident[0] + [(p, q)]] + ident[1:]),
+        "not injective": dict(relations=collapse, isometric=True),
+        "leaves the target": dict(relations=ident, within=conv_hull(gens[:2])),
+        "not onto": dict(relations=ident, isometric=True, within=bigger),
+        "does not extend": dict(relations=ident,
+                                inputs=(PartialMap(((gens[1], gens[2]),)),)),
+    }
+    for name, kwargs in broken.items():
+        with pytest.raises(VerificationError):
+            _checked_map(hull, dim=2, **kwargs)

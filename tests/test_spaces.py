@@ -6,9 +6,9 @@ from boolmetric import (CapExceededError, ConvexCoefficients, NotInHullError,
                         PartialMap, Point, StructureError,
                         UnsupportedOperationError, atomic_algebra, check_map,
                         conv_hull, convex_combine, decompose, distance,
-                        fincof_algebra, hull_contains, identity_map,
-                        is_orthogonal, norm, orthogonal_complement,
-                        product_distance, space)
+                        fincof_algebra, identity_map, is_orthogonal, norm,
+                        orthogonal_complement, space)
+from boolmetric.suites import hull_contains
 
 A2 = atomic_algebra(2)
 
@@ -60,12 +60,10 @@ def test_point_coordinates_share_one_algebra():
             Point((A2.parse("10"), other))
 
 
-def test_product_distance_and_norm():
-    x, y = pt("10", "00"), pt("01", "00")
-    u, v = pt("00", "01"), pt("00", "01")
-    assert product_distance((x, u), (y, v)).literal == "11"
-    bp = pt("00", "00")
-    assert norm(x, bp).literal == "10"
+def test_norm_is_the_distance_to_the_basepoint():
+    x, bp = pt("10", "01"), pt("00", "00")
+    assert norm(x, bp).literal == "11" and norm(x, bp) == distance(x, bp)
+    assert norm(bp, bp).is_zero
 
 
 def test_orthogonality_via_norms():

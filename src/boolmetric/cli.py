@@ -45,19 +45,10 @@ class Report:
 
     CHUNK = 4096  # lines per write
 
-    def __init__(self):
-        self.fields: dict[str, object] = {}
+    def __init__(self, **fields):
+        self.fields: dict[str, object] = fields
         self.lines: Iterable[str] = []
         self.blocks: list[str] = []
-
-    def field(self, key: str, value):
-        self.fields[key] = value
-
-    def line(self, text: str):
-        self.lines.append(text)
-
-    def block(self, text: str):
-        self.blocks.append(text)
 
     @staticmethod
     def _fmt(value) -> str:
@@ -113,13 +104,9 @@ def cmd_alpha(args) -> tuple[Report, int]:
         raise ParseError(f"no space named {name!r} in the input")
     sp = parsed.spaces[name]
     profile = alpha_profile_of_points(sp.points)
-    rep = Report()
-    rep.field("algebra", _algebra_label(parsed.algebra))
-    rep.field("space", name)
-    rep.field("points", len(sp))
-    rep.field("rank", profile.rank)
-    for line in profile.lines():
-        rep.line(line)
+    rep = Report(algebra=_algebra_label(parsed.algebra), space=name, points=len(sp),
+                 rank=profile.rank)
+    rep.lines = profile.lines()
     return rep, 0
 
 
@@ -130,16 +117,10 @@ def cmd_base(args) -> tuple[Report, int]:
     if hull.basepoint is None:
         hull = hull.with_basepoint(hull._first())
     base = build_base(hull)
-    rep = Report()
-    rep.field("algebra", _algebra_label(parsed.algebra))
-    rep.field("space", name)
-    rep.field("points", len(hull))
-    rep.field("basepoint", base.basepoint.literal)
-    rep.field("rank", base.rank)
-    for i, p in enumerate(base.points, start=1):
-        rep.line(f"base[{i}] = {p.literal}")
-    for line in alpha_profile_of_points((base.basepoint,) + base.points).lines():
-        rep.line(line)
+    rep = Report(algebra=_algebra_label(parsed.algebra), space=name, points=len(hull),
+                 basepoint=base.basepoint.literal, rank=base.rank)
+    rep.lines = ([f"base[{i}] = {p.literal}" for i, p in enumerate(base.points, start=1)]
+                 + alpha_profile_of_points((base.basepoint,) + base.points).lines())
     return rep, 0
 
 
@@ -147,13 +128,9 @@ def cmd_conv(args) -> tuple[Report, int]:
     parsed = read_input(args.input)
     name = args.space or parsed.only_space()
     hull = _hulled(parsed, name, args.max_points)
-    rep = Report()
-    rep.field("algebra", _algebra_label(parsed.algebra))
-    rep.field("space", name)
-    rep.field("generators", len(parsed.spaces[name]))
-    rep.field("points", len(hull))
-    rep.block(format_algebra(parsed.algebra))
-    rep.block(format_space(name, hull))
+    rep = Report(algebra=_algebra_label(parsed.algebra), space=name,
+                 generators=len(parsed.spaces[name]), points=len(hull))
+    rep.blocks = [format_algebra(parsed.algebra), format_space(name, hull)]
     return rep, 0
 
 
@@ -169,24 +146,18 @@ def cmd_isometric(args) -> tuple[Report, int]:
     left = _hulled(parsed, left_name, args.max_points)
     right = _hulled(parsed, right_name, args.max_points)
     verdict = decide_isometric(left, right)
-    rep = Report()
-    rep.field("algebra", _algebra_label(parsed.algebra))
-    rep.field("left", left_name)
-    rep.field("right", right_name)
-    rep.field("left_points", len(left))
-    rep.field("right_points", len(right))
-    rep.field("isometric", verdict)
+    rep = Report(algebra=_algebra_label(parsed.algebra), left=left_name, right=right_name,
+                 left_points=len(left), right_points=len(right), isometric=verdict)
     if verdict:
         iso = construct_isometry(left, right)
-        rep.block(format_algebra(parsed.algebra))
-        rep.block(format_space(left_name, left))
+        rep.blocks = [format_algebra(parsed.algebra), format_space(left_name, left)]
         if right_name != left_name:
-            rep.block(format_space(right_name, right))
-        rep.block(format_map("iso", iso, left_name, right_name, left, right))
+            rep.blocks.append(format_space(right_name, right))
+        rep.blocks.append(format_map("iso", iso, left_name, right_name, left, right))
     return rep, 0
 
 
-def _cmd_extend(args, kind: str) -> tuple[Report, int]:
+def _cmd_extend(args, extend) -> tuple[Report, int]:
     parsed = read_input(args.input)
     map_name = args.map or parsed.only_map()
     if map_name not in parsed.maps:
@@ -199,22 +170,13 @@ def _cmd_extend(args, kind: str) -> tuple[Report, int]:
                              "space with --target")
         ambient_name = info.source_space
     ambient = _hulled(parsed, ambient_name, args.max_points)
-    if kind == "isometry":
-        out = extend_isometry(info.map, ambient)
-    else:
-        out = extend_contraction(info.map, ambient)
-    rep = Report()
-    rep.field("algebra", _algebra_label(parsed.algebra))
-    rep.field("map", map_name)
-    rep.field("ambient", ambient_name)
-    rep.field("ambient_points", len(ambient))
-    rep.field("pairs_in", len(info.map))
-    rep.field("pairs_out", len(out))
-    rep.field("kind", check_map(out).kind)
-    rep.block(format_algebra(parsed.algebra))
-    rep.block(format_space(ambient_name, ambient))
-    rep.block(format_map(f"{map_name}_ext", out, ambient_name, ambient_name,
-                         ambient, ambient))
+    out = extend(info.map, ambient)
+    rep = Report(algebra=_algebra_label(parsed.algebra), map=map_name, ambient=ambient_name,
+                 ambient_points=len(ambient), pairs_in=len(info.map), pairs_out=len(out),
+                 kind=check_map(out).kind)
+    rep.blocks = [format_algebra(parsed.algebra), format_space(ambient_name, ambient),
+                  format_map(f"{map_name}_ext", out, ambient_name, ambient_name,
+                             ambient, ambient)]
     return rep, 0
 
 
@@ -223,17 +185,15 @@ def cmd_verify(args) -> tuple[Report, int]:
                     dim=args.dim, max_points=args.max_points,
                     max_support=args.max_support)
     names = sorted(SUITES) if args.suite == "all" else [args.suite]
-    rep = Report()
-    rep.field("seed", cfg.seed)
-    rep.field("instances", cfg.instances)
+    rep = Report(seed=cfg.seed, instances=cfg.instances)
     bad = False
     for name in names:
         result = run_suite(name, cfg)
-        rep.field(name, result.summary())
+        rep.fields[name] = result.summary()
         for key in sorted(result.info):
-            rep.field(f"{name}.{key}", result.info[key])
+            rep.fields[f"{name}.{key}"] = result.info[key]
         for f in result.failures:
-            rep.line(f"failure [{name}]: {f}")
+            rep.lines.append(f"failure [{name}]: {f}")
         bad = bad or not result.ok
     return rep, (1 if bad else 0)
 
@@ -254,14 +214,12 @@ def _sweep_lines(which: str, max_support: int, desc: IdealDescriptor,
 
 def cmd_counterexample(args) -> tuple[Report, int]:
     desc = IdealDescriptor.parse(args.predicate)
-    rep = Report()
-    rep.field("which", args.which)
-    rep.field("predicate", desc.label)
+    rep = Report(which=args.which, predicate=desc.label)
     bad = False
     if args.which in ("two-dim", "contraction"):
         max_support = 3 if args.max_support is None else args.max_support
         _require_candidates_within(max_support, args.max_points)
-        rep.field("max_support", max_support)
+        rep.fields["max_support"] = max_support
         # Pass 1 re-checks every witness, so the fields printed above the
         # lines are final; pass 2 finds the witnesses again and renders
         # each line as the report is written.
@@ -271,17 +229,14 @@ def cmd_counterexample(args) -> tuple[Report, int]:
             if not _violated(lhs, rhs):
                 unverified.add(total)
         bad = bool(unverified)
-        rep.field("candidates", total)
-        rep.field("refuted", "all" if not bad else "INCOMPLETE")
+        rep.fields.update(candidates=total, refuted="all" if not bad else "INCOMPLETE")
         rep.lines = _sweep_lines(args.which, max_support, desc, unverified)
     else:
         cfg = RunConfig(seed=args.seed, instances=args.instances)
         result = run_line_extension(cfg)
-        rep.field("seed", cfg.seed)
-        rep.field("instances", result.total)
-        rep.field("result", result.summary())
+        rep.fields.update(seed=cfg.seed, instances=result.total, result=result.summary())
         for f in result.failures:
-            rep.line(f"failure: {f}")
+            rep.lines.append(f"failure: {f}")
         bad = not result.ok
     return rep, (1 if bad else 0)
 
@@ -311,10 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
             ("isometric", "decide whether two hulls are isometric", cmd_isometric,
              {"--left": None, "--right": None}),
             ("extend", "extend a partial isometry to the whole space",
-             functools.partial(_cmd_extend, kind="isometry"),
+             functools.partial(_cmd_extend, extend=extend_isometry),
              {"--map": None, "--target": "ambient space name"}),
             ("extend-contraction", "extend a contractive map to the whole space",
-             functools.partial(_cmd_extend, kind="contraction"),
+             functools.partial(_cmd_extend, extend=extend_contraction),
              {"--map": None, "--target": "ambient space name"})):
         p = sub.add_parser(name, help=text)
         common(p)

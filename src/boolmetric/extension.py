@@ -24,13 +24,11 @@ The central results implemented here, all with post-verified constructions:
   between finite subsets of a convex space extends to a self-isometry
   (self-contraction) of the whole space, the stages above composed per atom.
 
-Every stage is atom-local: one pattern table (``spaces._transport``)
-gives the relation carrying a space through its generators on each atom,
-and one post-check (``spaces._checked_map``) verifies every map built here
-per atom, whatever the space's size, to be contractive or isometric as
-claimed, to extend its inputs and to stay inside (for isometries: onto) its
-target space.  The map keeps its per-atom pattern maps; its points are
-built only when read.
+Every stage is atom-local: one pattern table (``spaces._transport``) gives
+each atom's pattern relation, and one per-atom post-check
+(``spaces._checked_map``) verifies every map built here to be contractive
+or isometric as claimed, to extend its inputs and to stay inside (for
+isometries: onto) its target space, whatever the space's size.
 """
 
 from __future__ import annotations

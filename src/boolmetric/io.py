@@ -236,9 +236,7 @@ def read_input(path: str) -> ParsedInput:
 
 # ---------------------------------------------------------------------------
 # Emission.  Emitted blocks re-parse to the same objects; points come out
-# in canonical order.  Over a finite atomic algebra both blocks are written
-# from codes: a coordinate's literal is its chunk of the code in binary, and
-# a pair is the positions of the two codes.
+# in canonical order, from codes over a finite atomic algebra.
 # ---------------------------------------------------------------------------
 
 
@@ -251,12 +249,14 @@ def format_algebra(algebra: Algebra) -> str:
 def format_space(name: str, sp: FiniteSpace) -> str:
     lines = [f"space {name} dim={sp.dim}"]
     if sp.algebra.kind == FINITE_ATOMIC:
-        k = sp.algebra.atom_count
-        columns = [[c >> k * (sp.dim - 1 - j) & (1 << k) - 1 for c in sp.codes]
-                   for j in range(sp.dim)]
-        literals = {chunk: format(chunk, f"0{k}b") for chunk in set().union(*columns)}
-        lines.extend(map(("point" + " {}" * sp.dim).format,
-                         *[map(literals.__getitem__, column) for column in columns]))
+        # a code's text is its first coordinate's literal and then the rest,
+        # each rendered once per distinct value
+        k, rest = sp.algebra.atom_count, sp.algebra.atom_count * (sp.dim - 1)
+        low, chunk = (1 << rest) - 1, (1 << k) - 1
+        heads = {h: f"point {h:0{k}b}" for h in {c >> rest for c in sp.codes}}
+        tails = {t: "".join([f" {t >> s & chunk:0{k}b}" for s in range(rest - k, -1, -k)])
+                 for t in {c & low for c in sp.codes}}
+        lines.extend([heads[c >> rest] + tails[c & low] for c in sp.codes])
     else:
         # each distinct element's literal is rendered once
         literals: dict[Element, str] = {}

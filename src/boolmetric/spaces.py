@@ -12,13 +12,9 @@ each coordinate is either 0 or that atom, so a point leaves a 0/1
 >= atom exactly when their patterns on that atom differ.  Convex
 combinations splice patterns from different points, one choice per atom.
 :func:`_atom_patterns` is the one place that reads patterns off points.
-
-A pattern is kept at its place in the point's canonical integer code (atom
-``t`` of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t`` for ``k`` atoms),
-so a point's patterns sum to its code, and over a finite atomic algebra
-codes order like the points' literals.  Hulls and the maps the
-constructors build are carried as codes and one pattern map per atom;
-``Point`` objects are built only when a caller reads them.
+A pattern keeps its bits of the point's integer code, so patterns sum to
+codes.  Hulls and constructed maps are carried as codes and per-atom
+pattern maps; ``Point`` objects are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -110,16 +106,9 @@ def is_orthogonal(x: Point, y: Point, basepoint: Point) -> bool:
 
 
 def _flip(bits: int, k: int) -> int:
-    """The ``k`` low bits of ``bits`` in reverse order: an element's atom
-    mask (atom ``t`` at bit ``t``) as its chunk of a code (atom ``t`` at bit
-    ``k-1-t``, so the chunk reads like the literal), and back."""
+    """An element's atom mask (atom ``t`` at bit ``t``) as its chunk of a
+    code (at bit ``k-1-t``, read like the literal), and back."""
     return int(format(bits, f"0{k}b")[::-1], 2)
-
-
-def _atom_masks(k: int, dim: int) -> list[int]:
-    """Per atom ``t``, the bits of a code that hold its pattern."""
-    spread = sum(1 << k * j for j in range(dim))
-    return [spread << k - 1 - t for t in range(k)]
 
 
 def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
@@ -151,7 +140,8 @@ def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
                   for c in p.coords] for p in points]
         atoms.append(None)
     packed = [sum(b << k * j for j, b in enumerate(reversed(bs))) for bs in masks]
-    return atoms, [[v & m for v in packed] for m in _atom_masks(k, max(map(len, masks)))]
+    spread = sum(1 << k * j for j in range(max(map(len, masks))))
+    return atoms, [[v & spread << k - 1 - t for v in packed] for t in range(k)]
 
 
 def _pattern_sets(points: Sequence[Point]) -> tuple[list, list[tuple[int, ...]]]:
@@ -252,19 +242,17 @@ class FiniteSpace:
     """A finite set of points, deduplicated and canonically ordered.
 
     The canonical order is lexicographic on the concatenated coordinate bit
-    vectors, the order of the codes (for the finite-cofinite algebra: on
-    the tag plus ascending support).  Whether the space is convex is read
-    off its points, never passed in: see :attr:`convex`.
+    vectors, so the codes ascend (for the finite-cofinite algebra: on the
+    tag plus ascending support).  Whether the space is convex is read off
+    its points, never passed in: see :attr:`convex`.
 
     Its questions are answered from one per-atom pattern view (see
     :attr:`_patterns`), read off the points once.  A hull from
     :func:`conv_hull` is stored as that view alone, the product of its
-    per-atom sets, and builds its :attr:`codes`, and from them its points,
-    when first read.
+    per-atom sets, and builds its :attr:`codes`, then points, when read.
     """
 
-    __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view",
-                 "_convex")
+    __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view", "_convex")
 
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = sorted(set(points), key=Point.sort_key)
@@ -297,15 +285,14 @@ class FiniteSpace:
 
     @property
     def _index(self) -> dict:
-        """The position of every point, keyed by its code (finite atomic)
-        or by the point (finite-cofinite)."""
+        """The points' positions, keyed as by :meth:`_keys`."""
         if self._lookup is None:
             keys = self.codes if self.algebra.kind == FINITE_ATOMIC else self.points
             self._lookup = {key: i for i, key in enumerate(keys)}
         return self._lookup
 
     def _keys(self, points: Sequence[Point]) -> list:
-        """The keys of ``points`` in :attr:`_index`."""
+        """The codes of ``points`` (finite atomic), else the points."""
         if self.algebra.kind != FINITE_ATOMIC:
             return list(points)
         return [sum(col) for col in zip(*_atom_patterns(points)[1])]
@@ -485,19 +472,14 @@ def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
 
 def _transport(domain: FiniteSpace, sources: Sequence[Point], targets: Sequence[Point],
                stage=None) -> list[list[tuple[int, int]]]:
-    """The relations, one per atom, that carry ``domain`` through the
-    generators: by default ``convex_combine(decompose(x, sources), targets)``
-    for every point ``x``.
-
-    ``targets`` runs parallel to ``sources``.  On each atom the relation
-    pairs every source's pattern with its target's, a function when the
-    generators map contractively.  ``stage(a, f, A)``, when given, adds the
-    pairs of a pattern map built from the relation ``f`` (a dict, its first
-    pair kept per pattern); ``a`` is the first source's pattern and ``A``
-    the set of the domain's patterns.  The first domain point, in canonical
-    order, with a pattern no source shows raises the
-    :class:`NotInHullError` that :func:`decompose` raises for it.
-    """
+    """Per atom, the relation carrying ``domain`` through the generators,
+    ``convex_combine(decompose(x, sources), targets)`` for every ``x``: it
+    pairs each source's pattern with its (parallel) target's.
+    ``stage(a, f, A)``, when given, adds the pairs of a pattern map built
+    from ``f``, the relation as a dict (first pair kept), ``a``, the first
+    source's pattern, and ``A``, the domain's patterns.  The first domain
+    point with a pattern no source shows raises :func:`decompose`'s
+    :class:`NotInHullError`."""
     sources = _generator_sequence(sources)
     alg = sources[0].algebra
     if domain.algebra != alg or domain.dim != sources[0].dim:
@@ -549,12 +531,10 @@ class PartialMap:
     """A finite list of (source, target) pairs, canonically ordered;
     :func:`check_map` classifies it once and keeps the verdict.
 
-    A map from :func:`_checked_map` is kept as its domain, a finite atomic
-    space, and one pattern map per atom, and builds its image codes, and
-    its pairs in the same order, when first read."""
+    A map from :func:`_checked_map` is kept as its domain and one pattern
+    map per atom, and builds its pairs, in that order, when first read."""
 
-    __slots__ = ("_pairs", "_mapping", "_verdict", "_domain", "_atom_maps", "_dim",
-                 "_images")
+    __slots__ = ("_pairs", "_mapping", "_verdict", "_domain", "_atom_maps", "_dim", "_images")
 
     def __init__(self, pairs: Iterable[tuple[Point, Point]]):
         pairs = sorted(set(pairs), key=lambda pr: pr[0].sort_key())
@@ -581,13 +561,12 @@ class PartialMap:
 
     @property
     def _image_codes(self) -> list[int]:
-        """The image code of every domain code, in domain order.  A table per
-        half of the atoms maps a code's part on them (few distinct values:
-        on a hull, the product of their pattern counts) to its image there,
-        so each code costs two lookups."""
+        """The image of every domain code: a table per half of the atoms
+        maps a code's part there (few distinct values) to its image."""
         if self._images is None:
             codes, maps = self._domain.codes, self._atom_maps
-            masks = _atom_masks(len(maps), self._domain.dim)
+            spread = sum(1 << len(maps) * j for j in range(self._domain.dim))
+            masks = [spread << len(maps) - 1 - t for t in range(len(maps))]
             tables = []
             for half in (range(len(maps) // 2), range(len(maps) // 2, len(maps))):
                 mask = sum(masks[t] for t in half)
@@ -667,9 +646,8 @@ def check_map(pm: PartialMap) -> MapVerdict:
     equal source patterns have equal images, isometric when these per-atom
     pattern maps are also injective.  A class of equal source patterns
     first fails at its first member and the next member with another image.
-    A map kept as per-atom pattern maps is contractive by construction and
-    isometric when each is injective on the domain's patterns.  The verdict
-    is kept on the (immutable) map for later calls.
+    A map kept as pattern maps is contractive, isometric when they are
+    injective.  The verdict is kept on the (immutable) map.
     """
     if pm._verdict is None:
         pm._verdict = _classify(pm)
@@ -706,23 +684,15 @@ def _classify(pm: PartialMap) -> MapVerdict:
 def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, int]]],
                  dim: int, inputs: Sequence[PartialMap] = (), isometric: bool = False,
                  within: FiniteSpace | None = None) -> PartialMap:
-    """The map on the finite atomic space ``domain``, into points of
-    dimension ``dim``, that sends a point's pattern on atom ``t`` to its
-    image under ``relations[t]`` (pairs of patterns), verified per atom in
-    O(the domain's patterns + input pairs x atoms), whatever its size:
-
-    * each relation is a function on the domain's patterns (the map is
-      contractive), injective there when ``isometric`` is set;
-    * the map extends every map in ``inputs``: their sources lie in the
-      domain, and on each atom a source's pattern goes to its target's;
-    * it takes its values in ``within`` when given: on each atom its image
-      patterns are among ``within``'s, so a product (convex) target holds
-      every image (another target is checked point by point); an isometry,
-      injective, is onto exactly when the domain is as large as ``within``.
-
-    Any failure is a bug of the construction and raises
-    :class:`VerificationError`."""
-    _require_atomic(domain.algebra, "pattern maps")
+    """The map on ``domain`` (finite atomic) into dimension ``dim`` that
+    sends a pattern on atom ``t`` through ``relations[t]``, pairs of
+    patterns, checked per atom in O(patterns + input pairs x atoms): each
+    relation is a function on the domain's patterns (contractive) and
+    injective if ``isometric``; the map extends ``inputs`` (their sources
+    lie in the domain, their patterns go to their targets'); its image
+    patterns lie in ``within``'s (a target that is not convex is checked
+    pointwise), and an isometry is onto, the domain as large as ``within``.
+    A failure is a bug of the construction: :class:`VerificationError`."""
     out = PartialMap.__new__(PartialMap)
     out._pairs = out._mapping = out._verdict = out._images = None
     out._domain, out._atom_maps, out._dim = domain, [], dim

@@ -10,7 +10,6 @@ and the acceptance tests both run these.
 from __future__ import annotations
 
 import functools
-import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -161,7 +160,7 @@ def random_contractive_self_map(rng: random.Random, space: FiniteSpace) -> Parti
 def hull_contains(x: Point, source) -> bool:
     """Hull membership without materialization: the factored hull checks
     on every atom that some generator agrees with ``x``."""
-    return x in conv_hull(source, max_points=math.inf)
+    return x in conv_hull(source, max_points=float("inf"))
 
 
 def exhaustive_hull_membership(x: Point, generators: list[Point]) -> bool:

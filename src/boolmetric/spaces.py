@@ -261,9 +261,8 @@ class FiniteSpace:
         first = pts[0]
         for p in pts[1:]:
             _check_pair(first, p)
-        self.algebra, self.dim = first.algebra, first.dim
-        self._points, self._codes, self._lookup, self._view, self._convex = (
-            tuple(pts), None, None, None, None)
+        self.algebra, self.dim, self._points = first.algebra, first.dim, tuple(pts)
+        self._codes = self._lookup = self._view = self._convex = None
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
@@ -482,8 +481,6 @@ def _transport(domain: FiniteSpace, sources: Sequence[Point], targets: Sequence[
     :class:`NotInHullError`."""
     sources = _generator_sequence(sources)
     alg = sources[0].algebra
-    if domain.algebra != alg or domain.dim != sources[0].dim:
-        raise StructureError("the domain and the generators differ in algebra or dimension")
     _require_atomic(alg, "convex decomposition")
     targets = _generator_sequence(targets)
     if targets[0].algebra != alg:

@@ -30,7 +30,8 @@ from .invariants import (AlphaProfile, alpha_profile, alpha_profile_of_points,
                          build_base, brute_force_isometry, decide_isometric,
                          homogeneity_isometry)
 from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
-                     Point, check_map, conv_hull, convex_combine, distance,
+                     Point, _atom_patterns, _check_pair, _generator_sequence,
+                     _require_atomic, check_map, conv_hull, convex_combine, distance,
                      identity_map, is_orthogonal, orthogonal_complement)
 
 
@@ -158,9 +159,13 @@ def random_contractive_self_map(rng: random.Random, space: FiniteSpace) -> Parti
 
 
 def hull_contains(x: Point, source) -> bool:
-    """Hull membership without materialization: the factored hull checks
-    on every atom that some generator agrees with ``x``."""
-    return x in conv_hull(source, max_points=float("inf"))
+    """Hull membership without materialization: on every atom some
+    generator must agree with ``x``."""
+    gens = _generator_sequence(source)
+    _check_pair(gens[0], x)
+    _require_atomic(x.algebra, "hull membership")
+    _, table = _atom_patterns([x] + gens)
+    return all(row[0] in row[1:] for row in table)
 
 
 def exhaustive_hull_membership(x: Point, generators: list[Point]) -> bool:
@@ -256,8 +261,7 @@ def run_sum_law(res: SuiteResult, cfg: RunConfig):
         k = rng.randint(1, min(3, cfg.atoms))
         n = rng.randint(1, min(3, cfg.dim))
         alg = atomic_algebra(k)
-        ambient = random_hull(rng, alg, n, max_generators=5)
-        ambient = ambient.with_basepoint(rng.choice(ambient.points))
+        ambient = random_pointed_hull(rng, alg, n, max_generators=5)
         inner = random_convex_subspace(rng, ambient)
         comp = orthogonal_complement(inner, ambient)
         if comp.points != pairwise_orthogonal_complement(inner, ambient).points:
@@ -328,8 +332,7 @@ def run_witt(res: SuiteResult, cfg: RunConfig):
         k = rng.randint(1, 2) if idx % 2 == 0 else rng.randint(1, min(3, cfg.atoms))
         n = rng.randint(1, min(3, cfg.dim))
         alg = atomic_algebra(k)
-        ambient = random_hull(rng, alg, n, max_generators=4)
-        ambient = ambient.with_basepoint(rng.choice(ambient.points))
+        ambient = random_pointed_hull(rng, alg, n, max_generators=4)
         inner = random_convex_subspace(rng, ambient)
         comp = orthogonal_complement(inner, ambient)
         outer_profile = alpha_profile(ambient)

@@ -495,3 +495,12 @@ def test_pattern_map_post_check_catches_each_broken_map():
     for name, kwargs in broken.items():
         with pytest.raises(VerificationError):
             _checked_map(hull, dim=2, **kwargs)
+    with pytest.raises(VerificationError):  # a pattern left without an image
+        _checked_map(hull, [ident[0][:2]] + ident[1:], 2)
+    # 10 10 shows the patterns of 00 00 and 11 10, but is not in their space
+    flat = space(gens[:2])
+    splice = Point.from_literals(alg, "10", "10")
+    relations = [[(x, x) for x in pats] for pats in flat._patterns[1]]
+    assert len(_checked_map(flat, relations, 2, inputs=(identity_map(flat),))) == 2
+    with pytest.raises(VerificationError):
+        _checked_map(flat, relations, 2, inputs=(PartialMap(((splice, splice),)),))

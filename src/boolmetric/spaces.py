@@ -116,32 +116,31 @@ def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
     algebra's own, by index; over the finite-cofinite algebra ``{n}`` for
     each ``n`` in the union U of the supports, labelled ``n``, and the rest
     of the naturals, labelled ``None``) and ``table[t][i]``, the pattern of
-    ``points[i]`` on ``atoms[t]``: the point's code (atom ``t`` of coordinate
-    ``j`` at bit ``k*(dim-1-j) + k-1-t``, ``k = len(atoms)``) cut down to
-    that atom's bits.  The points share one algebra.  On one atom, points of
-    one dimension order like 0/1 tuples, and a point's patterns sum to its
-    code.
+    ``points[i]`` on ``atoms[t]``: its bits of the point's code (atom ``t``
+    of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``, ``k = len(atoms)``),
+    read off the point packed with the coordinates' atom masks.  The points
+    share one algebra.  On one atom, points of one dimension order like 0/1
+    tuples, and a point's patterns sum to its code.
     """
     alg = points[0].algebra
     if alg.kind == FINITE_ATOMIC:
         atoms = list(range(alg.atom_count))
-        k = len(atoms)
-        masks = [[_flip(c.bits, k) for c in p.coords] for p in points]
+        masks = [[c.bits for c in p.coords] for p in points]
     else:
         union = 0
         for p in points:
             for c in p.coords:
                 union |= c.mask
         atoms = _naturals(union)
-        k = len(atoms) + 1
-        place = {n: 1 << k - 1 - i for i, n in enumerate(atoms)}
-        full = (1 << k) - 1
-        masks = [[sum(place[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
+        index = {n: i for i, n in enumerate(atoms)}
+        full = (1 << len(atoms) + 1) - 1
+        masks = [[sum(1 << index[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
                   for c in p.coords] for p in points]
         atoms.append(None)
+    k = len(atoms)
     packed = [sum(b << k * j for j, b in enumerate(reversed(bs))) for bs in masks]
     spread = sum(1 << k * j for j in range(max(map(len, masks))))
-    return atoms, [[v & spread << k - 1 - t for v in packed] for t in range(k)]
+    return atoms, [[(v >> t & spread) << k - 1 - t for v in packed] for t in range(k)]
 
 
 def _pattern_sets(points: Sequence[Point]) -> tuple[list, list[tuple[int, ...]]]:

@@ -339,3 +339,7 @@ def main(argv=None) -> int:
         with contextlib.suppress(OSError, ValueError):
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

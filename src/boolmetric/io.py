@@ -249,8 +249,7 @@ def format_algebra(algebra: Algebra) -> str:
 def format_space(name: str, sp: FiniteSpace) -> str:
     lines = [f"space {name} dim={sp.dim}"]
     if sp.algebra.kind == FINITE_ATOMIC:
-        # a code's text is its first coordinate's literal and then the rest,
-        # each rendered once per distinct value
+        # each distinct first chunk, and each distinct rest, is rendered once
         k, rest = sp.algebra.atom_count, sp.algebra.atom_count * (sp.dim - 1)
         low, chunk = (1 << rest) - 1, (1 << k) - 1
         heads = {h: f"point {h:0{k}b}" for h in {c >> rest for c in sp.codes}}

@@ -271,8 +271,7 @@ class FiniteSpace:
         """The points' codes, ascending (finite atomic only)."""
         if self._codes is None:
             _require_atomic(self.algebra, "integer codes")
-            self._codes = (self._keys(self._points) if self._points
-                           else _product_codes(self._view[1]))
+            self._codes = self._keys(self.points) if self._points else _product_codes(self._view[1])
         return self._codes
 
     @property
@@ -686,12 +685,11 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
     relation is a function on the domain's patterns (contractive) and
     injective if ``isometric``; the map extends ``inputs`` (their sources
     lie in the domain, their patterns go to their targets'); its image
-    patterns lie in ``within``'s (a target that is not convex is checked
-    pointwise), and an isometry is onto, the domain as large as ``within``.
-    A failure is a bug of the construction: :class:`VerificationError`."""
-    out = PartialMap.__new__(PartialMap)
-    out._pairs = out._mapping = out._verdict = out._images = None
-    out._domain, out._atom_maps, out._dim = domain, [], dim
+    patterns lie in ``within``'s (pointwise if not convex), and an isometry
+    is onto, the domain as large as ``within``.  A failure is a bug of the
+    construction: :class:`VerificationError`."""
+    out = PartialMap(())  # then kept as pattern maps, its pairs unbuilt
+    out._pairs, out._domain, out._atom_maps, out._dim = None, domain, [], dim
     for relation, pats in zip(relations, domain._patterns[1]):
         g: dict = {}
         if any(g.setdefault(p, q) != q for p, q in relation) or not g.keys() >= set(pats):

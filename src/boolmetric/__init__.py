@@ -28,12 +28,11 @@ from .extension import (UniquenessReport, WittInstance, conv_extend,
                         corner_images, cube_generators, extend_contraction,
                         extend_isometry, is_monotone, monotone_cube,
                         monotone_decompose, orthogonal_join,
-                        uniqueness_certify, witt_cube_solutions,
-                        witt_first_failure, witt_level, witt_residual,
-                        witt_solve)
+                        uniqueness_certify, witt_first_failure, witt_level,
+                        witt_residual, witt_solve)
 from .invariants import (AlphaProfile, Base, alpha_profile,
-                         alpha_profile_of_points, brute_force_isometry,
-                         build_base, construct_isometry, decide_isometric,
+                         alpha_profile_of_points, build_base,
+                         construct_isometry, decide_isometric,
                          homogeneity_isometry)
 from .io import (ParsedInput, ParsedMap, format_algebra, format_map,
                  format_space, parse_input, read_input)
@@ -41,8 +40,9 @@ from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
                      Point, check_map, conv_hull, convex_combine, decompose,
                      distance, identity_map, is_orthogonal, norm,
                      orthogonal_complement, space)
-from .suites import (SUITES, RunConfig, SuiteResult,
-                     enumerate_contractive_extensions, hull_contains, run_suite)
+from .suites import (SUITES, RunConfig, SuiteResult, brute_force_isometry,
+                     enumerate_contractive_extensions, run_suite,
+                     witt_cube_solutions)
 
 __version__ = "0.1.0"
 
@@ -62,18 +62,17 @@ __all__ = [
     "UniquenessReport", "WittInstance", "conv_extend", "corner_images",
     "cube_generators", "extend_contraction", "extend_isometry", "is_monotone",
     "monotone_cube", "monotone_decompose", "orthogonal_join",
-    "uniqueness_certify", "witt_cube_solutions", "witt_first_failure",
-    "witt_level", "witt_residual", "witt_solve",
+    "uniqueness_certify", "witt_first_failure", "witt_level",
+    "witt_residual", "witt_solve",
     "AlphaProfile", "Base", "alpha_profile", "alpha_profile_of_points",
-    "brute_force_isometry", "build_base", "construct_isometry",
-    "decide_isometric", "homogeneity_isometry",
+    "build_base", "construct_isometry", "decide_isometric",
+    "homogeneity_isometry",
     "ParsedInput", "ParsedMap", "format_algebra", "format_map",
     "format_space", "parse_input", "read_input",
     "ConvexCoefficients", "FiniteSpace", "MapVerdict", "PartialMap", "Point",
     "check_map", "conv_hull", "convex_combine", "decompose", "distance",
-    "hull_contains", "identity_map", "is_orthogonal", "norm",
-    "orthogonal_complement", "space",
-    "SUITES", "RunConfig", "SuiteResult", "enumerate_contractive_extensions",
-    "run_suite",
+    "identity_map", "is_orthogonal", "norm", "orthogonal_complement", "space",
+    "SUITES", "RunConfig", "SuiteResult", "brute_force_isometry",
+    "enumerate_contractive_extensions", "run_suite", "witt_cube_solutions",
     "__version__",
 ]

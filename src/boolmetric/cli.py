@@ -3,7 +3,8 @@
 Exit codes: 0 on success, 1 when a checked property is violated, 2 on a
 syntax or semantic error in the input, 3 when the request is infeasible
 (no object with the demanded properties exists, an operation is not
-available over the chosen algebra, or the hull cap was hit).
+available over the chosen algebra, or the ``--max-points`` hull or
+candidate cap was hit).
 
 Output is deterministic: the same input file and flags produce the same
 bytes.  ``--json`` prints the same report as a JSON object with the

@@ -99,31 +99,6 @@ class IdealDescriptor:
         count = (width - self.residue + self.modulus - 1) // self.modulus  # 0 if width <= residue
         return ((1 << self.modulus * count) - 1) // ((1 << self.modulus) - 1) << self.residue
 
-    def meet_with(self, x: Element) -> Element:
-        """M & x for a finite element x."""
-        x = _as_fincof(x)
-        if x.cofinite:
-            raise UnsupportedOperationError("M & x is computed for finite x only; "
-                                            "for cofinite x it would leave the algebra")
-        return SetElement(x.algebra, False, x.mask & self.member_mask(x.mask.bit_length()))
-
-    def least_member_outside(self, exclude: int) -> int:
-        """Least element of M avoiding a finite set, given as a mask (bit n
-        is n); it always exists."""
-        width = exclude.bit_length() + self.modulus
-        return _lowest_bit(self.member_mask(width) & ~exclude)
-
-    def least_nonmember_outside(self, exclude: int) -> int:
-        """Least element of the complement of M avoiding a finite set, given
-        as a mask (bit n is n); it always exists."""
-        width = exclude.bit_length() + self.modulus
-        return _lowest_bit(((1 << width) - 1) & ~self.member_mask(width) & ~exclude)
-
-
-def _lowest_bit(mask: int) -> int:
-    """The least natural in a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
-
 
 def _as_fincof(x: Element) -> SetElement:
     if not isinstance(x, SetElement):

@@ -17,8 +17,8 @@ The central results implemented here, all with post-verified constructions:
 * ``witt_solve``: given the profiles of a space and of a convex subspace,
   the profile of the orthogonal complement is the unique decreasing
   solution of a triangular system of join equations; the solver uses an
-  atom-wise closed form plus an exhaustive cube search fallback, and the
-  two must agree.
+  atom-wise closed form, which the suites check against an exhaustive cube
+  search (``suites.witt_cube_solutions``).
 
 * ``extend_isometry`` / ``extend_contraction``: any isometry (contraction)
   between finite subsets of a convex space extends to a self-isometry
@@ -34,12 +34,12 @@ isometries: onto) its target space, whatever the space's size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .algebra import Algebra, Element
-from .errors import (CapExceededError, InfeasibleError, NotInHullError,
-                     StructureError, VerificationError)
+from .errors import (InfeasibleError, NotInHullError, StructureError,
+                     VerificationError)
 from .invariants import AlphaProfile
 from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace,
                      PartialMap, Point, _atom_patterns, _checked_map,
@@ -177,31 +177,6 @@ def witt_solve(inst: WittInstance) -> AlphaProfile:
     return solution
 
 
-def witt_cube_solutions(inst: WittInstance, cap: int = 65536) -> list[tuple[Element, ...]]:
-    """All decreasing tuples satisfying the system, by exhaustive search.
-
-    Independent of the closed form; used to certify uniqueness on small
-    instances.  Enumerates one generator count per atom, i.e. every
-    monotone tuple, (d+1) ** atoms in total.
-    """
-    alg = inst.algebra
-    _require_atomic(alg, "the cube search")
-    d = inst.length
-    k = alg.atom_count
-    if (d + 1) ** k > cap:
-        raise CapExceededError(f"cube search over {(d + 1) ** k} tuples refused")
-    out = []
-    for counts in product(range(d + 1), repeat=k):
-        masks = [0] * (d + 1)
-        for t, c in enumerate(counts):
-            for i in range(1, c + 1):
-                masks[i] |= 1 << t
-        candidate = tuple(alg._make(masks[i]) for i in range(1, d + 1))
-        if witt_first_failure(inst, candidate) is None:
-            out.append(candidate)
-    return out
-
-
 def witt_residual(inst: WittInstance) -> Callable[[Point], Element]:
     """The scalar map whose zeros on the monotone cube are exactly the
     solutions of the system: the join over n of
@@ -276,8 +251,7 @@ def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], El
 # ---------------------------------------------------------------------------
 
 
-def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
-                max_points: int = DEFAULT_MAX_HULL_POINTS) -> PartialMap:
+def conv_extend(pm: PartialMap, max_points: int = DEFAULT_MAX_HULL_POINTS) -> PartialMap:
     """The unique contractive extension of a contractive map to the convex
     hull of its domain.
 
@@ -298,12 +272,9 @@ def conv_extend(pm: PartialMap, target: FiniteSpace | None = None,
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
     hull = conv_hull(pm.sources, max_points=max_points)
-    out = _checked_map(hull, _transport(hull, pm.sources, pm.targets), pm.targets[0].dim,
-                       inputs=(pm,), isometric=verdict.kind == "isometric",
-                       within=conv_hull(pm.targets, max_points=max_points))
-    if target is not None and not target._holds(out.targets):
-        raise VerificationError("hull extension leaves the requested target space")
-    return out
+    return _checked_map(hull, _transport(hull, pm.sources, pm.targets), pm.targets[0].dim,
+                        inputs=(pm,), isometric=verdict.kind == "isometric",
+                        within=conv_hull(pm.targets, max_points=max_points))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .algebra import Algebra, Element
-from .errors import (CapExceededError, InfeasibleError, StructureError,
-                     VerificationError)
+from .errors import InfeasibleError, StructureError, VerificationError
 from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns, _checked_map,
                      _generator_sequence, _join_atoms, _pattern_sets,
                      _code_points, _require_atomic, _transport, check_map,
@@ -131,11 +130,11 @@ def build_base(space: FiniteSpace) -> Base:
         raise StructureError("bases exist for convex spaces; materialize a hull first")
     alg = space.algebra
     _require_atomic(alg, "base construction")
-    _, patterns = space._patterns
+    atoms, patterns = space._patterns
     _, at_bp = _atom_patterns([bp])
     per_atom = [[b] + [p for p in pats if p != b] for (b,), pats in zip(at_bp, patterns)]
     rank = max(len(pats) for pats in per_atom) - 1
-    base_points = _code_points(alg, space.dim, [
+    base_points = _code_points(alg, atoms, space.dim, [
         sum(pats[i] if i < len(pats) else pats[0] for pats in per_atom)
         for i in range(1, rank + 1)])
 
@@ -216,51 +215,3 @@ def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
         raise VerificationError("homogeneity map is not an involution")
     return pm
 
-
-def brute_force_isometry(left: FiniteSpace, right: FiniteSpace,
-                         cap: int = 12) -> PartialMap | None:
-    """Exhaustive search for an isometry between small finite spaces.
-
-    Independent of the profile machinery; used as an oracle against
-    :func:`decide_isometric`.  Returns the first isometry in canonical
-    backtracking order, or None.  Spaces larger than ``cap`` are refused.
-    """
-    if left.algebra != right.algebra:
-        raise StructureError("isometry search needs a common algebra")
-    if max(len(left), len(right)) > cap:
-        raise CapExceededError(f"brute force beyond {cap} points refused")
-    if len(left) != len(right):
-        return None
-    xs = list(left.points)
-    ys = list(right.points)
-
-    def row(points, p):
-        return sorted(distance(p, q).sort_key() for q in points if q is not p)
-
-    rows_l = {p: row(xs, p) for p in xs}
-    rows_r = {q: row(ys, q) for q in ys}
-    if sorted(map(tuple, rows_l.values())) != sorted(map(tuple, rows_r.values())):
-        return None
-
-    assigned: list[Point] = []
-    used = [False] * len(ys)
-
-    def extend(i: int) -> bool:
-        if i == len(xs):
-            return True
-        x = xs[i]
-        for j, y in enumerate(ys):
-            if used[j] or rows_l[x] != rows_r[y]:
-                continue
-            if all(distance(x, xs[t]) == distance(y, assigned[t]) for t in range(i)):
-                assigned.append(y)
-                used[j] = True
-                if extend(i + 1):
-                    return True
-                assigned.pop()
-                used[j] = False
-        return False
-
-    if not extend(0):
-        return None
-    return PartialMap(tuple(zip(xs, assigned)))

@@ -85,12 +85,13 @@ def parse_input(text: str) -> ParsedInput:
     current_space: str | None = None
     current_dim = 0
     points: list[Point] = []
+    seen: set[Point] = set()
     basepoint_index: int | None = None
     current_map: tuple[str, str, str] | None = None
     pairs: list[tuple[int, int]] = []
 
     def close_space(line_no: int):
-        nonlocal current_space, points, basepoint_index
+        nonlocal current_space, points, seen, basepoint_index
         if current_space is None:
             return
         if not points:
@@ -106,7 +107,7 @@ def parse_input(text: str) -> ParsedInput:
         except StructureError as exc:
             raise ParseError(str(exc), line_no) from None
         space_points[current_space] = tuple(points)
-        current_space, points, basepoint_index = None, [], None
+        current_space, points, seen, basepoint_index = None, [], set(), None
 
     def close_map(line_no: int):
         nonlocal current_map, pairs
@@ -174,9 +175,10 @@ def parse_input(text: str) -> ParsedInput:
                 p = Point(algebra.parse(tok) for tok in rest)
             except StructureError as exc:
                 raise ParseError(str(exc), line_no) from None
-            if p in points:
+            if p in seen:
                 raise ParseError(f"duplicate point {p.literal}; indices "
                                  "would be ambiguous", line_no)
+            seen.add(p)
             points.append(p)
         elif head == "basepoint":
             if current_space is None:
@@ -241,7 +243,7 @@ def read_input(path: str) -> ParsedInput:
 
 
 def format_algebra(algebra: Algebra) -> str:
-    if algebra.kind == "finite-atomic":
+    if algebra.kind == FINITE_ATOMIC:
         return f"algebra finite k={algebra.atom_count}"
     return "algebra cofinite"
 
@@ -270,12 +272,17 @@ def format_map(name: str, pm: PartialMap, source_name: str, target_name: str,
                source: FiniteSpace, target: FiniteSpace) -> str:
     lines = [f"map {name} from={source_name} to={target_name}"]
     if pm._atom_maps is not None:
-        at, to = source._index, target._index
-        try:
-            lines.extend(f"pair {at[s]} -> {to[t]}"
-                         for s, t in zip(pm._domain.codes, pm._image_codes))
-        except KeyError:
-            raise StructureError("the map's points are not in the given spaces") from None
+        ends = [(pm._domain.algebra, pm._domain.dim), (pm._domain.algebra, pm._dim)]
+        keys = zip(pm._domain.codes, pm._image_codes)
     else:
-        lines.extend(f"pair {source.index(s)} -> {target.index(t)}" for s, t in pm.pairs)
+        ends = [(p.algebra, p.dim) for p in pm.pairs[0]] if pm.pairs else []
+        keys = zip(source._keys(pm.sources), target._keys(pm.targets))
+    # a code keys a point only within one algebra and dimension
+    if any(end != (sp.algebra, sp.dim) for end, sp in zip(ends, (source, target))):
+        raise StructureError("the map's points are not in the given spaces")
+    at, to = source._index, target._index
+    try:
+        lines.extend(f"pair {at[s]} -> {to[t]}" for s, t in keys)
+    except KeyError:
+        raise StructureError("the map's points are not in the given spaces") from None
     return "\n".join(lines)

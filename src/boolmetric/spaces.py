@@ -105,12 +105,6 @@ def is_orthogonal(x: Point, y: Point, basepoint: Point) -> bool:
     return distance(x, y) == norm(x, basepoint) | norm(y, basepoint)
 
 
-def _flip(bits: int, k: int) -> int:
-    """An element's atom mask (atom ``t`` at bit ``t``) as its chunk of a
-    code (at bit ``k-1-t``, read like the literal), and back."""
-    return int(format(bits, f"0{k}b")[::-1], 2)
-
-
 def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
     """The atoms of the subalgebra the coordinates generate (a finite atomic
     algebra's own, by index; over the finite-cofinite algebra ``{n}`` for
@@ -155,8 +149,8 @@ def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
     ``mask`` (a chunk of a code), for the ``k`` atoms listed as by
     :func:`_atom_patterns`."""
     k = len(atoms)
-    if algebra.kind == FINITE_ATOMIC:
-        return algebra._make(_flip(mask, k))
+    if algebra.kind == FINITE_ATOMIC:  # atom t at bit t of the element's mask
+        return algebra._make(int(format(mask, f"0{k}b")[::-1], 2))
     chosen = left_out = 0
     for t, n in enumerate(atoms[:-1]):
         if mask >> k - 1 - t & 1:
@@ -233,8 +227,8 @@ def convex_combine(coeffs: ConvexCoefficients, points: Sequence[Point]) -> Point
     for i in coeffs.assignment:
         if not 0 <= i < len(points):
             raise StructureError(f"coefficient index {i} out of range")
-    _, table = _atom_patterns([points[i] for i in coeffs.assignment])
-    return _code_points(alg, points[0].dim, [sum(row[t] for t, row in enumerate(table))])[0]
+    atoms, table = _atom_patterns([points[i] for i in coeffs.assignment])
+    return _code_points(alg, atoms, points[0].dim, [sum(row[t] for t, row in enumerate(table))])[0]
 
 
 class FiniteSpace:
@@ -277,7 +271,7 @@ class FiniteSpace:
     @property
     def points(self) -> tuple[Point, ...]:
         if self._points is None:
-            self._points = _code_points(self.algebra, self.dim, self.codes)
+            self._points = _code_points(self.algebra, self._view[0], self.dim, self.codes)
         return self._points
 
     @property
@@ -290,7 +284,7 @@ class FiniteSpace:
 
     def _keys(self, points: Sequence[Point]) -> list:
         """The codes of ``points`` (finite atomic), else the points."""
-        if self.algebra.kind != FINITE_ATOMIC:
+        if self.algebra.kind != FINITE_ATOMIC or not points:
             return list(points)
         return [sum(col) for col in zip(*_atom_patterns(points)[1])]
 
@@ -318,7 +312,8 @@ class FiniteSpace:
     def _first(self) -> Point:
         """The canonical first point of a convex space: on every atom, its
         least pattern."""
-        return _code_points(self.algebra, self.dim, [sum(pats[0] for pats in self._patterns[1])])[0]
+        atoms, patterns = self._patterns
+        return _code_points(self.algebra, atoms, self.dim, [sum(pats[0] for pats in patterns)])[0]
 
     def __len__(self) -> int:
         if self._points is None:  # a hull: the product of its pattern counts
@@ -398,13 +393,14 @@ def _product_codes(patterns) -> list[int]:
     return codes
 
 
-def _code_points(algebra: Algebra, dim: int, codes: Sequence[int]) -> tuple[Point, ...]:
-    """The finite atomic points with the given codes, in their order, one
-    element object per distinct coordinate chunk."""
-    _require_atomic(algebra, "points from codes")
-    k = algebra.atom_count
+def _code_points(algebra: Algebra, atoms: Sequence, dim: int,
+                 codes: Sequence[int]) -> tuple[Point, ...]:
+    """The points with the given codes, over the atoms listed as by
+    :func:`_atom_patterns`, in their order, one element object per distinct
+    coordinate chunk."""
+    k = len(atoms)
     low, shifts = (1 << k) - 1, [k * (dim - 1 - j) for j in range(dim)]
-    element = {chunk: algebra._make(_flip(chunk, k))
+    element = {chunk: _join_atoms(algebra, atoms, chunk)
                for chunk in {c >> s & low for c in codes for s in shifts}}
     return tuple(Point([element[c >> s & low] for s in shifts]) for c in codes)
 
@@ -440,30 +436,27 @@ def conv_hull(source, basepoint: Point | None = None,
     return hull if basepoint is None else hull.with_basepoint(basepoint)
 
 
-def decompose(x: Point, source, tie_break: str = "min") -> ConvexCoefficients:
+def decompose(x: Point, source) -> ConvexCoefficients:
     """Express ``x`` as a convex combination of the given generators.
 
     Coefficient indices refer to the generators exactly as passed (for a
     FiniteSpace, its canonical order), so they can be applied to a parallel
     list of image points.  On each atom the agreeing generator of smallest
-    index wins (``tie_break="max"`` picks the largest instead; any choice
-    yields a valid combination).  Raises :class:`NotInHullError` with a
-    witness atom when no generator matches somewhere.
+    index wins (any choice yields a valid combination).  Raises
+    :class:`NotInHullError` with a witness atom when no generator matches
+    somewhere.
     """
     gens = _generator_sequence(source)
     _check_pair(gens[0], x)
     _require_atomic(x.algebra, "convex decomposition")
-    if tie_break not in ("min", "max"):
-        raise StructureError(f"unknown tie break rule {tie_break!r}")
     atoms, table = _atom_patterns([x] + gens)
     assignment = []
     for t, (pat, *pats) in zip(atoms, table):
-        matches = [i for i, g in enumerate(pats) if g == pat]
-        if not matches:
+        if pat not in pats:
             raise NotInHullError(
                 f"point {x.literal} is not in the hull: no generator matches on atom {t}",
                 atom_index=t, point=x)
-        assignment.append(matches[0] if tie_break == "min" else matches[-1])
+        assignment.append(pats.index(pat))
     return ConvexCoefficients(tuple(assignment))
 
 
@@ -549,7 +542,8 @@ class PartialMap:
     @property
     def pairs(self) -> tuple[tuple[Point, Point], ...]:
         if self._pairs is None:
-            targets = _code_points(self._domain.algebra, self._dim, self._image_codes)
+            targets = _code_points(self._domain.algebra, self._domain._patterns[0], self._dim,
+                                   self._image_codes)
             self._pairs = tuple(zip(self._domain.points, targets))
             self._mapping = dict(self._pairs)
         return self._pairs

@@ -15,24 +15,22 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .algebra import (Algebra, Element, atomic_algebra, fc_literal,
+from .algebra import (FINITE_ATOMIC, Algebra, Element, atomic_algebra, fc_literal,
                       fincof_algebra, inf_family, sup_family)
 from .counterexamples import (IdealDescriptor, _require_candidates_within,
                               _sweep, _violated, flatten_pair,
                               isometry_obstruction_witness, line_extension,
                               unflatten_line_point)
-from .errors import BoolmetricError, CapExceededError
+from .errors import BoolmetricError, CapExceededError, StructureError
 from .extension import (WittInstance, _profile_tuple, conv_extend,
                         corner_images, cube_generators, extend_contraction,
                         extend_isometry, monotone_decompose, uniqueness_certify,
-                        witt_cube_solutions, witt_residual, witt_solve)
+                        witt_first_failure, witt_residual, witt_solve)
 from .invariants import (AlphaProfile, alpha_profile, alpha_profile_of_points,
-                         build_base, brute_force_isometry, decide_isometric,
-                         homogeneity_isometry)
+                         build_base, decide_isometric, homogeneity_isometry)
 from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
-                     Point, _atom_patterns, _check_pair, _generator_sequence,
-                     _require_atomic, check_map, conv_hull, convex_combine, distance,
-                     identity_map, is_orthogonal, orthogonal_complement)
+                     Point, _require_atomic, check_map, conv_hull, convex_combine,
+                     distance, identity_map, is_orthogonal, orthogonal_complement)
 
 
 @dataclass(frozen=True)
@@ -158,16 +156,6 @@ def random_contractive_self_map(rng: random.Random, space: FiniteSpace) -> Parti
 # ---------------------------------------------------------------------------
 
 
-def hull_contains(x: Point, source) -> bool:
-    """Hull membership without materialization: on every atom some
-    generator must agree with ``x``."""
-    gens = _generator_sequence(source)
-    _check_pair(gens[0], x)
-    _require_atomic(x.algebra, "hull membership")
-    _, table = _atom_patterns([x] + gens)
-    return all(row[0] in row[1:] for row in table)
-
-
 def exhaustive_hull_membership(x: Point, generators: list[Point]) -> bool:
     """Hull membership by trying every coefficient assignment."""
     k = x.algebra.atom_count
@@ -216,6 +204,80 @@ def enumerated_alpha_profile(points: list[Point]) -> AlphaProfile:
             break
         values.append(value)
     return AlphaProfile(alg, tuple(values))
+
+
+def brute_force_isometry(left: FiniteSpace, right: FiniteSpace,
+                         cap: int = 12) -> PartialMap | None:
+    """Exhaustive search for an isometry between small finite spaces.
+
+    Independent of the profile machinery; used as an oracle against
+    :func:`decide_isometric`.  Returns the first isometry in canonical
+    backtracking order, or None.  Spaces larger than ``cap`` are refused.
+    """
+    if left.algebra != right.algebra:
+        raise StructureError("isometry search needs a common algebra")
+    if max(len(left), len(right)) > cap:
+        raise CapExceededError(f"brute force beyond {cap} points refused")
+    if len(left) != len(right):
+        return None
+    xs = list(left.points)
+    ys = list(right.points)
+
+    def row(points, p):
+        return sorted(distance(p, q).sort_key() for q in points if q is not p)
+
+    rows_l = {p: row(xs, p) for p in xs}
+    rows_r = {q: row(ys, q) for q in ys}
+    if sorted(map(tuple, rows_l.values())) != sorted(map(tuple, rows_r.values())):
+        return None
+
+    assigned: list[Point] = []
+    used = [False] * len(ys)
+
+    def extend(i: int) -> bool:
+        if i == len(xs):
+            return True
+        x = xs[i]
+        for j, y in enumerate(ys):
+            if used[j] or rows_l[x] != rows_r[y]:
+                continue
+            if all(distance(x, xs[t]) == distance(y, assigned[t]) for t in range(i)):
+                assigned.append(y)
+                used[j] = True
+                if extend(i + 1):
+                    return True
+                assigned.pop()
+                used[j] = False
+        return False
+
+    if not extend(0):
+        return None
+    return PartialMap(tuple(zip(xs, assigned)))
+
+
+def witt_cube_solutions(inst: WittInstance, cap: int = 65536) -> list[tuple[Element, ...]]:
+    """All decreasing tuples satisfying the system, by exhaustive search.
+
+    Independent of the closed form; used to certify uniqueness on small
+    instances.  Enumerates one generator count per atom, i.e. every
+    monotone tuple, (d+1) ** atoms in total.
+    """
+    alg = inst.algebra
+    _require_atomic(alg, "the cube search")
+    d = inst.length
+    k = alg.atom_count
+    if (d + 1) ** k > cap:
+        raise CapExceededError(f"cube search over {(d + 1) ** k} tuples refused")
+    out = []
+    for counts in product(range(d + 1), repeat=k):
+        masks = [0] * (d + 1)
+        for t, c in enumerate(counts):
+            for i in range(1, c + 1):
+                masks[i] |= 1 << t
+        candidate = tuple(alg._make(masks[i]) for i in range(1, d + 1))
+        if witt_first_failure(inst, candidate) is None:
+            out.append(candidate)
+    return out
 
 
 def enumerate_contractive_extensions(pm: PartialMap, domain: list[Point],
@@ -572,7 +634,7 @@ def run_line_extension(res: SuiteResult, cfg: RunConfig):
         if ext.offset != offset:
             res.fail(f"instance {idx}: recovered the wrong offset")
             continue
-        if alg.kind == "finite-atomic":
+        if alg.kind == FINITE_ATOMIC:
             full = ext.full_map()
             if check_map(full).kind != "isometric":
                 res.fail(f"instance {idx}: full translation is not isometric")
@@ -697,7 +759,7 @@ def run_structural(res: SuiteResult, cfg: RunConfig):
         for _ in range(4):
             candidate = random_point(rng, alg, n)
             res.total += 1
-            if hull_contains(candidate, gens) != exhaustive_hull_membership(candidate, gens):
+            if (candidate in conv_hull(gens)) != exhaustive_hull_membership(candidate, gens):
                 res.fail(f"membership predicate disagrees at {candidate.literal}")
     # Orthogonal complements of convex subspaces are convex.
     for _ in range(20):

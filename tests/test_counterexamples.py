@@ -35,27 +35,15 @@ def test_descriptor_basics():
         IdealDescriptor(0, 1)  # the set must be co-infinite
 
 
-def test_member_mask_and_least_members_outside():
+def test_member_mask():
     for m in range(2, 9):
         for r in range(m):
             desc = IdealDescriptor(r, m)
             for width in range(3 * m + 2):
                 members = [n for n in range(width) if desc.member(n)]
                 assert desc.member_mask(width) == sum(1 << n for n in members)
-                exclude = sum(1 << n for n in range(width) if n % 3 != 1)
-                outside = [n for n in range(width + m + 1) if not exclude >> n & 1]
-                assert desc.least_member_outside(exclude) == next(
-                    n for n in outside if desc.member(n))
-                assert desc.least_nonmember_outside(exclude) == next(
-                    n for n in outside if not desc.member(n))
     with pytest.raises(StructureError):
         IdealDescriptor(5, 3)
-
-
-def test_descriptor_meet_is_finite_only():
-    assert EVENS.meet_with(ALG.fin({0, 1, 2, 3})) == ALG.fin({0, 2})
-    with pytest.raises(UnsupportedOperationError):
-        EVENS.meet_with(ALG.cof({1}))
 
 
 def test_ideal_memberships():

@@ -183,14 +183,6 @@ def test_conv_extend_rejects_expansion():
     assert err.value.witness == (x, y)
 
 
-def test_conv_extend_respects_target_check():
-    x, y = line2("00"), line2("11")
-    pm = PartialMap(((x, y), (y, x)))
-    small = space([x, y])
-    with pytest.raises(VerificationError):
-        conv_extend(pm, target=small)  # images 01, 10 are outside
-
-
 def test_orthogonal_join_frozen():
     ambient = conv_hull([line2("00"), line2("11")], basepoint=line2("00"))
     f = PartialMap(((line2("00"), line2("00")), (line2("01"), line2("01"))))

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from boolmetric import (IdealDescriptor, ParseError, Point, atomic_algebra,
-                        bounded_candidates, contraction_obstruction_witness,
-                        conv_hull, isometry_obstruction_witness)
+from boolmetric import (IdealDescriptor, ParseError, PartialMap, Point,
+                        StructureError, atomic_algebra, bounded_candidates,
+                        contraction_obstruction_witness, conv_extend, conv_hull,
+                        fincof_algebra, isometry_obstruction_witness, space)
 from boolmetric.cli import Report, main
-from boolmetric.io import format_map, format_space, parse_input, read_input
+from boolmetric.io import (format_algebra, format_map, format_space, parse_input,
+                           read_input)
 
 PLANE = """\
 # two generators in the two-atom plane
@@ -118,6 +120,46 @@ def test_format_space_renders_each_distinct_element_once(monkeypatch):
     # a hull whose points were never read is printed from its codes alone
     hull = conv_hull(gens)
     assert format_space("H", hull) == expected and hull._points is None
+
+
+def test_reading_a_printed_hull_back_compares_few_points(monkeypatch):
+    alg = atomic_algebra(6)
+    zero, one = "0" * 6, "1" * 6
+    hull = conv_hull([Point.from_literals(alg, *lits) for lits in
+                      ((zero, zero, zero), (one, zero, zero), (zero, one, zero))])
+    text = format_algebra(alg) + "\n" + format_space("W", hull)
+    calls = []
+    eq = Point.__eq__
+    monkeypatch.setattr(Point, "__eq__", lambda p, q: calls.append(p) or eq(p, q))
+    assert len(parse_input(text).spaces["W"]) == len(hull) == 729
+    assert len(calls) < len(hull)
+    # a duplicate is still refused at its own line
+    lines = text.splitlines()
+    with pytest.raises(ParseError) as err:
+        parse_input("\n".join(lines + [lines[100]]))
+    assert err.value.line_no == len(lines) + 1
+
+
+def test_format_map_prints_an_empty_map_and_refuses_outside_points():
+    a2, fc = atomic_algebra(2), fincof_algebra()
+    plane = space([Point.from_literals(a2, "00", "00"), Point.from_literals(a2, "11", "10")])
+    line = space([Point((fc.fin({1}),)), Point((fc.cof({2}),))])
+    for sp in (plane, line):
+        assert format_map("F", PartialMap(()), "W", "W", sp, sp) == "map F from=W to=W"
+    x, y = plane.points
+    outside = Point.from_literals(a2, "01", "01")
+    kept = conv_extend(PartialMap(((x, x), (y, outside))))  # its image leaves the plane
+    assert kept._atom_maps is not None
+    for pm, sp in [(PartialMap(((outside, x),)), plane),
+                   (PartialMap(((x, outside),)), plane),
+                   (PartialMap(((Point.from_literals(a2, "00"), x),)), plane),
+                   (PartialMap(((Point((fc.fin({7}),)), Point((fc.fin({1}),))),)), line),
+                   (kept, plane), (kept, conv_hull(plane)),
+                   # same codes, another algebra and dimension
+                   (kept, conv_hull([Point.from_literals(atomic_algebra(4), lit)
+                                     for lit in ("0000", "1111")]))]:
+        with pytest.raises(StructureError):
+            format_map("F", pm, "W", "W", sp, sp)
 
 
 def test_read_input(tmp_path):

@@ -94,7 +94,7 @@ def per_point_transport(points, gens, images):
     out = []
     for x in sorted(set(points), key=Point.sort_key):
         try:
-            coeffs = decompose(x, gens, tie_break="min")
+            coeffs = decompose(x, gens)
         except NotInHullError as exc:
             return x, exc
         out.append(convex_combine(coeffs, images))
@@ -107,8 +107,8 @@ def transported(points, gens, images):
     a pattern winning on each atom as in ``decompose``."""
     domain = space(points)
     maps = [dict(reversed(relation)) for relation in _transport(domain, gens, images)]
-    _, table = _atom_patterns(domain.points)
-    return list(_code_points(gens[0].algebra, images[0].dim,
+    atoms, table = _atom_patterns(domain.points)
+    return list(_code_points(gens[0].algebra, atoms, images[0].dim,
                              [sum(g[row[i]] for g, row in zip(maps, table))
                               for i in range(len(domain))]))
 

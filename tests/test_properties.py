@@ -47,7 +47,7 @@ def test_transport_is_decompose_then_convex_combine(case):
     expected, failure = [], None
     for x in sorted(set(probes), key=Point.sort_key):
         try:
-            coeffs = decompose(x, gens, tie_break="min")
+            coeffs = decompose(x, gens)
         except NotInHullError as exc:
             failure = (x, exc.atom_index)
             break

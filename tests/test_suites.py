@@ -2,7 +2,8 @@
 
 import pytest
 
-from boolmetric import BoolmetricError
+import boolmetric
+from boolmetric import BoolmetricError, suites
 from boolmetric.suites import (SUITES, RunConfig, SuiteResult, random_hull,
                                random_point, random_self_isometry, run_suite)
 
@@ -12,6 +13,16 @@ def test_registry_names():
         "sum-law", "isometry-oracle", "witt", "uniqueness-battery",
         "extend-isometry", "extend-contraction", "conv-uniqueness",
         "counterexamples", "line-extension", "structural"}
+
+
+def test_every_exported_name_resolves():
+    names = boolmetric.__all__
+    assert len(set(names)) == len(names)
+    assert [n for n in names if not hasattr(boolmetric, n)] == []
+    # the exhaustive oracles live in the suites and stay exported
+    from boolmetric import brute_force_isometry, witt_cube_solutions
+    assert brute_force_isometry is suites.brute_force_isometry
+    assert witt_cube_solutions is suites.witt_cube_solutions
 
 
 def test_unknown_suite_name():

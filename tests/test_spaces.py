@@ -2,7 +2,7 @@
 
 import pytest
 
-from boolmetric import (CapExceededError, ConvexCoefficients, NotInHullError,
+from boolmetric import (CapExceededError, ConvexCoefficients, FiniteSpace, NotInHullError,
                         PartialMap, Point, StructureError,
                         UnsupportedOperationError, atomic_algebra, check_map,
                         conv_hull, convex_combine, decompose, distance,
@@ -257,3 +257,16 @@ def test_partial_maps_compare_by_pairs():
     assert PartialMap(((y, x), (x, y))) == PartialMap(((x, y), (y, x)))
     assert PartialMap(((x, y),)) != PartialMap(((x, x),))
     assert identity_map(space([x, y])) == PartialMap(((x, x), (y, y)))
+
+
+def test_mixed_algebra_families_are_refused_before_sorting():
+    from boolmetric import alpha_profile, uniqueness_certify
+    atomic, cofinite = Point((A2.parse("10"),)), Point((fincof_algebra().fin([1]),))
+    mixed = [atomic, cofinite]
+    for build in (space, conv_hull, alpha_profile,
+                  lambda g: FiniteSpace(g),
+                  lambda g: PartialMap(zip(g, [atomic, atomic])),
+                  lambda g: PartialMap(zip([atomic, pt("01")], g)),
+                  lambda g: uniqueness_certify(g, lambda p: p.coords[0])):
+        with pytest.raises(StructureError, match="different algebras"):
+            build(mixed)

@@ -4,8 +4,10 @@ import pytest
 
 import boolmetric
 from boolmetric import BoolmetricError, suites
-from boolmetric.suites import (SUITES, RunConfig, SuiteResult, random_hull,
-                               random_point, random_self_isometry, run_suite)
+from boolmetric.suites import (SUITES, RunConfig, SuiteResult,
+                               random_contractive_self_map, random_hull,
+                               random_point, random_pointed_hull,
+                               random_self_isometry, run_suite)
 
 
 def test_registry_names():
@@ -61,6 +63,24 @@ def test_random_self_isometry_is_isometric():
     assert verdict.kind == "isometric"
     assert sorted((t for _, t in iso.pairs), key=Point.sort_key) \
         == list(hull.points)
+
+
+def test_random_contractive_self_maps_are_pinned():
+    # the pairs of twelve seeded instances, and the generator's next draw
+    import hashlib
+    import random
+
+    from boolmetric import atomic_algebra
+    digest = hashlib.sha256()
+    for seed in range(12):
+        rng = random.Random(seed)
+        hull = random_pointed_hull(rng, atomic_algebra(1 + seed % 3), 1 + seed % 2,
+                                   max_generators=4)
+        pm = random_contractive_self_map(rng, hull)
+        digest.update("".join(f"{s.literal} -> {t.literal}\n" for s, t in pm.pairs).encode())
+        digest.update(f"{rng.random()}\n".encode())
+    assert digest.hexdigest() == \
+        "424214c3f123b1ef16353f9bd54cbf74c3acc2894f9e369f9643f78c8a2aec41"
 
 
 @pytest.mark.parametrize("name", ["sum-law", "witt", "extend-isometry",

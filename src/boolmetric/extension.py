@@ -28,7 +28,8 @@ Every stage is atom-local: one pattern table (``spaces._transport``) gives
 each atom's pattern relation, and one per-atom post-check
 (``spaces._checked_map``) verifies every map built here to be contractive
 or isometric as claimed, to extend its inputs and to stay inside (for
-isometries: onto) its target space, whatever the space's size.
+isometries: onto) its target space, which is convex and checked atom by
+atom, whatever the space's size.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .algebra import Algebra, Element
 from .errors import (InfeasibleError, NotInHullError, StructureError,
                      VerificationError)
 from .invariants import AlphaProfile
-from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace,
-                     PartialMap, Point, _atom_patterns, _checked_map,
+from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
+                     _atom_patterns, _checked_map, _generator_sequence,
                      _require_atomic, _transport, check_map, conv_hull, distance,
                      identity_map)
 
@@ -63,11 +64,10 @@ def cube_generators(algebra: Algebra, length: int) -> list[Point]:
     return [Point([one] * j + [zero] * (length - j)) for j in range(length + 1)]
 
 
-def monotone_cube(algebra: Algebra, length: int,
-                  max_points: int = DEFAULT_MAX_HULL_POINTS) -> FiniteSpace:
+def monotone_cube(algebra: Algebra, length: int) -> FiniteSpace:
     """The space of all decreasing tuples, materialized as a hull."""
     gens = cube_generators(algebra, length)
-    return conv_hull(gens, basepoint=gens[0], max_points=max_points)
+    return conv_hull(gens, basepoint=gens[0])
 
 
 def is_monotone(p: Point) -> bool:
@@ -212,8 +212,8 @@ class UniquenessReport:
         return self.hypotheses_ok and len(self.zeros) <= 1
 
 
-def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], Element],
-                       max_points: int = DEFAULT_MAX_HULL_POINTS) -> UniquenessReport:
+def uniqueness_certify(generators: Sequence[Point],
+                       scalar: Callable[[Point], Element]) -> UniquenessReport:
     """Certify that a contractive scalar map has at most one zero on the
     hull of generators that are pairwise at distance 1 and whose images
     pairwise join to 1.
@@ -222,7 +222,7 @@ def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], El
     silently ignored; contractivity on the hull by :func:`check_map` on the
     scalar as a one-coordinate map), then the hull's zeros are counted.
     """
-    gens = sorted(set(generators), key=Point.sort_key)
+    gens = sorted(set(_generator_sequence(generators, empty=None)), key=Point.sort_key)
     if len(gens) < 2:
         raise StructureError("uniqueness certification needs at least two generators")
     alg = gens[0].algebra
@@ -235,7 +235,7 @@ def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], El
     for a, b in combinations(gens, 2):
         if values[a] | values[b] != one:
             failures.append(f"images of {a.literal} and {b.literal} do not join to 1")
-    hull = conv_hull(gens, max_points=max_points)
+    hull = conv_hull(gens)
     all_values = {p: scalar(p) for p in hull}
     verdict = check_map(PartialMap(tuple((p, Point((v,))) for p, v in all_values.items())))
     if not verdict.ok:
@@ -251,7 +251,7 @@ def uniqueness_certify(generators: Sequence[Point], scalar: Callable[[Point], El
 # ---------------------------------------------------------------------------
 
 
-def conv_extend(pm: PartialMap, max_points: int = DEFAULT_MAX_HULL_POINTS) -> PartialMap:
+def conv_extend(pm: PartialMap) -> PartialMap:
     """The unique contractive extension of a contractive map to the convex
     hull of its domain.
 
@@ -271,10 +271,10 @@ def conv_extend(pm: PartialMap, max_points: int = DEFAULT_MAX_HULL_POINTS) -> Pa
     if verdict.kind == "violation":
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
-    hull = conv_hull(pm.sources, max_points=max_points)
+    hull = conv_hull(pm.sources)
     return _checked_map(hull, _transport(hull, pm.sources, pm.targets), pm.targets[0].dim,
                         inputs=(pm,), isometric=verdict.kind == "isometric",
-                        within=conv_hull(pm.targets, max_points=max_points))
+                        within=conv_hull(pm.targets))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ A file declares one algebra, then any number of spaces and maps::
 naturals (literals like ``fin{1,3}`` and ``cof{2}``).  ``basepoint``
 and ``pair`` refer to points by their zero-based position among the
 ``point`` lines of the named space, in file order.  Parsing failures
-raise ParseError with the offending line number.
+raise ParseError with the offending line number; an empty block's is
+its header line.
 """
 
 from __future__ import annotations
@@ -81,58 +82,41 @@ def parse_input(text: str) -> ParsedInput:
     space_points: dict[str, tuple[Point, ...]] = {}
     maps: dict[str, ParsedMap] = {}
 
-    # Per-block accumulators.
-    current_space: str | None = None
-    current_dim = 0
+    # Per-block accumulators; each header keeps its line.
+    current_space: tuple[str, int, int] | None = None
     points: list[Point] = []
     seen: set[Point] = set()
-    basepoint_index: int | None = None
-    current_map: tuple[str, str, str] | None = None
-    pairs: list[tuple[int, int]] = []
+    basepoint_at: tuple[int, int] | None = None  # index, line
+    current_map: tuple[str, str, str, int] | None = None
+    pairs: dict[int, tuple[Point, Point]] = {}
 
-    def close_space(line_no: int):
-        nonlocal current_space, points, seen, basepoint_index
+    def close_space():
+        nonlocal current_space, points, seen, basepoint_at
         if current_space is None:
             return
+        name, _, header = current_space
         if not points:
-            raise ParseError(f"space {current_space!r} has no points", line_no)
+            raise ParseError(f"space {name!r} has no points", header)
         bp = None
-        if basepoint_index is not None:
-            if not 0 <= basepoint_index < len(points):
-                raise ParseError(f"basepoint index {basepoint_index} out of "
-                                 f"range for space {current_space!r}", line_no)
-            bp = points[basepoint_index]
-        try:
-            spaces[current_space] = space(points, basepoint=bp)
-        except StructureError as exc:
-            raise ParseError(str(exc), line_no) from None
-        space_points[current_space] = tuple(points)
-        current_space, points, seen, basepoint_index = None, [], set(), None
+        if basepoint_at is not None:
+            index, line_no = basepoint_at
+            if not 0 <= index < len(points):
+                raise ParseError(f"basepoint index {index} out of "
+                                 f"range for space {name!r}", line_no)
+            bp = points[index]
+        spaces[name] = space(points, basepoint=bp)
+        space_points[name] = tuple(points)
+        current_space, points, seen, basepoint_at = None, [], set(), None
 
-    def close_map(line_no: int):
+    def close_map():
         nonlocal current_map, pairs
         if current_map is None:
             return
-        name, src, dst = current_map
+        name, src, dst, header = current_map
         if not pairs:
-            raise ParseError(f"map {name!r} has no pairs", line_no)
-        src_points = space_points[src]
-        dst_points = space_points[dst]
-        resolved = []
-        for i, j in pairs:
-            if not 0 <= i < len(src_points):
-                raise ParseError(f"pair index {i} out of range for "
-                                 f"space {src!r}", line_no)
-            if not 0 <= j < len(dst_points):
-                raise ParseError(f"pair index {j} out of range for "
-                                 f"space {dst!r}", line_no)
-            resolved.append((src_points[i], dst_points[j]))
-        try:
-            pm = PartialMap(tuple(resolved))
-        except StructureError as exc:
-            raise ParseError(f"map {name!r}: {exc}", line_no) from None
-        maps[name] = ParsedMap(name, src, dst, pm)
-        current_map, pairs = None, []
+            raise ParseError(f"map {name!r} has no pairs", header)
+        maps[name] = ParsedMap(name, src, dst, PartialMap(pairs.values()))
+        current_map, pairs = None, {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -150,8 +134,8 @@ def parse_input(text: str) -> ParsedInput:
             raise ParseError("the first directive must declare the algebra", line_no)
 
         if head == "space":
-            close_space(line_no)
-            close_map(line_no)
+            close_space()
+            close_map()
             if len(rest) != 2:
                 raise ParseError("expected 'space NAME dim=N'", line_no)
             name = rest[0]
@@ -163,13 +147,12 @@ def parse_input(text: str) -> ParsedInput:
                 raise ParseError(f"bad dimension {rest[1]!r}", line_no) from None
             if dim < 1:
                 raise ParseError("dimension must be at least 1", line_no)
-            current_space = name
-            current_dim = dim
+            current_space = (name, dim, line_no)
         elif head == "point":
             if current_space is None:
                 raise ParseError("'point' outside a space block", line_no)
-            if len(rest) != current_dim:
-                raise ParseError(f"expected {current_dim} coordinates, "
+            if len(rest) != current_space[1]:
+                raise ParseError(f"expected {current_space[1]} coordinates, "
                                  f"got {len(rest)}", line_no)
             try:
                 p = Point(algebra.parse(tok) for tok in rest)
@@ -183,17 +166,16 @@ def parse_input(text: str) -> ParsedInput:
         elif head == "basepoint":
             if current_space is None:
                 raise ParseError("'basepoint' outside a space block", line_no)
-            if basepoint_index is not None:
+            if basepoint_at is not None:
                 raise ParseError("basepoint declared twice", line_no)
             try:
-                basepoint_index = int(rest[0]) if len(rest) == 1 else None
+                (index,) = rest
+                basepoint_at = (int(index), line_no)
             except ValueError:
-                basepoint_index = None
-            if basepoint_index is None:
-                raise ParseError("expected 'basepoint INDEX'", line_no)
+                raise ParseError("expected 'basepoint INDEX'", line_no) from None
         elif head == "map":
-            close_space(line_no)
-            close_map(line_no)
+            close_space()
+            close_map()
             if len(rest) != 3:
                 raise ParseError("expected 'map NAME from=A to=B'", line_no)
             name = rest[0]
@@ -205,22 +187,30 @@ def parse_input(text: str) -> ParsedInput:
                 if ref not in spaces:
                     raise ParseError(f"map {name!r} refers to unknown "
                                      f"space {ref!r}", line_no)
-            current_map = (name, src, dst)
+            current_map = (name, src, dst, line_no)
         elif head == "pair":
             if current_map is None:
                 raise ParseError("'pair' outside a map block", line_no)
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("expected 'pair I -> J'", line_no)
             try:
-                pairs.append((int(rest[0]), int(rest[2])))
+                i, j = int(rest[0]), int(rest[2])
             except ValueError:
                 raise ParseError("pair indices must be integers", line_no) from None
+            name, src, dst, _ = current_map
+            for index, ref in ((i, src), (j, dst)):
+                if not 0 <= index < len(space_points[ref]):
+                    raise ParseError(f"pair index {index} out of range for "
+                                     f"space {ref!r}", line_no)
+            pair = (space_points[src][i], space_points[dst][j])
+            if pairs.setdefault(i, pair) != pair:
+                raise ParseError(f"map {name!r}: conflicting images for source point "
+                                 f"{pair[0].literal}", line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    last = text.count("\n") + 1
-    close_space(last)
-    close_map(last)
+    close_space()
+    close_map()
     if algebra is None:
         raise ParseError("empty input: no algebra declared")
     return ParsedInput(algebra, spaces, space_points, maps)

@@ -180,26 +180,6 @@ class ConvexCoefficients:
 
     assignment: tuple[int, ...]
 
-    @classmethod
-    def from_partition(cls, parts: Sequence[Element]) -> "ConvexCoefficients":
-        """Convert explicit coefficient elements into atom assignments.
-
-        The elements must be pairwise disjoint with join 1.
-        """
-        if not parts:
-            raise StructureError("a partition needs at least one part")
-        alg = parts[0].algebra
-        _require_atomic(alg, "coefficient partitions")
-        assignment = []
-        for t in range(alg.atom_count):
-            owners = [i for i, p in enumerate(parts) if p.bits >> t & 1]
-            if len(owners) != 1:
-                raise StructureError(
-                    f"coefficients are not a partition: atom {t} is covered "
-                    f"{len(owners)} times")
-            assignment.append(owners[0])
-        return cls(tuple(assignment))
-
     def partition(self, algebra: Algebra, count: int) -> tuple[Element, ...]:
         masks = [0] * count
         for t, i in enumerate(self.assignment):
@@ -216,12 +196,9 @@ def convex_combine(coeffs: ConvexCoefficients, points: Sequence[Point]) -> Point
     The result x is the unique point with ``a_i & d(x, x_i) == 0`` for every
     generator ``x_i`` with coefficient ``a_i``.
     """
-    if not points:
-        raise StructureError("convex combination of an empty family")
+    points = _generator_sequence(points, "convex combination of an empty family")
     alg = points[0].algebra
     _require_atomic(alg, "convex combinations")
-    for p in points[1:]:
-        _check_pair(points[0], p)
     if len(coeffs.assignment) != alg.atom_count:
         raise StructureError("coefficient assignment does not match the atom count")
     for i in coeffs.assignment:
@@ -245,17 +222,13 @@ class FiniteSpace:
     per-atom sets, and builds its :attr:`codes`, then points, when read.
     """
 
-    __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view", "_convex")
+    __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view")
 
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
-        pts = sorted(set(points), key=Point.sort_key)
-        if not pts:
-            raise StructureError("a space needs at least one point")
-        first = pts[0]
-        for p in pts[1:]:
-            _check_pair(first, p)
-        self.algebra, self.dim, self._points = first.algebra, first.dim, tuple(pts)
-        self._codes = self._lookup = self._view = self._convex = None
+        pts = _generator_sequence(points, "a space needs at least one point")
+        pts = sorted(set(pts), key=Point.sort_key)
+        self.algebra, self.dim, self._points = pts[0].algebra, pts[0].dim, tuple(pts)
+        self._codes = self._lookup = self._view = None
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
@@ -301,13 +274,11 @@ class FiniteSpace:
         """Closed under convex combinations: the space is the product of its
         per-atom pattern sets (its size is the product of their sizes), and
         over the finite-cofinite algebra its points agree on the atom
-        outside every support, which a combination could split."""
-        if self._convex is None:
-            atoms, patterns = self._patterns
-            counts = [len(pats) for pats in patterns]
-            self._convex = (len(self) == prod(counts)
-                            and (atoms[-1] is not None or counts[-1] == 1))
-        return self._convex
+        outside every support, which a combination could split.  A hull
+        passes without building a point."""
+        atoms, patterns = self._patterns
+        counts = [len(pats) for pats in patterns]
+        return len(self) == prod(counts) and (atoms[-1] is not None or counts[-1] == 1)
 
     def _first(self) -> Point:
         """The canonical first point of a convex space: on every atom, its
@@ -368,18 +339,18 @@ def space(points: Iterable[Point], basepoint: Point | None = None) -> FiniteSpac
     return FiniteSpace(points, basepoint=basepoint)
 
 
-def _generator_sequence(source) -> list[Point]:
+def _generator_sequence(source, empty: str | None = "need at least one generator") -> list[Point]:
     """Generators in the caller's own order, duplicates kept, checked to
-    share an algebra and a dimension.  A FiniteSpace contributes its
+    share an algebra and a dimension (before anyone sorts them) and, unless
+    ``empty`` is None, to be at least one.  A FiniteSpace contributes its
     canonical point order."""
     if isinstance(source, FiniteSpace):
         return list(source.points)
     gens = list(source)
-    if not gens:
-        raise StructureError("need at least one generator")
-    first = gens[0]
+    if not gens and empty is not None:
+        raise StructureError(empty)
     for g in gens[1:]:
-        _check_pair(first, g)
+        _check_pair(gens[0], g)
     return gens
 
 
@@ -429,7 +400,6 @@ def conv_hull(source, basepoint: Point | None = None,
     hull.algebra, hull.dim, hull.basepoint = algebra, dim, None
     hull._points = hull._codes = hull._lookup = None
     hull._view = source._patterns if isinstance(source, FiniteSpace) else _pattern_sets(source)
-    hull._convex = True
     if len(hull) > max_points:
         raise CapExceededError(
             f"hull would exceed {max_points} points; raise max_points to override")
@@ -525,12 +495,10 @@ class PartialMap:
     __slots__ = ("_pairs", "_mapping", "_verdict", "_domain", "_atom_maps", "_dim", "_images")
 
     def __init__(self, pairs: Iterable[tuple[Point, Point]]):
-        pairs = sorted(set(pairs), key=lambda pr: pr[0].sort_key())
-        if pairs:
-            s0, t0 = pairs[0]
-            for s, t in pairs[1:]:
-                _check_pair(s0, s)
-                _check_pair(t0, t)
+        pairs = set(pairs)
+        _generator_sequence([s for s, _ in pairs], empty=None)
+        _generator_sequence([t for _, t in pairs], empty=None)
+        pairs = sorted(pairs, key=lambda pr: pr[0].sort_key())
         mapping = {}
         for s, t in pairs:
             if s in mapping:
@@ -635,8 +603,8 @@ def check_map(pm: PartialMap) -> MapVerdict:
     equal source patterns have equal images, isometric when these per-atom
     pattern maps are also injective.  A class of equal source patterns
     first fails at its first member and the next member with another image.
-    A map kept as pattern maps is contractive, isometric when they are
-    injective.  The verdict is kept on the (immutable) map.
+    The verdict is kept on the (immutable) map; a map from
+    :func:`_checked_map` carries the one its post-check proved.
     """
     if pm._verdict is None:
         pm._verdict = _classify(pm)
@@ -644,10 +612,6 @@ def check_map(pm: PartialMap) -> MapVerdict:
 
 
 def _classify(pm: PartialMap) -> MapVerdict:
-    if pm._atom_maps is not None:
-        injective = all(len({g[p] for p in pats}) == len(pats)
-                        for g, pats in zip(pm._atom_maps, pm._domain._patterns[1]))
-        return MapVerdict("isometric" if injective else "contractive")
     pairs = pm.pairs
     n = len(pairs)
     if pairs and pairs[0][0].algebra != pairs[0][1].algebra:
@@ -678,19 +642,22 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
     patterns, checked per atom in O(patterns + input pairs x atoms): each
     relation is a function on the domain's patterns (contractive) and
     injective if ``isometric``; the map extends ``inputs`` (their sources
-    lie in the domain, their patterns go to their targets'); its image
-    patterns lie in ``within``'s (pointwise if not convex), and an isometry
-    is onto, the domain as large as ``within``.  A failure is a bug of the
-    construction: :class:`VerificationError`."""
+    lie in the domain, their patterns go to their targets'); ``within`` is
+    convex and shows its image patterns, and an isometry is onto, the
+    domain as large as ``within``.  The map keeps the verdict this proves.
+    A failure is a bug of the construction: :class:`VerificationError`."""
     out = PartialMap(())  # then kept as pattern maps, its pairs unbuilt
     out._pairs, out._domain, out._atom_maps, out._dim = None, domain, [], dim
+    injective = True
     for relation, pats in zip(relations, domain._patterns[1]):
         g: dict = {}
         if any(g.setdefault(p, q) != q for p, q in relation) or not g.keys() >= set(pats):
             raise VerificationError("the constructed map is not a function on its domain")
+        injective = injective and len({g[p] for p in pats}) == len(pats)
         out._atom_maps.append(g)
-    if isometric and check_map(out).kind != "isometric":
+    if isometric and not injective:
         raise VerificationError("the constructed map is not isometric")
+    out._verdict = MapVerdict("isometric" if injective else "contractive")
     for pm in filter(len, inputs):
         n, (_, table) = len(pm), _atom_patterns(pm.sources + pm.targets)
         if not domain._holds(pm.sources) or any(
@@ -698,10 +665,9 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
                 for p, q in zip(row[:n], row[n:])):
             raise VerificationError("the constructed map does not extend its inputs")
     if within is not None and not (
-            within.algebra == domain.algebra and within.dim == dim
-            and (all({g[p] for p in pats} <= set(targets) for g, pats, targets
-                     in zip(out._atom_maps, domain._patterns[1], within._patterns[1]))
-                 if within.convex else within._holds(out.targets))
+            within.algebra == domain.algebra and within.dim == dim and within.convex
+            and all({g[p] for p in pats} <= set(targets) for g, pats, targets
+                    in zip(out._atom_maps, domain._patterns[1], within._patterns[1]))
             and (not isometric or len(domain) == len(within))):
         raise VerificationError("the constructed map is not into (an isometry: onto) "
                                 "its target space")

@@ -144,9 +144,9 @@ def random_contractive_self_map(rng: random.Random, space: FiniteSpace) -> Parti
     for _ in range(rng.randint(1, 2)):
         keep = random_element(rng, space.algebra)
         center = rng.choice(space.points)
-        coeffs = ConvexCoefficients.from_partition([keep, ~keep])
-        crush = PartialMap(tuple((z, convex_combine(coeffs, [z, center]))
-                                 for z in space))
+        crush = PartialMap(tuple(
+            (z, Point((a & keep) | (c - keep) for a, c in zip(z.coords, center.coords)))
+            for z in space))
         pm = pm.then(crush)
     return pm
 
@@ -341,10 +341,6 @@ def run_sum_law(res: SuiteResult, cfg: RunConfig):
                 break
 
 
-def _small_hull(rng: random.Random, alg: Algebra, dim: int, cap: int) -> FiniteSpace:
-    return random_hull(rng, alg, dim, max_generators=3, max_size=cap)
-
-
 @_suite("isometry-oracle")
 def run_isometry_oracle(res: SuiteResult, cfg: RunConfig):
     """decide_isometric against exhaustive isometry search on small pairs."""
@@ -354,7 +350,7 @@ def run_isometry_oracle(res: SuiteResult, cfg: RunConfig):
         k = rng.randint(1, min(3, cfg.atoms))
         n = rng.randint(1, 2)
         alg = atomic_algebra(k)
-        left = _small_hull(rng, alg, n, cap=12)
+        left = random_hull(rng, alg, n, max_generators=3, max_size=12)
         if rng.random() < 0.5:
             extra = [random_point(rng, alg, n) for _ in range(rng.randint(0, 2))]
             ambient = conv_hull(list(left.points) + extra)
@@ -364,7 +360,7 @@ def run_isometry_oracle(res: SuiteResult, cfg: RunConfig):
                 res.fail(f"instance {idx}: isometric image changed size")
                 continue
         else:
-            right = _small_hull(rng, alg, n, cap=12)
+            right = random_hull(rng, alg, n, max_generators=3, max_size=12)
         squeeze = PartialMap(tuple((p, right.points[i * len(right) // len(left)])
                                    for i, p in enumerate(left.points)))
         if (check_map(squeeze) != pairwise_map_verdict(squeeze)

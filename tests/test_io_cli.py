@@ -217,6 +217,27 @@ def test_parse_errors_carry_line_numbers():
     assert str(err.value).startswith("line 4:")
 
 
+_ONE_POINT = ["algebra finite k=2", "space W dim=1", "point 00"]
+
+
+@pytest.mark.parametrize("lines,bad,fragment", [
+    (_ONE_POINT + ["map F from=W to=W", "pair 1 -> 0"], 5, "pair index 1 out of range"),
+    (_ONE_POINT + ["map F from=W to=W", "pair 0 -> 0", "pair 0 -> 3"], 6,
+     "pair index 3 out of range"),
+    (_ONE_POINT + ["point 11", "map F from=W to=W", "pair 0 -> 0", "pair 1 -> 1",
+                   "pair 0 -> 1"], 8, "map 'F': conflicting images for source point 00"),
+    (_ONE_POINT + ["basepoint 4", "point 11", "point 01"], 4, "basepoint index 4 out of range"),
+    (_ONE_POINT[:2], 2, "space 'W' has no points"),
+    (_ONE_POINT + ["map F from=W to=W"], 4, "map 'F' has no pairs"),
+])
+@pytest.mark.parametrize("tail", ["", "\n", "\nspace V dim=1\npoint 11\n"])
+def test_parse_errors_name_the_offending_line(lines, bad, fragment, tail):
+    # the directive at fault, or the header of an empty block
+    with pytest.raises(ParseError) as err:
+        parse_input("\n".join(lines) + tail)
+    assert err.value.line_no == bad and fragment in str(err.value)
+
+
 def test_only_accessors_fail_when_ambiguous():
     two = ("algebra finite k=2\nspace A dim=1\npoint 00\n"
            "space B dim=1\npoint 11")
@@ -516,6 +537,63 @@ def test_unknown_space_name_is_exit_two(tmp_path, capsys):
     path = write(tmp_path, PLANE)
     code, _, err = run_cli(capsys, "alpha", "--input", path, "--space", "Z")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["base", "--space", "X"], "no space named 'X'"),
+    (["conv", "--space", "X"], "no space named 'X'"),
+    (["isometric", "--left", "W"], "give both --left and --right"),
+    (["isometric", "--left", "W", "--right", "X"], "no space named 'X'"),
+    (["extend", "--target", "X"], "no space named 'X'"),
+    (["extend", "--map", "G"], "no map named 'G'"),
+])
+def test_unknown_names_and_missing_choices_are_exit_two(tmp_path, capsys, argv, fragment):
+    code, out, err = run_cli(capsys, argv[0], "--input", write(tmp_path, PLANE), *argv[1:])
+    assert (code, out) == (2, "") and err.startswith("error: ") and fragment in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["extend", "extend-contraction"])
+def test_a_map_between_two_spaces_needs_a_target(tmp_path, capsys, command):
+    text = ("algebra finite k=2\nspace W dim=1\npoint 00\nspace V dim=1\npoint 11\n"
+            "map F from=W to=V\npair 0 -> 0\n")
+    code, out, err = run_cli(capsys, command, "--input", write(tmp_path, text))
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    assert err == "error: map endpoints differ; pick the ambient space with --target\n"
+
+
+def test_verify_reports_suite_info_fields(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "witt", "--instances", "4",
+                           "--seed", "0")
+    assert code == 0 and "witt = 4/4 exact\n" in out
+    assert any(line.startswith("witt.cube_checked = ") and line[20:].isdigit()
+               for line in out.splitlines())
+
+
+def test_verify_reports_a_failing_suite(capsys, monkeypatch):
+    from boolmetric import suites
+
+    def broken(cfg):
+        res = suites.SuiteResult("witt", total=2)
+        res.fail("instance 1: planted failure")
+        return res
+    monkeypatch.setitem(suites.SUITES, "witt", broken)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "witt")
+    assert code == 1 and "witt = 1/2 exact\n" in out
+    assert "failure [witt]: instance 1: planted failure\n" in out
+
+
+def test_format_space_round_trips_over_the_cofinite_algebra():
+    fc = fincof_algebra()
+    points = [Point((fc.fin({1, 3}), fc.cof({2}))), Point((fc.fin(()), fc.fin({4}))),
+              Point((fc.cof(()), fc.cof({0, 5})))]
+    sp = space(points, basepoint=points[2])
+    text = format_algebra(fc) + "\n" + format_space("L", sp)
+    assert "point cof{} cof{0,5}" in text and "fin{1,3}" in text
+    again = parse_input(text).spaces["L"]
+    assert again.points == sp.points
+    assert again.index(again.basepoint) == sp.index(sp.basepoint)
+    assert again.basepoint == points[2]
 
 
 # ---------------------------------------------------------------- output

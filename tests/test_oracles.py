@@ -489,6 +489,10 @@ def test_pattern_map_post_check_catches_each_broken_map():
         "not injective": dict(relations=collapse, isometric=True),
         "leaves the target": dict(relations=ident, within=conv_hull(gens[:2])),
         "not onto": dict(relations=ident, isometric=True, within=bigger),
+        # every image is the first point, but a target must be convex
+        "non-convex target": dict(relations=[[(x, pats[0]) for x in pats]
+                                             for pats in hull._patterns[1]],
+                                  within=space([hull.points[0], hull.points[-1]])),
         "does not extend": dict(relations=ident,
                                 inputs=(PartialMap(((gens[1], gens[2]),)),)),
     }

@@ -78,26 +78,14 @@ def test_orthogonality_via_norms():
 def test_convex_combine_copies_patterns():
     x = pt("10", "01")
     y = pt("01", "11")
-    c = convex_combine(ConvexCoefficients((0, 1)), [x, y])
+    coeffs = ConvexCoefficients((0, 1))
+    c = convex_combine(coeffs, [x, y])
     # atom 0 copied from x, atom 1 from y
     assert c == pt("11", "01")
-    # the coefficient elements recover the assignment
-    coeffs = ConvexCoefficients.from_partition([A2.parse("10"), A2.parse("01")])
-    assert coeffs.assignment == (0, 1)
-    assert convex_combine(coeffs, [x, y]) == c
     # defining property: a_i & d(c, x_i) = 0
     parts = coeffs.partition(A2, 2)
     assert (parts[0] & distance(c, x)).is_zero
     assert (parts[1] & distance(c, y)).is_zero
-
-
-def test_partition_validation():
-    with pytest.raises(StructureError):
-        ConvexCoefficients.from_partition([A2.parse("10"), A2.parse("11")])
-    with pytest.raises(StructureError):
-        ConvexCoefficients.from_partition([A2.parse("10"), A2.parse("00")])
-    with pytest.raises(StructureError):
-        ConvexCoefficients.from_partition([])
 
 
 def test_hull_of_three_generators_has_nine_points():

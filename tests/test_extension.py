@@ -3,12 +3,13 @@ pipeline, on small hand-checked instances."""
 
 import pytest
 
-from boolmetric import (AlphaProfile, InfeasibleError, NotInHullError,
-                        PartialMap, Point, StructureError, atomic_algebra, check_map,
+from boolmetric import (AlphaProfile, FiniteSpace, InfeasibleError, NotInHullError,
+                        PartialMap, Point, StructureError, UnsupportedOperationError,
+                        atomic_algebra, check_map,
                         construct_isometry, conv_extend, conv_hull,
                         convex_combine, corner_images, cube_generators,
                         distance, extend_contraction, extend_isometry,
-                        identity_map, is_monotone, monotone_cube,
+                        fincof_algebra, identity_map, is_monotone, monotone_cube,
                         monotone_decompose, orthogonal_join, space,
                         uniqueness_certify, VerificationError,
                         witt_cube_solutions, witt_first_failure, witt_residual,
@@ -227,6 +228,21 @@ def test_orthogonal_join_preconditions():
         orthogonal_join(f, missing, ambient)  # not defined at the basepoint
 
 
+def test_orthogonal_join_refuses_strays_and_expansions():
+    ambient = conv_hull([line2("00"), line2("01")], basepoint=line2("00"))
+    f = PartialMap(((line2("00"), line2("00")), (line2("01"), line2("01"))))
+    stray = PartialMap(((line2("00"), line2("00")), (line2("10"), line2("00"))))
+    with pytest.raises(StructureError, match="points of the space"):
+        orthogonal_join(f, stray, ambient)
+    # 00 -> 00 and 01 -> 11 stretch d = 01 to 11
+    stretch = PartialMap(((line2("00"), line2("00")), (line2("01"), line2("11"))))
+    point = PartialMap(((line2("00"), line2("00")),))
+    for g, h, which in ((stretch, point, "subspace"), (point, stretch, "complement")):
+        with pytest.raises(InfeasibleError, match=f"the {which} map is not contractive") as err:
+            orthogonal_join(g, h, ambient)
+        assert err.value.witness == (line2("00"), line2("01"))
+
+
 def test_extend_isometry_single_pair_gives_translation():
     ambient = conv_hull([line2("00"), line2("11")])
     pm = PartialMap(((line2("00"), line2("11")),))
@@ -270,6 +286,27 @@ def test_extend_empty_input_is_identity():
     empty = PartialMap(())
     assert extend_isometry(empty, ambient).pairs == identity_map(ambient).pairs
     assert extend_contraction(empty, ambient).pairs == identity_map(ambient).pairs
+
+
+def test_empty_extension_input_meets_the_ambient_checks(monkeypatch):
+    flat = space([pt("00", "00"), pt("11", "10")])
+    fc = fincof_algebra()
+    fc_line = FiniteSpace([Point((fc.fin(s),)) for s in ([], [1], [2], [1, 2])])
+    assert not flat.convex and fc_line.convex
+    empty = PartialMap(())
+    init, built = Point.__init__, []
+    monkeypatch.setattr(Point, "__init__",
+                        lambda self, coords: built.append(self) or init(self, coords))
+    for extend in (extend_isometry, extend_contraction):
+        with pytest.raises(StructureError, match="must be convex"):
+            extend(empty, flat)
+        with pytest.raises(UnsupportedOperationError):
+            extend(empty, fc_line)
+        ambient = conv_hull([pt("00", "00"), pt("11", "10"), pt("01", "01")])
+        built.clear()
+        out = extend(empty, ambient)
+        assert built == [] and check_map(out).kind == "isometric"
+        assert out.pairs == identity_map(ambient).pairs
 
 
 def test_extend_contraction_collapse():

@@ -1,16 +1,23 @@
 """Alpha profiles, bases, the isometry criterion, and the search oracle."""
 
+import random
+from collections import Counter
+from itertools import combinations, permutations
+from math import prod
+
 import pytest
 
-from boolmetric import (AlphaProfile, CapExceededError, FiniteSpace,
+from boolmetric import (AlphaProfile, BoolmetricError, CapExceededError, FiniteSpace,
                         InfeasibleError, PartialMap, Point, StructureError,
+                        UnsupportedOperationError, VerificationError,
                         alpha_profile, alpha_profile_of_points, atomic_algebra,
                         brute_force_isometry, build_base, check_map,
                         construct_isometry, conv_hull, decide_isometric,
                         distance, extend_contraction, extend_isometry,
                         fincof_algebra, homogeneity_isometry, is_orthogonal,
                         space)
-from boolmetric.suites import enumerated_alpha_profile
+from boolmetric.spaces import _checked_map, _transport
+from boolmetric.suites import enumerated_alpha_profile, pairwise_map_verdict
 
 A2 = atomic_algebra(2)
 
@@ -222,3 +229,123 @@ def test_brute_force_cap():
     with pytest.raises(CapExceededError):
         brute_force_isometry(big, big)
     assert brute_force_isometry(big, big, cap=16) is not None
+
+
+def base_transport_isometry(left, right):
+    """construct_isometry chained from point-level bases: each space's base
+    over its basepoint, matched index by index, checked and transported."""
+    if not decide_isometric(left, right):
+        raise InfeasibleError("spaces have different profiles, no isometry exists")
+    bp_l = left.basepoint if left.basepoint is not None else left._first()
+    bp_r = right.basepoint if right.basepoint is not None else right._first()
+    base_l = build_base(left.with_basepoint(bp_l))
+    base_r = build_base(right.with_basepoint(bp_r))
+    if base_l.rank != base_r.rank:
+        raise VerificationError("equal profiles but mismatched base ranks")
+    sources, targets = [bp_l, *base_l.points], [bp_r, *base_r.points]
+    matching = PartialMap(tuple(zip(sources, targets)))
+    if check_map(matching).kind != "isometric":
+        raise VerificationError("equal profiles but the bases are not isometric")
+    return _checked_map(left, _transport(left, sources, targets), right.dim,
+                        inputs=(matching,), isometric=True, within=right)
+
+
+def pattern_hull(rng, alg, dim, counts):
+    """A hull in dimension ``dim`` showing ``counts[t]`` random patterns on
+    atom t, pointed at one of its points half of the time."""
+    k = alg.atom_count
+    per_atom = [rng.sample(range(1 << dim), c) for c in counts]
+    gens = [Point(alg._make(sum((pats[i % len(pats)] >> j & 1) << t
+                                for t, pats in enumerate(per_atom)))
+                  for j in range(dim))
+            for i in range(max(counts))]
+    hull = conv_hull(gens)
+    assert [len(pats) for pats in hull._patterns[1]] == counts and k == len(counts)
+    return hull.with_basepoint(rng.choice(hull.points)) if rng.random() < 0.5 else hull
+
+
+def isometry_outcome(construct, left, right):
+    try:
+        return construct(left, right).pairs
+    except BoolmetricError as exc:
+        return type(exc)
+
+
+def test_construct_isometry_matches_base_transport():
+    rng = random.Random(2718)
+    outcomes = Counter()
+    for _ in range(300):
+        alg = atomic_algebra(rng.randint(1, 4))
+        dims = rng.randint(1, 3), rng.randint(1, 3)
+        while True:
+            counts = [rng.randint(1, 1 << min(dims)) for _ in range(alg.atom_count)]
+            if prod(counts) <= 120:
+                break
+        mode = rng.choice(["equal"] * 3 + ["unequal"] + ["not convex"] * 2)
+        right_counts = list(counts)
+        if mode == "unequal":
+            t = rng.randrange(len(counts))
+            right_counts[t] = rng.choice([c for c in range(1, (1 << dims[1]) + 1)
+                                          if c != counts[t]])
+        left = pattern_hull(rng, alg, dims[0], counts)
+        right = pattern_hull(rng, alg, dims[1], right_counts)
+        if mode == "not convex" and len(left) >= 3:
+            left = space(left.points[1:])
+        got = isometry_outcome(construct_isometry, left, right)
+        assert got == isometry_outcome(base_transport_isometry, left, right), (mode, counts)
+        if isinstance(got, type):
+            outcomes[got] += 1
+        else:
+            outcomes[mode, left.basepoint is None, left.dim == right.dim] += 1
+    # built with the basepoint set and unset, in one dimension and across two
+    for unset in (True, False):
+        for same_dim in (True, False):
+            assert outcomes["equal", unset, same_dim] >= 15, outcomes
+    assert outcomes[InfeasibleError] >= 30 and outcomes[StructureError] >= 30, outcomes
+
+
+def test_construct_isometry_across_dimensions_and_algebras():
+    line = conv_hull([pt("00"), pt("11")])
+    plane = conv_hull([pt("00", "00"), pt("11", "10")])
+    iso = construct_isometry(line, plane)
+    assert iso.pairs == base_transport_isometry(line, plane).pairs
+    assert check_map(iso).kind == "isometric" and set(iso.targets) == set(plane.points)
+    fc = fincof_algebra()
+    fc_line = FiniteSpace([Point((fc.fin(s),)) for s in ([], [1], [2], [1, 2])])
+    fc_plane = FiniteSpace([Point((fc.fin(s), fc.fin(t)))
+                            for s, t in (([], []), ([1], [1]), ([2], []), ([1, 2], [1]))])
+    assert fc_line.convex and fc_plane.convex and decide_isometric(fc_line, fc_plane)
+    for construct in (construct_isometry, base_transport_isometry):
+        with pytest.raises(UnsupportedOperationError, match="base construction"):
+            construct(fc_line, fc_plane)
+
+
+def isometric_by_permutations(left, right):
+    xs, ys = left.points, right.points
+    return len(xs) == len(ys) and any(
+        all(distance(a, b) == distance(image[i], image[j])
+            for (i, a), (j, b) in combinations(enumerate(xs), 2))
+        for image in permutations(ys))
+
+
+def test_brute_force_isometry_backtracks_and_refuses_equal_rows():
+    def spread(*literals):
+        return space([pt(*lit.split()) for lit in literals])
+
+    # isometric, but the first candidate with a matching distance row fails
+    backtracked = (spread("00 01 01", "10 00 11", "10 01 11", "11 01 00", "11 01 01"),
+                   spread("00 10 11", "01 11 10", "10 01 10", "10 11 00", "11 10 00"))
+    # equal multisets of distance rows, yet no isometry
+    equal_rows = (spread("00 01 00", "00 11 10", "01 10 10", "01 11 00", "10 00 10",
+                         "11 01 10"),
+                  spread("01 00 01", "10 10 00", "10 10 10", "11 00 01", "11 10 10",
+                         "11 11 00"))
+    for left, right in (backtracked, equal_rows):
+        assert not left.convex and not right.convex
+        found = brute_force_isometry(left, right)
+        assert (found is not None) == isometric_by_permutations(left, right)
+        if found is not None:
+            assert pairwise_map_verdict(found).kind == "isometric"
+            assert set(found.targets) == set(right.points)
+    assert brute_force_isometry(*backtracked) is not None
+    assert brute_force_isometry(*equal_rows) is None

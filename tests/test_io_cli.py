@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from boolmetric import (IdealDescriptor, ParseError, PartialMap, Point,
-                        StructureError, atomic_algebra, bounded_candidates,
+                        StructureError, VerificationError, atomic_algebra, bounded_candidates,
                         contraction_obstruction_witness, conv_extend, conv_hull,
                         fincof_algebra, isometry_obstruction_witness, space)
+from boolmetric import cli
 from boolmetric.cli import Report, main
 from boolmetric.io import (format_algebra, format_map, format_space, parse_input,
                            read_input)
@@ -308,6 +309,20 @@ def test_isometric_false_is_still_exit_zero(tmp_path, capsys):
     path = write(tmp_path, text)
     code, out, _ = run_cli(capsys, "isometric", "--input", path)
     assert code == 0 and "isometric = false" in out
+
+
+def test_a_failed_witness_check_is_exit_one(tmp_path, capsys, monkeypatch):
+    def refuse(left, right):
+        raise VerificationError("the constructed map is not isometric")
+
+    # the extend handlers are bound at parser build time; this name is read per call
+    monkeypatch.setattr(cli, "construct_isometry", refuse)
+    text = ("algebra finite k=2\n"
+            "space A dim=1\npoint 00\npoint 11\n"
+            "space B dim=2\npoint 00 00\npoint 11 10\n")
+    code, out, err = run_cli(capsys, "isometric", "--input", write(tmp_path, text))
+    assert (code, out) == (1, "")
+    assert err == "violation: the constructed map is not isometric\n"
 
 
 def test_extend_command(tmp_path, capsys):

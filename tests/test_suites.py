@@ -4,6 +4,7 @@ import pytest
 
 import boolmetric
 from boolmetric import BoolmetricError, suites
+from boolmetric.spaces import MapVerdict
 from boolmetric.suites import (SUITES, RunConfig, SuiteResult,
                                random_contractive_self_map, random_hull,
                                random_point, random_pointed_hull,
@@ -88,3 +89,18 @@ def test_random_contractive_self_maps_are_pinned():
 def test_small_smoke_runs(name):
     res = run_suite(name, RunConfig(seed=4, instances=3))
     assert res.ok and res.total == 3, res.failures[:1]
+
+
+def test_extension_suites_classify_each_map_themselves(monkeypatch):
+    def forged(extend):
+        def run(pm, ambient):
+            out = extend(pm, ambient)
+            out._verdict = MapVerdict("violation")  # what a broken post-check might keep
+            return out
+        return run
+
+    for name in ("extend_isometry", "extend_contraction"):
+        monkeypatch.setattr(suites, name, forged(getattr(suites, name)))
+    for run in (suites.run_extend_isometry, suites.run_extend_contraction):
+        res = run(RunConfig(seed=4, instances=5))
+        assert res.ok and res.total == 5, res.failures[:1]

@@ -94,8 +94,7 @@ def _hulled(parsed: ParsedInput, name: str, max_points: int) -> FiniteSpace:
     generator sets; every subcommand works on the hull they span."""
     if name not in parsed.spaces:
         raise ParseError(f"no space named {name!r} in the input")
-    sp = parsed.spaces[name]
-    return conv_hull(sp.points, basepoint=sp.basepoint, max_points=max_points)
+    return conv_hull(parsed.spaces[name], max_points=max_points)
 
 
 def cmd_alpha(args) -> tuple[Report, int]:

@@ -23,6 +23,8 @@ The central results implemented here, all with post-verified constructions:
 * ``extend_isometry`` / ``extend_contraction``: any isometry (contraction)
   between finite subsets of a convex space extends to a self-isometry
   (self-contraction) of the whole space, the stages above composed per atom.
+  Both run through one frame, which checks the ambient and the input, the
+  empty input included, before building anything.
 
 Every stage is atom-local: one pattern table (``spaces._transport``) gives
 each atom's pattern relation, and one per-atom post-check
@@ -44,8 +46,7 @@ from .errors import (InfeasibleError, NotInHullError, StructureError,
 from .invariants import AlphaProfile
 from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
                      _atom_patterns, _checked_map, _generator_sequence,
-                     _require_atomic, _transport, check_map, conv_hull, distance,
-                     identity_map)
+                     _require_atomic, _transport, check_map, conv_hull, distance)
 
 # ---------------------------------------------------------------------------
 # The monotone cube: decreasing tuples and their canonical generators.
@@ -324,13 +325,6 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
 # ---------------------------------------------------------------------------
 
 
-def _check_extension_input(pm: PartialMap, ambient: FiniteSpace):
-    if not ambient.convex:
-        raise StructureError("the ambient space must be convex")
-    if not ambient._holds(pm.sources + pm.targets):
-        raise StructureError("the map must send points of the space into the space")
-
-
 def _isometry_stages(a: int, f: dict, patterns: set) -> dict:
     swap = {f[a]: a, a: f[a]}
     side = {p: swap.get(q, q) for p, q in f.items()}
@@ -340,6 +334,26 @@ def _isometry_stages(a: int, f: dict, patterns: set) -> dict:
         raise VerificationError("complements of isometric subspaces must have equal profiles")
     joined = side | dict(zip(left, right))
     return {p: swap.get(q, q) for p, q in joined.items()}
+
+
+def _extend(pm: PartialMap, ambient: FiniteSpace, stage, isometric: bool) -> PartialMap:
+    """The frame of both pipelines: check the ambient and the input, then
+    post-check the per-atom relations ``stage`` builds (the identity's for
+    an empty input) as a self-map extending the input, isometric if asked."""
+    if not ambient.convex:
+        raise StructureError("the ambient space must be convex")
+    if not ambient._holds(pm.sources + pm.targets):
+        raise StructureError("the map must send points of the space into the space")
+    verdict = check_map(pm)
+    if not verdict.ok or isometric and verdict.kind != "isometric":
+        raise InfeasibleError("the input pairs do not "
+                              f"{'preserve' if isometric else 'contract'} distances",
+                              witness=verdict.witness)
+    _require_atomic(ambient.algebra, "convex decomposition")
+    relations = (_transport(ambient, pm.sources, pm.targets, stage) if pm.pairs
+                 else [[(p, p) for p in pats] for pats in ambient._patterns[1]])
+    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), isometric=isometric,
+                        within=ambient)
 
 
 def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
@@ -354,19 +368,10 @@ def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     (outside ``side(D)``) in ascending order, as ``build_base`` does, and
     must be equally long; base transport matches them index by index; the
     join of ``side`` and the transport is composed with ``s`` to undo the
-    swap.  The one resulting map is verified to be a self-isometry
-    extending the input.
+    swap.  The one resulting map (for an empty input, the identity) is
+    verified to be a self-isometry extending the input.
     """
-    if not pm.pairs:
-        return identity_map(ambient)
-    _check_extension_input(pm, ambient)
-    verdict = check_map(pm)
-    if verdict.kind != "isometric":
-        raise InfeasibleError("the input pairs do not preserve distances",
-                              witness=verdict.witness)
-    relations = _transport(ambient, pm.sources, pm.targets, stage=_isometry_stages)
-    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), isometric=True,
-                        within=ambient)
+    return _extend(pm, ambient, _isometry_stages, isometric=True)
 
 
 def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
@@ -376,16 +381,9 @@ def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     On each atom, the hull extension keeps the input's pattern map on the
     domain hull's patterns, and the join sends the orthogonal complement's
     patterns, all the others, to the anchor's image pattern.  The one
-    resulting map is verified to be contractive, to extend the input and to
-    stay in the space; it need not be isometric even when the input is.
+    resulting map (for an empty input, the identity) is verified to be
+    contractive, to extend the input and to stay in the space; it need not
+    be isometric even when the input is.
     """
-    if not pm.pairs:
-        return identity_map(ambient)
-    _check_extension_input(pm, ambient)
-    verdict = check_map(pm)
-    if verdict.kind == "violation":
-        raise InfeasibleError("the input pairs do not contract distances",
-                              witness=verdict.witness)
-    relations = _transport(ambient, pm.sources, pm.targets,
-                           stage=lambda a, f, patterns: dict.fromkeys(patterns, f[a]) | f)
-    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), within=ambient)
+    return _extend(pm, ambient, lambda a, f, patterns: dict.fromkeys(patterns, f[a]) | f,
+                   isometric=False)

@@ -303,7 +303,7 @@ class FiniteSpace:
         each pattern they show must be in that atom's set."""
         if any(p.algebra != self.algebra or p.dim != self.dim for p in points):
             return False
-        if self._points is not None:
+        if self._points is not None or not points:
             return all(key in self._index for key in self._keys(points))
         _, table = _atom_patterns(points)
         return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
@@ -439,15 +439,9 @@ def _transport(domain: FiniteSpace, sources: Sequence[Point], targets: Sequence[
     from ``f``, the relation as a dict (first pair kept), ``a``, the first
     source's pattern, and ``A``, the domain's patterns.  The first domain
     point with a pattern no source shows raises :func:`decompose`'s
-    :class:`NotInHullError`."""
-    sources = _generator_sequence(sources)
-    alg = sources[0].algebra
-    _require_atomic(alg, "convex decomposition")
-    targets = _generator_sequence(targets)
-    if targets[0].algebra != alg:
-        raise StructureError("generators and images belong to different algebras")
-    if len(targets) != len(sources):
-        raise StructureError("generators and images must be parallel lists")
+    :class:`NotInHullError`.  The lists come checked and parallel: a
+    map's sources and targets, or points of the domain."""
+    _require_atomic(domain.algebra, "convex decomposition")
     table, target_table = _atom_patterns(sources)[1], _atom_patterns(targets)[1]
     if stage is None and any(set(pats) - set(row)
                              for pats, row in zip(domain._patterns[1], table)):

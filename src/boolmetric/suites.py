@@ -452,66 +452,52 @@ def run_uniqueness_battery(res: SuiteResult, cfg: RunConfig):
     res.info["certified_unique"] = certified
 
 
-@_suite("extend-isometry")
-def run_extend_isometry(res: SuiteResult, cfg: RunConfig):
-    """Full pipeline: restrict a certified random self-isometry to a random
-    subset, extend, and check the result is a self-isometry extending it."""
+def _extension_suite(res: SuiteResult, cfg: RunConfig, self_map, extend, checks):
+    """The extension suites: restrict a certified random self-map of a
+    random hull to a random subset, extend it, and run ``checks``, pairs of
+    a failure message and a test of ``(extension, ambient)``, up to the
+    first failure; last, the extension must restrict to the input."""
     rng = random.Random(cfg.seed)
     for idx in range(cfg.instances):
         res.total += 1
         k = rng.randint(1, min(3, cfg.atoms))
         n = rng.randint(1, min(3, cfg.dim))
-        alg = atomic_algebra(k)
-        ambient = random_hull(rng, alg, n, max_generators=4)
-        twist = random_self_isometry(rng, ambient)
+        ambient = random_hull(rng, atomic_algebra(k), n, max_generators=4)
+        certified = self_map(rng, ambient)
         size = rng.randint(1, min(6, len(ambient)))
-        subset = rng.sample(ambient.points, size)
-        pm = PartialMap(tuple((u, twist(u)) for u in subset))
+        pm = PartialMap(tuple((u, certified(u)) for u in rng.sample(ambient.points, size)))
         try:
-            out = extend_isometry(pm, ambient)
+            out = extend(pm, ambient)
         except BoolmetricError as exc:
             res.fail(f"instance {idx}: extension failed: {exc}")
             continue
-        if len(out) != len(ambient) or set(out.targets) != set(ambient.points):
-            res.fail(f"instance {idx}: extension is not a self-bijection")
-            continue
-        if check_map(out).kind != "isometric":
-            res.fail(f"instance {idx}: extension is not isometric")
-            continue
-        if any(out(s) != t for s, t in pm.pairs):
-            res.fail(f"instance {idx}: extension does not restrict to the input")
+        failed = next((message for message, bad in checks if bad(out, ambient)), None)
+        if failed is None and any(out(s) != t for s, t in pm.pairs):
+            failed = "extension does not restrict to the input"
+        if failed is not None:
+            res.fail(f"instance {idx}: {failed}")
+
+
+@_suite("extend-isometry")
+def run_extend_isometry(res: SuiteResult, cfg: RunConfig):
+    """Full pipeline: restrict a certified random self-isometry to a random
+    subset, extend, and check the result is a self-isometry extending it."""
+    _extension_suite(res, cfg, random_self_isometry, extend_isometry, [
+        ("extension is not a self-bijection", lambda out, ambient: len(out) != len(ambient)
+         or set(out.targets) != set(ambient.points)),
+        ("extension is not isometric",
+         lambda out, _: check_map(PartialMap(out.pairs)).kind != "isometric")])
 
 
 @_suite("extend-contraction")
 def run_extend_contraction(res: SuiteResult, cfg: RunConfig):
     """Same shape as extend-isometry, for contractions."""
-    rng = random.Random(cfg.seed)
-    for idx in range(cfg.instances):
-        res.total += 1
-        k = rng.randint(1, min(3, cfg.atoms))
-        n = rng.randint(1, min(3, cfg.dim))
-        alg = atomic_algebra(k)
-        ambient = random_hull(rng, alg, n, max_generators=4)
-        squash = random_contractive_self_map(rng, ambient)
-        size = rng.randint(1, min(6, len(ambient)))
-        subset = rng.sample(ambient.points, size)
-        pm = PartialMap(tuple((u, squash(u)) for u in subset))
-        try:
-            out = extend_contraction(pm, ambient)
-        except BoolmetricError as exc:
-            res.fail(f"instance {idx}: extension failed: {exc}")
-            continue
-        if len(out) != len(ambient):
-            res.fail(f"instance {idx}: extension is not total")
-            continue
-        if check_map(out).kind == "violation":
-            res.fail(f"instance {idx}: extension is not contractive")
-            continue
-        if any(t not in ambient for _, t in out.pairs):
-            res.fail(f"instance {idx}: extension leaves the space")
-            continue
-        if any(out(s) != t for s, t in pm.pairs):
-            res.fail(f"instance {idx}: extension does not restrict to the input")
+    _extension_suite(res, cfg, random_contractive_self_map, extend_contraction, [
+        ("extension is not total", lambda out, ambient: len(out) != len(ambient)),
+        ("extension is not contractive",
+         lambda out, _: check_map(PartialMap(out.pairs)).kind == "violation"),
+        ("extension leaves the space",
+         lambda out, ambient: any(t not in ambient for _, t in out.pairs))])
 
 
 @_suite("conv-uniqueness")

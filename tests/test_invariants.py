@@ -253,14 +253,13 @@ def base_transport_isometry(left, right):
 def pattern_hull(rng, alg, dim, counts):
     """A hull in dimension ``dim`` showing ``counts[t]`` random patterns on
     atom t, pointed at one of its points half of the time."""
-    k = alg.atom_count
     per_atom = [rng.sample(range(1 << dim), c) for c in counts]
     gens = [Point(alg._make(sum((pats[i % len(pats)] >> j & 1) << t
                                 for t, pats in enumerate(per_atom)))
                   for j in range(dim))
             for i in range(max(counts))]
     hull = conv_hull(gens)
-    assert [len(pats) for pats in hull._patterns[1]] == counts and k == len(counts)
+    assert [len(pats) for pats in hull._patterns[1]] == counts
     return hull.with_basepoint(rng.choice(hull.points)) if rng.random() < 0.5 else hull
 
 

@@ -25,7 +25,6 @@ from boolmetric import (BoolmetricError, ConvexCoefficients, FiniteSpace,
                         decompose, extend_contraction, extend_isometry,
                         fincof_algebra, homogeneity_isometry, identity_map,
                         orthogonal_complement, orthogonal_join, space)
-from boolmetric.extension import _check_extension_input
 from boolmetric.algebra import FINITE_ATOMIC
 from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction_witness,
                                         isometry_obstruction_witness)
@@ -209,15 +208,22 @@ def test_convexity_matches_closure_under_combinations():
     assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
+def check_extension_input(pm, ambient):
+    if not ambient.convex:
+        raise StructureError("the ambient space must be convex")
+    if not ambient._holds(pm.sources + pm.targets):
+        raise StructureError("the map must send points of the space into the space")
+
+
 def composed_extend_isometry(pm, ambient):
     """The isometry pipeline chained from its point-level building blocks."""
-    if not pm.pairs:
-        return identity_map(ambient)
-    _check_extension_input(pm, ambient)
+    check_extension_input(pm, ambient)
     verdict = check_map(pm)
     if verdict.kind != "isometric":
         raise InfeasibleError("the input pairs do not preserve distances",
                               witness=verdict.witness)
+    if not pm.pairs:  # a convex ambient is its own hull; the finite-cofinite one has none
+        return identity_map(conv_hull(ambient))
     anchor = pm.pairs[0][0]
     hull_map = conv_extend(pm)
     moved_anchor = hull_map(anchor)
@@ -247,13 +253,13 @@ def composed_extend_isometry(pm, ambient):
 
 def composed_extend_contraction(pm, ambient):
     """The contraction pipeline chained from its point-level building blocks."""
-    if not pm.pairs:
-        return identity_map(ambient)
-    _check_extension_input(pm, ambient)
+    check_extension_input(pm, ambient)
     verdict = check_map(pm)
     if verdict.kind == "violation":
         raise InfeasibleError("the input pairs do not contract distances",
                               witness=verdict.witness)
+    if not pm.pairs:  # a convex ambient is its own hull; the finite-cofinite one has none
+        return identity_map(conv_hull(ambient))
     anchor = pm.pairs[0][0]
     hull_map = conv_extend(pm)
     domain_hull = conv_hull(pm.sources, basepoint=anchor)

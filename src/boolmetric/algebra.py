@@ -169,10 +169,25 @@ def _naturals(mask: int) -> list[int]:
     return [n for n, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
 
 
+@functools.cache
+def _byte_texts(position: int) -> tuple[str, ...]:
+    """The support text of each value of byte ``position`` of a mask."""
+    return tuple(",".join(str(8 * position + n) for n in _naturals(b)) for b in range(256))
+
+
 @functools.lru_cache(maxsize=1024)
 def _support_text(mask: int) -> str:
-    """The comma-separated naturals of a support, ascending."""
-    return ",".join(map(str, _naturals(mask)))
+    """The comma-separated naturals of a support, ascending.  Naturals
+    below 64 come from per-byte tables; tables for every byte of a wide
+    mask would cost seconds, so the rest are rendered one by one."""
+    parts, position, low = [], 0, mask & (1 << 64) - 1
+    while low:
+        if low & 255:
+            parts.append(_byte_texts(position)[low & 255])
+        low, position = low >> 8, position + 1
+    if mask >> 64:
+        parts.append(",".join(map(str, _naturals(mask >> 64 << 64))))
+    return ",".join(parts)
 
 
 class Element:

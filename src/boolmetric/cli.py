@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Iterable, Iterator, TextIO
 
-from .algebra import fc_literal
+from .algebra import _support_text
 from .counterexamples import (IdealDescriptor, _describe,
                               _require_candidates_within, _sweep, _violated)
 from .errors import (BoolmetricError, CapExceededError, InfeasibleError,
@@ -202,14 +202,16 @@ def _sweep_lines(which: str, max_support: int, desc: IdealDescriptor,
                  unverified: set[int]) -> Iterator[str]:
     """The report line of every swept candidate; the candidates numbered
     (from 1) in ``unverified`` failed their re-check."""
-    for i, (v, (kind, element, lhs, rhs)) in enumerate(
-            _sweep(which, max_support, desc), start=1):
-        if which == "two-dim":
-            label = f"candidate ({fc_literal(v)}, {fc_literal((not v[0], v[1]))})"
-        else:
-            label = f"candidate {fc_literal(v)}"
-        tag = "UNVERIFIED" if i in unverified else "refuted"
-        yield f"{label}: {_describe(kind, element, lhs, rhs)} [{tag}]"
+    number = 0
+    for mask, found in _sweep(which, max_support, desc):
+        text = _support_text(mask)
+        fin, cof = f"fin{{{text}}}", f"cof{{{text}}}"
+        labels = ((f"candidate ({fin}, {cof})", f"candidate ({cof}, {fin})")
+                  if which == "two-dim" else (f"candidate {fin}", f"candidate {cof}"))
+        for label, witness in zip(labels, found):
+            number += 1
+            tag = "UNVERIFIED" if number in unverified else "refuted"
+            yield f"{label}: {_describe(*witness)} [{tag}]"
 
 
 def cmd_counterexample(args) -> tuple[Report, int]:
@@ -224,10 +226,11 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         # lines are final; pass 2 finds the witnesses again and renders
         # each line as the report is written.
         total, unverified = 0, set()
-        for total, (_, (_, _, lhs, rhs)) in enumerate(
-                _sweep(args.which, max_support, desc), start=1):
-            if not _violated(lhs, rhs):
-                unverified.add(total)
+        for _, found in _sweep(args.which, max_support, desc):
+            for _, _, lhs, rhs in found:
+                total += 1
+                if not _violated(lhs, rhs):
+                    unverified.add(total)
         bad = bool(unverified)
         rep.fields.update(candidates=total, refuted="all" if not bad else "INCOMPLETE")
         rep.lines = _sweep_lines(args.which, max_support, desc, unverified)

@@ -318,35 +318,29 @@ def contraction_obstruction_witness(candidate: Element,
     return Witness._of(v.algebra, *_contraction_witness(v.pair, members))
 
 
-def _bounded_pairs(max_support: int) -> Iterator[tuple[bool, int]]:
-    """The ``(cofinite, mask)`` pairs of :func:`bounded_candidates`, in its
-    order."""
-    for mask in range(1 << (max_support + 1)):
-        yield False, mask
-        yield True, mask
-
-
 def bounded_candidates(max_support: int = 16,
                        algebra: Algebra | None = None) -> Iterator[Element]:
     """All fin S and cof S with S inside {0..max_support}, in a fixed
     order: supports by binary counting, fin before cof."""
     alg = algebra if algebra is not None else fincof_algebra()
-    for cofinite, mask in _bounded_pairs(max_support):
-        yield SetElement(alg, cofinite, mask)
+    for mask in range(1 << (max_support + 1)):
+        yield SetElement(alg, False, mask)
+        yield SetElement(alg, True, mask)
 
 
 def _sweep(which: str, max_support: int, desc: IdealDescriptor):
-    """``(candidate, witness)`` for every bounded candidate, in the order of
-    :func:`bounded_candidates`, all on ``(cofinite, mask)`` pairs: for
-    "contraction" the candidate is the line value v, for "two-dim" it is
-    v and the plane candidate is (v, ~v)."""
+    """``(mask, found)`` for every support S of :func:`bounded_candidates`,
+    in its order: ``found`` holds the witnesses, on ``(cofinite, mask)``
+    pairs, of the candidates fin S and cof S.  For "contraction" a
+    candidate is the line value v, for "two-dim" the plane candidate
+    (v, ~v)."""
     members = _members_window(desc, (1 << max_support + 1) - 1)
-    if which == "contraction":
-        for v in _bounded_pairs(max_support):
-            yield v, _contraction_witness(v, members)
-    else:
-        for v in _bounded_pairs(max_support):
-            yield v, _isometry_witness(v, (not v[0], v[1]), members)
+    for mask in range(1 << max_support + 1):
+        fin, cof = (False, mask), (True, mask)
+        if which == "contraction":
+            yield mask, (_contraction_witness(fin, members), _contraction_witness(cof, members))
+        else:
+            yield mask, (_isometry_witness(fin, cof, members), _isometry_witness(cof, fin, members))
 
 
 def _require_candidates_within(max_support: int, cap: int):

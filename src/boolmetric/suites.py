@@ -544,14 +544,13 @@ def run_counterexamples(res: SuiteResult, cfg: RunConfig,
     _require_candidates_within(cfg.max_support, cfg.max_points)
     desc = desc if desc is not None else IdealDescriptor.evens()
     alg = fincof_algebra()
-    for v, (_, _, lhs, rhs) in _sweep("contraction", cfg.max_support, desc):
-        res.total += 1
-        if not _violated(lhs, rhs):
-            res.fail(f"contraction candidate {fc_literal(v)}: unverified witness")
-    for a, (_, _, lhs, rhs) in _sweep("two-dim", cfg.max_support, desc):
-        res.total += 1
-        if not _violated(lhs, rhs):
-            res.fail(f"plane candidate ({fc_literal(a)}, ~): unverified witness")
+    for which, failure in (("contraction", "contraction candidate {}: unverified witness"),
+                           ("two-dim", "plane candidate ({}, ~): unverified witness")):
+        for mask, found in _sweep(which, cfg.max_support, desc):
+            for cofinite, (_, _, lhs, rhs) in enumerate(found):
+                res.total += 1
+                if not _violated(lhs, rhs):
+                    res.fail(failure.format(fc_literal((cofinite, mask))))
     # Candidates hitting the overlap branch: both coordinates cofinite.
     non_members = [n for n in range(8) if not desc.member(n)][:4]
     members = [n for n in range(9) if desc.member(n)][:4]
@@ -567,12 +566,13 @@ def run_counterexamples(res: SuiteResult, cfg: RunConfig,
     # The merge map is distance preserving where defined.
     rng = random.Random(cfg.seed)
     pool = list(range(cfg.max_support + 1))
+    most = min(4, len(pool))  # below max_support 3 the pool is smaller
     for _ in range(50):
         res.total += 1
         pts = []
         for _ in range(2):
-            xs = {n for n in rng.sample(pool, rng.randint(0, 4)) if desc.member(n)}
-            ys = {n for n in rng.sample(pool, rng.randint(0, 4)) if not desc.member(n)}
+            xs = {n for n in rng.sample(pool, rng.randint(0, most)) if desc.member(n)}
+            ys = {n for n in rng.sample(pool, rng.randint(0, most)) if not desc.member(n)}
             pts.append(Point((alg.fin(xs), alg.fin(ys))))
         merged = [flatten_pair(p) for p in pts]
         if distance(merged[0], merged[1]) != distance(pts[0], pts[1]):

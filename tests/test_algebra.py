@@ -1,9 +1,16 @@
 """Element arithmetic in both algebras, against hand-computed tables."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from boolmetric import (MAX_NATURAL, StructureError, UnsupportedOperationError,
                         atomic_algebra, atoms, fincof_algebra, inf_family, sup_family)
+from boolmetric.algebra import _support_text, fc_literal
 
 
 def test_atomic_literals_round_trip():
@@ -72,6 +79,56 @@ def test_fincof_naturals_stay_below_the_bound():
     for bad in (f"fin{{{MAX_NATURAL}}}", f"cof{{1,{MAX_NATURAL}}}"):
         with pytest.raises(StructureError):
             alg.parse(bad)
+
+
+def naive_support_text(mask):
+    """The support text read off the binary digits, lowest first."""
+    return ",".join(str(n) for n, digit in enumerate(reversed(f"{mask:b}")) if digit == "1")
+
+
+def test_support_text_matches_a_naive_renderer():
+    rng = random.Random(65535)
+    # every byte boundary of the tabled naturals (below 64) and a few above,
+    # then log-uniform widths up to MAX_NATURAL
+    widths = ({w for p in range(1, 18) for w in (8 * p - 1, 8 * p, 8 * p + 1)}
+              | {1, 2, 255, 256, 257, MAX_NATURAL - 1, MAX_NATURAL}
+              | {int(2 ** rng.uniform(0, 16)) for _ in range(40)})
+    masks = [0, 1 << MAX_NATURAL - 1, (1 << MAX_NATURAL - 1) | 1, (1 << 64) - 1 << 64]
+    for width in sorted(widths):
+        top = 1 << width - 1
+        masks += [top, rng.getrandbits(width) | top,
+                  sum(1 << rng.randrange(width) for _ in range(4)) | top]
+    for mask in masks:
+        text = naive_support_text(mask)
+        assert _support_text.__wrapped__(mask) == text, mask
+        assert (fc_literal((False, mask)), fc_literal((True, mask))) == \
+            ("fin{" + text + "}", "cof{" + text + "}")
+        assert fincof_algebra().parse(fc_literal((False, mask))).mask == mask
+
+
+WIDE_RENDER = """
+import time
+from boolmetric import MAX_NATURAL, fincof_algebra
+for naturals in (range(MAX_NATURAL), range(0, MAX_NATURAL, 2)):
+    element = fincof_algebra().fin(naturals)
+    start = time.perf_counter()
+    text = element.literal
+    print(time.perf_counter() - start, text == "fin{" + ",".join(map(str, naturals)) + "}")
+"""
+
+
+def test_wide_supports_render_without_per_byte_cost():
+    # a fresh process, so that no table built for another test is reused
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(__file__).resolve().parents[1] / "src"),
+                      os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", WIDE_RENDER], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    for line in run.stdout.splitlines():
+        seconds, correct = line.split()
+        assert float(seconds) < 0.5 and correct == "True", run.stdout
+    assert len(run.stdout.splitlines()) == 2
 
 
 def test_fincof_operation_table():

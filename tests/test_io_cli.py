@@ -427,6 +427,32 @@ def test_streamed_sweep_report_equals_the_object_path(capsys, monkeypatch, which
                 "".join(line + "\n" for line in lines)
 
 
+@pytest.mark.parametrize("which", ["two-dim", "contraction"])
+def test_streamed_sweep_report_above_one_byte_equals_the_object_path(capsys, which):
+    # supports 8 and 9 need a second byte of support text
+    for support in (8, 9):
+        for predicate in ("evens", "mod:7,8"):
+            fields, lines = object_path_report(which, predicate, support)
+            argv = ("counterexample", "--which", which, "--predicate", predicate,
+                    "--max-support", str(support))
+            assert run_cli(capsys, *argv, "--json")[:2] == (0, json.dumps(
+                {"fields": fields, "lines": lines, "blocks": []}, indent=2) + "\n")
+            assert run_cli(capsys, *argv)[:2] == (0, "".join(
+                f"{k} = {v}\n" for k, v in fields.items()) + "".join(f"{line}\n" for line in lines))
+
+
+@pytest.mark.parametrize("argv", [("--suite", "counterexamples", "--max-support", "0"),
+                                  ("--suite", "counterexamples", "--max-support", "1"),
+                                  ("--suite", "counterexamples", "--max-support", "2"),
+                                  ("--suite", "all", "--max-support", "0", "--instances", "1")])
+def test_counterexamples_suite_runs_on_supports_below_three(capsys, argv):
+    # the merge-map samples draw up to four naturals from a smaller pool here
+    code, out, err = run_cli(capsys, "verify", *argv)
+    total = 2 * 4 * 2 ** int(argv[3]) + 256 + 50
+    assert code == 0 and err == ""
+    assert f"counterexamples = {total}/{total} exact\n" in out
+
+
 def test_reports_without_lines_render_like_json_dumps(tmp_path, capsys):
     path = write(tmp_path, PLANE)
     code, out, _ = run_cli(capsys, "conv", "--input", path, "--json")

@@ -357,6 +357,23 @@ def test_pipelines_match_composed_building_blocks():
     assert outcomes["non-convex ambient"] >= 30, outcomes
 
 
+def test_empty_maps_match_composed_building_blocks_on_every_ambient_kind():
+    # random_extension_instance pairs an empty map with a convex hull only,
+    # so the comparison above never sends one to a refused ambient
+    rng = random.Random(131071)
+    outcomes = Counter()
+    for _ in range(300):
+        mode, _, ambient = random_extension_instance(rng)
+        if mode not in ("not convex", "finite-cofinite"):
+            continue
+        for extend, composed in ((extend_isometry, composed_extend_isometry),
+                                 (extend_contraction, composed_extend_contraction)):
+            got = extension_outcome(extend, PartialMap(()), ambient)
+            assert got == extension_outcome(composed, PartialMap(()), ambient), mode
+            outcomes[got if isinstance(got, type) else "extended"] += 1
+    assert len(outcomes) == 3 and min(outcomes.values()) >= 10, outcomes
+
+
 PREDICATES = [IdealDescriptor(r, m) for m in range(2, 9) for r in range(m)]
 
 

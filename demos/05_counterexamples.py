@@ -24,13 +24,13 @@ print("  cannot reach, so every finitely-described candidate fails.")
 print()
 
 print("== isometry obstruction, candidates with support in {0..2} ==")
-for v in bounded_candidates(2, alg):
+for v in bounded_candidates(2):
     w = isometry_obstruction_witness((v, ~v), evens)
     print(f"  image ({v.literal}, {(~v).literal}): {w.describe()}")
 
 print()
 print("== contraction obstruction, same candidates ==")
-for v in bounded_candidates(2, alg):
+for v in bounded_candidates(2):
     w = contraction_obstruction_witness(v, evens)
     print(f"  image {v.literal}: {w.describe()}")
 

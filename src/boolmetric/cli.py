@@ -89,20 +89,23 @@ def _algebra_label(algebra) -> str:
     return format_algebra(algebra).removeprefix("algebra ")
 
 
-def _hulled(parsed: ParsedInput, name: str, max_points: int) -> FiniteSpace:
-    """The named space's convex hull.  Declared point lists are read as
-    generator sets; every subcommand works on the hull they span."""
+def _declared(parsed: ParsedInput, name: str) -> FiniteSpace:
+    """The named space as declared.  Its points are read as a generator
+    set: every subcommand but ``alpha`` works on the hull they span."""
     if name not in parsed.spaces:
         raise ParseError(f"no space named {name!r} in the input")
-    return conv_hull(parsed.spaces[name], max_points=max_points)
+    return parsed.spaces[name]
+
+
+def _space_arg(args) -> tuple[ParsedInput, str, FiniteSpace]:
+    """The input, and the name and points of the space ``--space`` picks."""
+    parsed = read_input(args.input)
+    name = args.space or parsed.only_space()
+    return parsed, name, _declared(parsed, name)
 
 
 def cmd_alpha(args) -> tuple[Report, int]:
-    parsed = read_input(args.input)
-    name = args.space or parsed.only_space()
-    if name not in parsed.spaces:
-        raise ParseError(f"no space named {name!r} in the input")
-    sp = parsed.spaces[name]
+    parsed, name, sp = _space_arg(args)
     profile = alpha_profile_of_points(sp.points)
     rep = Report(algebra=_algebra_label(parsed.algebra), space=name, points=len(sp),
                  rank=profile.rank)
@@ -111,9 +114,8 @@ def cmd_alpha(args) -> tuple[Report, int]:
 
 
 def cmd_base(args) -> tuple[Report, int]:
-    parsed = read_input(args.input)
-    name = args.space or parsed.only_space()
-    hull = _hulled(parsed, name, args.max_points)
+    parsed, name, sp = _space_arg(args)
+    hull = conv_hull(sp, max_points=args.max_points)
     if hull.basepoint is None:
         hull = hull.with_basepoint(hull._first())
     base = build_base(hull)
@@ -125,11 +127,10 @@ def cmd_base(args) -> tuple[Report, int]:
 
 
 def cmd_conv(args) -> tuple[Report, int]:
-    parsed = read_input(args.input)
-    name = args.space or parsed.only_space()
-    hull = _hulled(parsed, name, args.max_points)
+    parsed, name, sp = _space_arg(args)
+    hull = conv_hull(sp, max_points=args.max_points)
     rep = Report(algebra=_algebra_label(parsed.algebra), space=name,
-                 generators=len(parsed.spaces[name]), points=len(hull))
+                 generators=len(sp), points=len(hull))
     rep.blocks = [format_algebra(parsed.algebra), format_space(name, hull)]
     return rep, 0
 
@@ -143,8 +144,8 @@ def cmd_isometric(args) -> tuple[Report, int]:
     else:
         raise ParseError("give both --left and --right, or a file with "
                          "exactly two spaces")
-    left = _hulled(parsed, left_name, args.max_points)
-    right = _hulled(parsed, right_name, args.max_points)
+    left = conv_hull(_declared(parsed, left_name), max_points=args.max_points)
+    right = conv_hull(_declared(parsed, right_name), max_points=args.max_points)
     verdict = decide_isometric(left, right)
     rep = Report(algebra=_algebra_label(parsed.algebra), left=left_name, right=right_name,
                  left_points=len(left), right_points=len(right), isometric=verdict)
@@ -169,7 +170,7 @@ def _cmd_extend(args, extend) -> tuple[Report, int]:
             raise ParseError("map endpoints differ; pick the ambient "
                              "space with --target")
         ambient_name = info.source_space
-    ambient = _hulled(parsed, ambient_name, args.max_points)
+    ambient = conv_hull(_declared(parsed, ambient_name), max_points=args.max_points)
     out = extend(info.map, ambient)
     rep = Report(algebra=_algebra_label(parsed.algebra), map=map_name, ambient=ambient_name,
                  ambient_points=len(ambient), pairs_in=len(info.map), pairs_out=len(out),

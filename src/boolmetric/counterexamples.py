@@ -43,6 +43,7 @@ from .errors import (CapExceededError, InfeasibleError, StructureError,
 from .spaces import PartialMap, Point
 
 MAX_MODULUS = 8
+_NAMED_SETS = {"evens": (0, 2), "odds": (1, 2)}  # label -> (residue, modulus)
 
 
 @dataclass(frozen=True)
@@ -62,18 +63,16 @@ class IdealDescriptor:
 
     @classmethod
     def evens(cls) -> "IdealDescriptor":
-        return cls(0, 2)
+        return cls.parse("evens")
 
     @classmethod
     def odds(cls) -> "IdealDescriptor":
-        return cls(1, 2)
+        return cls.parse("odds")
 
     @classmethod
     def parse(cls, label: str) -> "IdealDescriptor":
-        if label == "evens":
-            return cls.evens()
-        if label == "odds":
-            return cls.odds()
+        if label in _NAMED_SETS:
+            return cls(*_NAMED_SETS[label])
         if label.startswith("mod:"):
             try:
                 r, m = (int(v) for v in label[4:].split(","))
@@ -84,11 +83,9 @@ class IdealDescriptor:
 
     @property
     def label(self) -> str:
-        if (self.residue, self.modulus) == (0, 2):
-            return "evens"
-        if (self.residue, self.modulus) == (1, 2):
-            return "odds"
-        return f"mod:{self.residue},{self.modulus}"
+        pair = (self.residue, self.modulus)
+        return next((name for name, named in _NAMED_SETS.items() if named == pair),
+                    f"mod:{self.residue},{self.modulus}")
 
     def member(self, n: int) -> bool:
         return n % self.modulus == self.residue
@@ -318,11 +315,10 @@ def contraction_obstruction_witness(candidate: Element,
     return Witness._of(v.algebra, *_contraction_witness(v.pair, members))
 
 
-def bounded_candidates(max_support: int = 16,
-                       algebra: Algebra | None = None) -> Iterator[Element]:
-    """All fin S and cof S with S inside {0..max_support}, in a fixed
-    order: supports by binary counting, fin before cof."""
-    alg = algebra if algebra is not None else fincof_algebra()
+def bounded_candidates(max_support: int = 16) -> Iterator[Element]:
+    """All fin S and cof S (finite-cofinite) with S inside {0..max_support},
+    in a fixed order: supports by binary counting, fin before cof."""
+    alg = fincof_algebra()
     for mask in range(1 << (max_support + 1)):
         yield SetElement(alg, False, mask)
         yield SetElement(alg, True, mask)

@@ -23,8 +23,8 @@ The central results implemented here, all with post-verified constructions:
 * ``extend_isometry`` / ``extend_contraction``: any isometry (contraction)
   between finite subsets of a convex space extends to a self-isometry
   (self-contraction) of the whole space, the stages above composed per atom.
-  Both run through one frame, which checks the ambient and the input, the
-  empty input included, before building anything.
+  Both run through one frame (``spaces._extend``) that checks the ambient
+  and the input, the empty input included, before building anything.
 
 Every stage is atom-local: one pattern table (``spaces._transport``) gives
 each atom's pattern relation, and one per-atom post-check
@@ -45,7 +45,7 @@ from .errors import (InfeasibleError, NotInHullError, StructureError,
                      VerificationError)
 from .invariants import AlphaProfile
 from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
-                     _atom_patterns, _checked_map, _generator_sequence,
+                     _atom_patterns, _checked_map, _extend, _generator_sequence,
                      _require_atomic, _transport, check_map, conv_hull, distance)
 
 # ---------------------------------------------------------------------------
@@ -63,12 +63,6 @@ def cube_generators(algebra: Algebra, length: int) -> list[Point]:
         raise StructureError("the cube needs length at least 1")
     one, zero = algebra.one, algebra.zero
     return [Point([one] * j + [zero] * (length - j)) for j in range(length + 1)]
-
-
-def monotone_cube(algebra: Algebra, length: int) -> FiniteSpace:
-    """The space of all decreasing tuples, materialized as a hull."""
-    gens = cube_generators(algebra, length)
-    return conv_hull(gens, basepoint=gens[0])
 
 
 def is_monotone(p: Point) -> bool:
@@ -293,9 +287,9 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
     the domains with the coefficients applied to the images.  Each input is
     contractive, so all its domain points showing one pattern share the
     image pattern; where f and g disagree on a pattern, no choice of
-    domain point extends both, and the check below fails.  The result is
-    verified to extend both inputs, to be contractive, and to be isometric
-    when both inputs are.
+    domain point extends both, and their pairs together are refused as
+    not contractive.  The result is verified to extend both inputs, to be
+    contractive, and to be isometric when both inputs are.
     """
     bp = ambient.require_basepoint()
     if not (f.defined_at(bp) and g.defined_at(bp)):
@@ -316,6 +310,10 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
         raise StructureError(
             "the two domains together must generate the space "
             f"(point {exc.point.literal} is not decomposable)") from exc
+    both = check_map(PartialMap(f.pairs + g.pairs))
+    if not both.ok:
+        raise InfeasibleError("the two maps clash: together they are not contractive",
+                              witness=both.witness)
     return _checked_map(ambient, relations, f(bp).dim, inputs=(f, g),
                         isometric=fv.kind == gv.kind == "isometric")
 
@@ -334,26 +332,6 @@ def _isometry_stages(a: int, f: dict, patterns: set) -> dict:
         raise VerificationError("complements of isometric subspaces must have equal profiles")
     joined = side | dict(zip(left, right))
     return {p: swap.get(q, q) for p, q in joined.items()}
-
-
-def _extend(pm: PartialMap, ambient: FiniteSpace, stage, isometric: bool) -> PartialMap:
-    """The frame of both pipelines: check the ambient and the input, then
-    post-check the per-atom relations ``stage`` builds (the identity's for
-    an empty input) as a self-map extending the input, isometric if asked."""
-    if not ambient.convex:
-        raise StructureError("the ambient space must be convex")
-    if not ambient._holds(pm.sources + pm.targets):
-        raise StructureError("the map must send points of the space into the space")
-    verdict = check_map(pm)
-    if not verdict.ok or isometric and verdict.kind != "isometric":
-        raise InfeasibleError("the input pairs do not "
-                              f"{'preserve' if isometric else 'contract'} distances",
-                              witness=verdict.witness)
-    _require_atomic(ambient.algebra, "convex decomposition")
-    relations = (_transport(ambient, pm.sources, pm.targets, stage) if pm.pairs
-                 else [[(p, p) for p in pats] for pats in ambient._patterns[1]])
-    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), isometric=isometric,
-                        within=ambient)
 
 
 def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:

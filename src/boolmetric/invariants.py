@@ -24,9 +24,9 @@ from .algebra import Algebra, Element
 from .errors import InfeasibleError, StructureError, VerificationError
 # check_map is not called here, but the bench's tracer expects this module to bind it.
 from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns, _checked_map,
-                     _generator_sequence, _join_atoms, _pattern_sets,
-                     _code_points, _require_atomic, _transport, check_map,
-                     distance, is_orthogonal)
+                     _code_points, _extend, _generator_sequence, _join_atoms,
+                     _pattern_sets, _require_atomic, check_map, distance,
+                     is_orthogonal)
 
 
 @dataclass(frozen=True)
@@ -200,21 +200,13 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
 def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
     """A self-isometry of a convex space swapping two of its points.
 
-    Atom-wise it transposes the patterns of a and b and fixes all others:
-    each point z goes to the convex combination of (b, a, z) with
-    coefficients (where z agrees with a, where z agrees with b but not a,
-    the rest).  The result is verified to be an isometry of the space onto
+    The swap {a -> b, b -> a} runs through the frame of the extension
+    pipelines; atom-wise the result transposes the patterns of a and b and
+    fixes all others.  It is verified to be an isometry of the space onto
     itself that swaps a and b and is an involution.
     """
-    if not space.convex:
-        raise StructureError("homogeneity applies to convex spaces")
-    if a not in space or b not in space:
-        raise StructureError("both points must belong to the space")
-    relations = _transport(space, [a, b], [b, a],
-                           stage=lambda _, f, patterns: {p: f.get(p, p) for p in patterns})
-    pm = _checked_map(space, relations, space.dim, inputs=(PartialMap(((a, b), (b, a))),),
-                      isometric=True, within=space)
+    pm = _extend(PartialMap(((a, b), (b, a))), space,
+                 lambda _, f, patterns: {p: f.get(p, p) for p in patterns}, isometric=True)
     if any(g[g[p]] != p for g in pm._atom_maps for p in g):
         raise VerificationError("homogeneity map is not an involution")
     return pm
-

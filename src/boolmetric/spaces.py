@@ -25,7 +25,7 @@ from math import prod
 from typing import Iterable, Iterator, Sequence
 
 from .algebra import FINITE_ATOMIC, Algebra, Element, SetElement, _naturals
-from .errors import (CapExceededError, NotInHullError, StructureError,
+from .errors import (CapExceededError, InfeasibleError, NotInHullError, StructureError,
                      UnsupportedOperationError, VerificationError)
 
 DEFAULT_MAX_HULL_POINTS = 10 ** 6
@@ -327,9 +327,6 @@ class FiniteSpace:
         out.basepoint = basepoint
         return out
 
-    def norm(self, x: Point) -> Element:
-        return distance(x, self.require_basepoint())
-
     def __repr__(self):
         return f"<space of {len(self)} points, dim {self.dim}>"
 
@@ -555,20 +552,6 @@ class PartialMap:
     def defined_at(self, x: Point) -> bool:
         return bool(self.pairs) and x in self._mapping
 
-    def inverse(self) -> "PartialMap":
-        targets = self.targets
-        if len(set(targets)) != len(targets):
-            raise StructureError("only injective maps can be inverted")
-        return PartialMap(tuple((t, s) for s, t in self.pairs))
-
-    def then(self, other: "PartialMap") -> "PartialMap":
-        """Composition: apply this map first, then ``other``."""
-        return PartialMap(tuple((s, other(t)) for s, t in self.pairs))
-
-
-def identity_map(space: FiniteSpace) -> PartialMap:
-    return PartialMap(tuple((p, p) for p in space))
-
 
 @dataclass(frozen=True)
 class MapVerdict:
@@ -666,3 +649,24 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
         raise VerificationError("the constructed map is not into (an isometry: onto) "
                                 "its target space")
     return out
+
+
+def _extend(pm: PartialMap, ambient: FiniteSpace, stage, isometric: bool) -> PartialMap:
+    """The frame of both extension pipelines and the homogeneity swap:
+    check the ambient and the input, then post-check the per-atom relations
+    ``stage`` builds (the identity's for an empty input) as a self-map
+    extending the input, isometric if asked."""
+    if not ambient.convex:
+        raise StructureError("the ambient space must be convex")
+    if not ambient._holds(pm.sources + pm.targets):
+        raise StructureError("the map must send points of the space into the space")
+    verdict = check_map(pm)
+    if not verdict.ok or isometric and verdict.kind != "isometric":
+        raise InfeasibleError("the input pairs do not "
+                              f"{'preserve' if isometric else 'contract'} distances",
+                              witness=verdict.witness)
+    _require_atomic(ambient.algebra, "convex decomposition")
+    relations = (_transport(ambient, pm.sources, pm.targets, stage) if pm.pairs
+                 else [[(p, p) for p in pats] for pats in ambient._patterns[1]])
+    return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), isometric=isometric,
+                        within=ambient)

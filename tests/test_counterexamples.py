@@ -109,7 +109,7 @@ def test_contraction_witness_frozen_cases():
 
 
 def test_every_bounded_candidate_is_refuted():
-    for v in bounded_candidates(4, ALG):
+    for v in bounded_candidates(4):
         assert contraction_obstruction_witness(v, EVENS).verified
         assert isometry_obstruction_witness((v, ~v), EVENS).verified
 
@@ -177,11 +177,11 @@ def test_mask_kernel_wrappers_and_model_agree():
 
 
 def test_bounded_candidates_order_and_count():
-    first = list(bounded_candidates(1, ALG))
+    first = list(bounded_candidates(1))
     assert [c.literal for c in first] == [
         "fin{}", "cof{}", "fin{0}", "cof{0}", "fin{1}", "cof{1}",
         "fin{0,1}", "cof{0,1}"]
-    assert len(list(bounded_candidates(3, ALG))) == 32
+    assert len(list(bounded_candidates(3))) == 32
 
 
 def test_witness_descriptions_are_recheckable():

@@ -9,9 +9,9 @@ from boolmetric import (AlphaProfile, FiniteSpace, InfeasibleError, NotInHullErr
                         construct_isometry, conv_extend, conv_hull,
                         convex_combine, corner_images, cube_generators,
                         distance, extend_contraction, extend_isometry,
-                        fincof_algebra, identity_map, is_monotone, monotone_cube,
+                        fincof_algebra, identity_map, is_monotone,
                         monotone_decompose, orthogonal_join, space,
-                        uniqueness_certify, VerificationError,
+                        uniqueness_certify,
                         witt_cube_solutions, witt_first_failure, witt_residual,
                         witt_solve, WittInstance)
 
@@ -42,7 +42,7 @@ def test_cube_generators_frozen():
 
 
 def test_monotone_cube_is_all_decreasing_tuples():
-    cube = monotone_cube(A2, 3)
+    cube = conv_hull(cube_generators(A2, 3))
     assert len(cube) == 16  # (3 + 1) ** 2
     assert all(is_monotone(p) for p in cube)
     assert not is_monotone(pt("01", "10"))
@@ -56,7 +56,7 @@ def test_monotone_decompose_frozen():
     coeffs = monotone_decompose(c)
     assert coeffs.assignment == (1, 2)
     assert convex_combine(coeffs, cube_generators(A2, 3)) == c
-    for p in monotone_cube(A2, 3):
+    for p in conv_hull(cube_generators(A2, 3)):
         assert convex_combine(monotone_decompose(p), cube_generators(A2, 3)) == p
     with pytest.raises(StructureError):
         monotone_decompose(pt("01", "10"))
@@ -138,6 +138,9 @@ def test_uniqueness_certificate():
     assert not bad.hypotheses_ok and not bad.certified
     assert any("join to 1" in f for f in bad.failures)
     assert len(bad.zeros) == 2
+    # generators that are not at distance 1 are reported
+    far = uniqueness_certify([pt("00"), pt("01")], lambda p: A2.one)
+    assert far.failures == ("generators 00 and 01 are not at distance 1",)
 
     # a scalar that is not contractive on the hull: the first offending
     # pair in canonical order is reported
@@ -202,8 +205,9 @@ def test_orthogonal_join_frozen():
     # share on one atom to different images: whichever domain point the
     # transport picks there, one input is not extended
     g3 = PartialMap(((line2("00"), line2("00")), (line2("11"), line2("00"))))
-    with pytest.raises(VerificationError):
+    with pytest.raises(InfeasibleError) as err:
         orthogonal_join(f, g3, ambient)
+    assert err.value.witness == (line2("01"), line2("11"))
 
 
 def test_orthogonal_join_needs_generating_domains():

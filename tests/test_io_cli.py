@@ -374,6 +374,19 @@ def test_counterexample_line(capsys):
     assert code == 0 and "result = 5/5 exact" in out
 
 
+def test_counterexample_line_reports_a_failing_suite(capsys, monkeypatch):
+    from boolmetric import suites
+
+    def broken(cfg):
+        res = suites.SuiteResult("line-extension", total=2)
+        res.fail("instance 1: planted failure")
+        return res
+    monkeypatch.setattr(cli, "run_line_extension", broken)
+    code, out, _ = run_cli(capsys, "counterexample", "--which", "line")
+    assert code == 1 and "result = 1/2 exact\n" in out
+    assert out.endswith("failure: instance 1: planted failure\n")
+
+
 @pytest.mark.parametrize("support", ["0", "3", "40"])
 def test_counterexample_line_refuses_max_support(capsys, support):
     with pytest.raises(SystemExit) as exc:

@@ -242,7 +242,7 @@ def composed_extend_isometry(pm, ambient):
         raise VerificationError(
             "complements of isometric subspaces must have equal profiles") from exc
     joined = orthogonal_join(side, comp_map, pointed)
-    out = joined.then(swap.inverse())
+    out = PartialMap(tuple((s, swap(t)) for s, t in joined.pairs))  # swap is an involution
     if check_map(out).kind != "isometric" or set(out.targets) != set(ambient.points):
         raise VerificationError("the assembled map is not a self-isometry")
     for s, t in pm.pairs:

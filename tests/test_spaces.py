@@ -156,7 +156,7 @@ def test_space_canonical_order_and_basepoint():
     with pytest.raises(StructureError):
         sp.with_basepoint(pt("01", "01"))
     pointed = sp.with_basepoint(pt("11", "10"))
-    assert pointed.norm(pt("00", "00")).literal == "11"
+    assert norm(pt("00", "00"), pointed.basepoint).literal == "11"
 
 
 def test_orthogonal_complement_frozen_examples():
@@ -199,19 +199,6 @@ def test_partial_map_canonicalization():
     assert len(PartialMap(((x, y), (x, y)))) == 1
     with pytest.raises(StructureError):
         PartialMap(((x, y), (x, z)))
-
-
-def test_partial_map_inverse_and_composition():
-    x, y, z = pt("00", "00"), pt("01", "01"), pt("11", "11")
-    pm = PartialMap(((x, y), (y, z)))
-    inv = pm.inverse()
-    assert inv(y) == x and inv(z) == y
-    with pytest.raises(StructureError):
-        PartialMap(((x, y), (z, y))).inverse()
-    comp = pm.then(inv)
-    assert comp(x) == x and comp(y) == y
-    with pytest.raises(StructureError):
-        pm.then(pm)  # pm(y) = z has no image under pm
 
 
 def test_check_map_verdicts():

@@ -22,6 +22,7 @@ def test_every_exported_name_resolves():
     names = boolmetric.__all__
     assert len(set(names)) == len(names)
     assert [n for n in names if not hasattr(boolmetric, n)] == []
+    assert [n for n in names if isinstance(getattr(boolmetric, n), type(boolmetric))] == []
     # the exhaustive oracles live in the suites and stay exported
     from boolmetric import brute_force_isometry, witt_cube_solutions
     assert brute_force_isometry is suites.brute_force_isometry

@@ -30,7 +30,7 @@ from boolmetric.counterexamples import (IdealDescriptor, contraction_obstruction
                                         isometry_obstruction_witness)
 from boolmetric.spaces import _atom_patterns, _checked_map, _code_points, _transport
 from boolmetric.suites import (enumerated_alpha_profile, pairwise_map_verdict,
-                               pairwise_orthogonal_complement)
+                               pairwise_orthogonal_complement, random_pointed_hull)
 
 
 def random_family(rng):
@@ -372,6 +372,24 @@ def test_empty_maps_match_composed_building_blocks_on_every_ambient_kind():
             assert got == extension_outcome(composed, PartialMap(()), ambient), mode
             outcomes[got if isinstance(got, type) else "extended"] += 1
     assert len(outcomes) == 3 and min(outcomes.values()) >= 10, outcomes
+
+
+def test_homogeneity_is_the_isometry_extension_of_its_swap():
+    """The homogeneity map of a and b is the self-isometry that
+    ``extend_isometry`` builds from the swap {a -> b, b -> a}."""
+    rng = random.Random(65537)
+    moved = 0
+    for _ in range(300):
+        hull = random_pointed_hull(rng, atomic_algebra(rng.randint(1, 4)), rng.randint(1, 3),
+                                   4, max_size=200)
+        a, b = rng.choice(hull.points), rng.choice(hull.points)
+        swap, extended = (homogeneity_isometry(hull, a, b),
+                          extend_isometry(PartialMap(((a, b), (b, a))), hull))
+        assert swap.pairs == extended.pairs, (hull.points, a, b)
+        for out in (swap, extended):
+            assert check_map(PartialMap(out.pairs)).kind == "isometric"
+        moved += a != b and len(hull) > 2
+    assert moved >= 150, moved
 
 
 PREDICATES = [IdealDescriptor(r, m) for m in range(2, 9) for r in range(m)]

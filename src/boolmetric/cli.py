@@ -158,7 +158,7 @@ def cmd_isometric(args) -> tuple[Report, int]:
     return rep, 0
 
 
-def _cmd_extend(args, extend) -> tuple[Report, int]:
+def cmd_extend(args) -> tuple[Report, int]:
     parsed = read_input(args.input)
     map_name = args.map or parsed.only_map()
     if map_name not in parsed.maps:
@@ -171,6 +171,7 @@ def _cmd_extend(args, extend) -> tuple[Report, int]:
                              "space with --target")
         ambient_name = info.source_space
     ambient = conv_hull(_declared(parsed, ambient_name), max_points=args.max_points)
+    extend = extend_isometry if args.command == "extend" else extend_contraction
     out = extend(info.map, ambient)
     rep = Report(algebra=_algebra_label(parsed.algebra), map=map_name, ambient=ambient_name,
                  ambient_points=len(ambient), pairs_in=len(info.map), pairs_out=len(out),
@@ -269,11 +270,9 @@ def _build_parser() -> argparse.ArgumentParser:
             ("conv", "convex hull of a space", cmd_conv, {"--space": None}),
             ("isometric", "decide whether two hulls are isometric", cmd_isometric,
              {"--left": None, "--right": None}),
-            ("extend", "extend a partial isometry to the whole space",
-             functools.partial(_cmd_extend, extend=extend_isometry),
+            ("extend", "extend a partial isometry to the whole space", cmd_extend,
              {"--map": None, "--target": "ambient space name"}),
-            ("extend-contraction", "extend a contractive map to the whole space",
-             functools.partial(_cmd_extend, extend=extend_contraction),
+            ("extend-contraction", "extend a contractive map to the whole space", cmd_extend,
              {"--map": None, "--target": "ambient space name"})):
         p = sub.add_parser(name, help=text)
         common(p)
@@ -285,11 +284,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, needs_input=False)
     p.add_argument("--suite", required=True,
                    choices=sorted(SUITES) + ["all"])
-    p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--instances", type=int, default=100, metavar="N")
-    p.add_argument("--atoms", type=int, default=3, metavar="K")
-    p.add_argument("--dim", type=int, default=2, metavar="N")
-    p.add_argument("--max-support", type=int, default=16, metavar="N")
+    p.add_argument("--seed", type=int, default=RunConfig.seed, metavar="N")
+    p.add_argument("--instances", type=int, default=RunConfig.instances, metavar="N")
+    p.add_argument("--atoms", type=int, default=RunConfig.atoms, metavar="K")
+    p.add_argument("--dim", type=int, default=RunConfig.dim, metavar="N")
+    p.add_argument("--max-support", type=int, default=RunConfig.max_support, metavar="N")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("counterexample",

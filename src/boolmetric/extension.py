@@ -22,12 +22,14 @@ The central results implemented here, all with post-verified constructions:
 
 * ``extend_isometry`` / ``extend_contraction``: any isometry (contraction)
   between finite subsets of a convex space extends to a self-isometry
-  (self-contraction) of the whole space, the stages above composed per atom.
-  Both run through one frame (``spaces._extend``) that checks the ambient
-  and the input, the empty input included, before building anything.
+  (self-contraction) of the whole space, by one rule per atom: keep the
+  input's pattern map on its patterns and send the others to the anchor's
+  image pattern (contraction), or in order onto the patterns the image
+  leaves free, through the swap of the anchor's pattern and its image
+  (isometry).  Both run through one frame (``spaces._extend``) that checks
+  the ambient and the input, the empty input included, before building.
 
-Every stage is atom-local: one pattern table (``spaces._transport``) gives
-each atom's pattern relation, and one per-atom post-check
+Every construction is atom-local, and one per-atom post-check
 (``spaces._checked_map``) verifies every map built here to be contractive
 or isometric as claimed, to extend its inputs and to stay inside (for
 isometries: onto) its target space, which is convex and checked atom by
@@ -41,8 +43,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .algebra import Algebra, Element
-from .errors import (InfeasibleError, NotInHullError, StructureError,
-                     VerificationError)
+from .errors import InfeasibleError, NotInHullError, StructureError
 from .invariants import AlphaProfile
 from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
                      _atom_patterns, _checked_map, _extend, _generator_sequence,
@@ -323,45 +324,28 @@ def orthogonal_join(f: PartialMap, g: PartialMap, ambient: FiniteSpace) -> Parti
 # ---------------------------------------------------------------------------
 
 
-def _isometry_stages(a: int, f: dict, patterns: set) -> dict:
-    swap = {f[a]: a, a: f[a]}
-    side = {p: swap.get(q, q) for p, q in f.items()}
-    left = [a] + sorted(patterns - f.keys())
-    right = [a] + sorted(patterns - set(side.values()))
-    if len(left) != len(right):
-        raise VerificationError("complements of isometric subspaces must have equal profiles")
-    joined = side | dict(zip(left, right))
-    return {p: swap.get(q, q) for p, q in joined.items()}
-
-
 def extend_isometry(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     """Extend an isometry between finite subsets of a convex space to a
     self-isometry of the whole space.
 
-    The stages run on each atom as maps between patterns.  With ``a`` the
-    anchor's pattern and ``f`` the input's pattern map: the hull extension
-    is ``f`` on the domain hull's patterns D; the homogeneity swap ``s``
-    transposes ``f(a)`` and ``a``, so ``side = s . f`` fixes ``a``; the
-    orthogonal complements list ``a`` and then the patterns outside D
-    (outside ``side(D)``) in ascending order, as ``build_base`` does, and
-    must be equally long; base transport matches them index by index; the
-    join of ``side`` and the transport is composed with ``s`` to undo the
-    swap.  The one resulting map (for an empty input, the identity) is
-    verified to be a self-isometry extending the input.
+    One rule runs on each atom.  With ``f`` the input's pattern map on its
+    patterns D, ``a`` the anchor's (first source's) pattern and ``s`` the
+    swap of ``a`` and ``f(a)``, the map keeps ``f`` on D and sends the
+    other patterns, ascending, to the patterns outside ``s(f(D))``,
+    ascending, taken through ``s``.  The map (for an empty input, the
+    identity) is verified to be a self-isometry extending the input.
     """
-    return _extend(pm, ambient, _isometry_stages, isometric=True)
+    return _extend(pm, ambient, isometric=True)
 
 
 def extend_contraction(pm: PartialMap, ambient: FiniteSpace) -> PartialMap:
     """Extend a contraction between finite subsets of a convex space to a
     contraction of the whole space into itself.
 
-    On each atom, the hull extension keeps the input's pattern map on the
-    domain hull's patterns, and the join sends the orthogonal complement's
-    patterns, all the others, to the anchor's image pattern.  The one
-    resulting map (for an empty input, the identity) is verified to be
-    contractive, to extend the input and to stay in the space; it need not
-    be isometric even when the input is.
+    One rule runs on each atom: keep the input's pattern map on its
+    patterns and send every other pattern to the anchor's image pattern.
+    The map (for an empty input, the identity) is verified to be
+    contractive, to extend the input and to stay in the space; it need
+    not be isometric even when the input is.
     """
-    return _extend(pm, ambient, lambda a, f, patterns: dict.fromkeys(patterns, f[a]) | f,
-                   isometric=False)
+    return _extend(pm, ambient, isometric=False)

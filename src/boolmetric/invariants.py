@@ -198,15 +198,13 @@ def construct_isometry(left: FiniteSpace, right: FiniteSpace) -> PartialMap:
 
 
 def homogeneity_isometry(space: FiniteSpace, a: Point, b: Point) -> PartialMap:
-    """A self-isometry of a convex space swapping two of its points.
-
-    The swap {a -> b, b -> a} runs through the frame of the extension
-    pipelines; atom-wise the result transposes the patterns of a and b and
-    fixes all others.  It is verified to be an isometry of the space onto
-    itself that swaps a and b and is an involution.
+    """A self-isometry of a convex space swapping two of its points: the
+    isometry extension of the swap {a -> b, b -> a}, which atom-wise
+    transposes the patterns of a and b and fixes all others.  It is
+    verified to be an isometry of the space onto itself that swaps a and b
+    and is an involution.
     """
-    pm = _extend(PartialMap(((a, b), (b, a))), space,
-                 lambda _, f, patterns: {p: f.get(p, p) for p in patterns}, isometric=True)
+    pm = _extend(PartialMap(((a, b), (b, a))), space, isometric=True)
     if any(g[g[p]] != p for g in pm._atom_maps for p in g):
         raise VerificationError("homogeneity map is not an involution")
     return pm

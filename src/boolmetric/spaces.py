@@ -427,28 +427,20 @@ def decompose(x: Point, source) -> ConvexCoefficients:
     return ConvexCoefficients(tuple(assignment))
 
 
-def _transport(domain: FiniteSpace, sources: Sequence[Point], targets: Sequence[Point],
-               stage=None) -> list[list[tuple[int, int]]]:
+def _transport(domain: FiniteSpace, sources: Sequence[Point],
+               targets: Sequence[Point]) -> list[list[tuple[int, int]]]:
     """Per atom, the relation carrying ``domain`` through the generators,
     ``convex_combine(decompose(x, sources), targets)`` for every ``x``: it
-    pairs each source's pattern with its (parallel) target's.
-    ``stage(a, f, A)``, when given, adds the pairs of a pattern map built
-    from ``f``, the relation as a dict (first pair kept), ``a``, the first
-    source's pattern, and ``A``, the domain's patterns.  The first domain
-    point with a pattern no source shows raises :func:`decompose`'s
+    pairs each source's pattern with its (parallel) target's.  The first
+    domain point with a pattern no source shows raises :func:`decompose`'s
     :class:`NotInHullError`.  The lists come checked and parallel: a
     map's sources and targets, or points of the domain."""
     _require_atomic(domain.algebra, "convex decomposition")
     table, target_table = _atom_patterns(sources)[1], _atom_patterns(targets)[1]
-    if stage is None and any(set(pats) - set(row)
-                             for pats, row in zip(domain._patterns[1], table)):
+    if any(set(pats) - set(row) for pats, row in zip(domain._patterns[1], table)):
         for x in domain.points:
             decompose(x, sources)
-    relations = [list(zip(row, target_row)) for row, target_row in zip(table, target_table)]
-    if stage is not None:
-        for relation, pats in zip(relations, domain._patterns[1]):
-            relation += stage(relation[0][0], dict(reversed(relation)), set(pats)).items()
-    return relations
+    return [list(zip(row, target_row)) for row, target_row in zip(table, target_table)]
 
 
 def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpace:
@@ -651,11 +643,15 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
     return out
 
 
-def _extend(pm: PartialMap, ambient: FiniteSpace, stage, isometric: bool) -> PartialMap:
+def _extend(pm: PartialMap, ambient: FiniteSpace, isometric: bool) -> PartialMap:
     """The frame of both extension pipelines and the homogeneity swap:
-    check the ambient and the input, then post-check the per-atom relations
-    ``stage`` builds (the identity's for an empty input) as a self-map
-    extending the input, isometric if asked."""
+    check the ambient and the input, then build the map atom by atom and
+    post-check it as a self-map extending the input, isometric if asked.
+    On an atom with patterns ``P`` it keeps the input's pattern map ``f``
+    on ``D = f.keys()`` and sends ``sorted(P - D)[i]`` to ``f(a)``, ``a``
+    the first source's pattern, or for an isometry to
+    ``s(sorted(P - s(f(D)))[i])``, ``s`` the swap of ``a`` and ``f(a)``;
+    an empty input gives the identity."""
     if not ambient.convex:
         raise StructureError("the ambient space must be convex")
     if not ambient._holds(pm.sources + pm.targets):
@@ -666,7 +662,20 @@ def _extend(pm: PartialMap, ambient: FiniteSpace, stage, isometric: bool) -> Par
                               f"{'preserve' if isometric else 'contract'} distances",
                               witness=verdict.witness)
     _require_atomic(ambient.algebra, "convex decomposition")
-    relations = (_transport(ambient, pm.sources, pm.targets, stage) if pm.pairs
-                 else [[(p, p) for p in pats] for pats in ambient._patterns[1]])
+    n, view = len(pm), ambient._patterns[1]
+    relations = [zip(pats, pats) for pats in view]  # the identity, for an empty input
+    for t, row in enumerate(_atom_patterns(pm.sources + pm.targets)[1] if n else ()):
+        f, a, pats = dict(zip(row[:n], row[n:])), row[0], set(view[t])
+        rest = sorted(pats - f.keys())
+        if isometric:
+            s = {a: f[a], f[a]: a}
+            free = sorted(pats - {s.get(q, q) for q in f.values()})
+            if len(free) != len(rest):
+                raise VerificationError("complements of isometric subspaces must have "
+                                        "equal profiles")
+            f |= {p: s.get(q, q) for p, q in zip(rest, free)}
+        else:
+            f |= dict.fromkeys(rest, f[a])
+        relations[t] = f.items()
     return _checked_map(ambient, relations, ambient.dim, inputs=(pm,), isometric=isometric,
                         within=ambient)

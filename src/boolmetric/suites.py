@@ -28,8 +28,8 @@ from .extension import (WittInstance, _profile_tuple, conv_extend,
                         witt_first_failure, witt_residual, witt_solve)
 from .invariants import (AlphaProfile, alpha_profile, alpha_profile_of_points,
                          build_base, decide_isometric, homogeneity_isometry)
-from .spaces import (ConvexCoefficients, FiniteSpace, MapVerdict, PartialMap,
-                     Point, _require_atomic, check_map, conv_hull, convex_combine,
+from .spaces import (DEFAULT_MAX_HULL_POINTS, ConvexCoefficients, FiniteSpace, MapVerdict,
+                     PartialMap, Point, _require_atomic, check_map, conv_hull, convex_combine,
                      distance, is_orthogonal, orthogonal_complement)
 
 
@@ -41,7 +41,7 @@ class RunConfig:
     instances: int = 100
     atoms: int = 3
     dim: int = 2
-    max_points: int = 10 ** 6
+    max_points: int = DEFAULT_MAX_HULL_POINTS
     max_support: int = 16
 
 
@@ -74,13 +74,19 @@ SUITES: dict = {}  # suite name -> run(cfg), filled by @_suite
 def _suite(name: str):
     """Register ``checks(res, cfg, ...)`` as the suite ``name``.  The
     registered function takes ``(cfg, ...)``, makes the result, times the
-    checks into ``elapsed`` and returns the result."""
+    checks into ``elapsed`` and returns the result.  A library error the
+    checks raise is one failure of the suite; a refused cap is raised."""
     def register(checks):
         @functools.wraps(checks)
         def run(cfg: RunConfig, *args, **kwargs) -> SuiteResult:
             res = SuiteResult(name)
             start = time.perf_counter()
-            checks(res, cfg, *args, **kwargs)
+            try:
+                checks(res, cfg, *args, **kwargs)
+            except CapExceededError:
+                raise
+            except BoolmetricError as exc:
+                res.fail(f"raised {type(exc).__name__}: {exc}")
             res.elapsed = time.perf_counter() - start
             return res
         SUITES[name] = run

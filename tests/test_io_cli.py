@@ -344,6 +344,26 @@ def test_extend_contraction_command(tmp_path, capsys):
     assert "pair 2 -> 0" in out
 
 
+def test_extend_commands_call_the_pipelines_bound_in_the_module(tmp_path, capsys,
+                                                                 monkeypatch):
+    # a wrapper installed after the parser is built still sees each request
+    cli._build_parser()
+    runs = [("extend", TWIST, "extend_isometry"),
+            ("extend-contraction", COLLAPSE, "extend_contraction")]
+    expected = [run_cli(capsys, command, "--input", write(tmp_path, text))
+                for command, text, _ in runs]
+    assert [code for code, _, _ in expected] == [0, 0]
+    calls = {}
+    for _, _, name in runs:
+        def counted(pm, ambient, name=name, original=getattr(cli, name)):
+            calls[name] = calls.get(name, 0) + 1
+            return original(pm, ambient)
+        monkeypatch.setattr(cli, name, counted)
+    for (command, text, _), before in zip(runs, expected):
+        assert run_cli(capsys, command, "--input", write(tmp_path, text)) == before
+    assert calls == {"extend_isometry": 1, "extend_contraction": 1}
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "sum-law",
                            "--instances", "5", "--seed", "1")
@@ -635,6 +655,29 @@ def test_verify_reports_a_failing_suite(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--suite", "witt")
     assert code == 1 and "witt = 1/2 exact\n" in out
     assert "failure [witt]: instance 1: planted failure\n" in out
+
+
+def test_a_check_that_raises_is_one_failure_of_its_suite(capsys, monkeypatch):
+    from boolmetric import suites
+
+    # the merged points are no longer on the line, so unflattening raises
+    monkeypatch.setattr(suites, "flatten_pair", lambda p: p)
+    code, out, err = run_cli(capsys, "verify", "--suite", "counterexamples",
+                             "--max-support", "2")
+    assert (code, err) == (1, "")
+    assert out.endswith("failure [counterexamples]: raised StructureError: "
+                        "the point is not on the embedded line\n")
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--instances", "1",
+                             "--atoms", "1", "--dim", "1", "--max-support", "2")
+    assert (code, err) == (1, "") and len(suites.SUITES) == 10
+    assert all(f"\n{name} = " in out for name in suites.SUITES)
+    assert [line for line in out.splitlines() if line.startswith("failure")] == [
+        "failure [counterexamples]: raised StructureError: "
+        "the point is not on the embedded line"]
+    # a refused cap is still a refused request
+    code, out, err = run_cli(capsys, "verify", "--suite", "counterexamples",
+                             "--max-support", "60")
+    assert (code, out) == (3, "") and err.startswith("infeasible: ")
 
 
 def test_format_space_round_trips_over_the_cofinite_algebra():

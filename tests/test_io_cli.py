@@ -1,10 +1,12 @@
 """Input-file parsing and the command-line front end."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -462,9 +464,10 @@ def test_streamed_sweep_report_equals_the_object_path(capsys, monkeypatch, which
 
 @pytest.mark.parametrize("which", ["two-dim", "contraction"])
 def test_streamed_sweep_report_above_one_byte_equals_the_object_path(capsys, which):
-    # supports 8 and 9 need a second byte of support text
-    for support in (8, 9):
-        for predicate in ("evens", "mod:7,8"):
+    # supports 8 to 10 need a second byte of support text and span 2, 4 and
+    # 8 runs of 256 supports that share their high bits
+    for support in (8, 9, 10):
+        for predicate in ("evens", "mod:3,5", "mod:7,8"):
             fields, lines = object_path_report(which, predicate, support)
             argv = ("counterexample", "--which", which, "--predicate", predicate,
                     "--max-support", str(support))
@@ -517,6 +520,68 @@ def test_a_failed_recheck_marks_exactly_its_line(capsys, monkeypatch):
         assert marked == ["candidate fin{0,2}: kind=contraction witness=fin{4} "
                           "violates fin{0,2,4} <= cof{4} [UNVERIFIED]"]
         assert sum(line.endswith("[refuted]") for line in lines) == 15
+
+
+def test_a_failed_recheck_marks_exactly_its_two_dim_lines(capsys, monkeypatch):
+    recheck = cli._violated
+    # every two-dim witness fin{0} violates cof{} <= cof{0} over the evens
+    target = ((True, 0), (True, 1))
+    monkeypatch.setattr(cli, "_violated",
+                        lambda lhs, rhs: (lhs, rhs) != target and recheck(lhs, rhs))
+    for as_json in (False, True):
+        code, out, _ = run_cli(capsys, "counterexample", "--which", "two-dim",
+                               "--max-support", "2", *(["--json"] if as_json else []))
+        assert code == 1
+        if as_json:
+            data = json.loads(out)
+            fields, lines = data["fields"], data["lines"]
+        else:
+            head, _, rest = out.partition("\ncandidate ")
+            fields = dict(line.split(" = ") for line in head.splitlines())
+            lines = ("candidate " + rest).splitlines()
+        assert fields["refuted"] == "INCOMPLETE" and int(fields["candidates"]) == 16
+        held = [line for line in lines if "witness=fin{0} violates cof{} <= cof{0}" in line]
+        # fin S for the 4 supports without 0, cof S for the 4 with it
+        assert len(held) == 8
+        assert [line for line in lines if line.endswith("[UNVERIFIED]")] == held
+        assert sum(line.endswith("[refuted]") for line in lines) == 8
+
+
+class CountingSink:
+    """A stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+    def flush(self):
+        pass
+
+
+def traced_sweep_peak(which, support):
+    """The traced peak of one sweep request above what was held before it,
+    and the size of its report."""
+    sink = CountingSink()
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    with contextlib.redirect_stdout(sink):
+        assert main(["counterexample", "--which", which, "--max-support", str(support)]) == 0
+    return tracemalloc.get_traced_memory()[1] - held, sink.size
+
+
+@pytest.mark.parametrize("which", ["two-dim", "contraction"])
+def test_streamed_sweep_memory_stays_flat(which):
+    tracemalloc.start()
+    try:
+        traced_sweep_peak(which, 11)  # fills the support-text caches
+        small, _ = traced_sweep_peak(which, 11)
+        large, size = traced_sweep_peak(which, 13)
+    finally:
+        tracemalloc.stop()
+    # 4x the candidates and bytes of output, the same memory
+    assert size > 2_500_000 and large <= 1.25 * small, (small, large, size)
 
 
 @pytest.mark.parametrize("argv, exit_code", [

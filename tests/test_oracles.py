@@ -9,7 +9,7 @@ frozenset model in ``fincof_model``."""
 import random
 from collections import Counter
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 from math import prod
 from operator import and_, or_, sub, xor
 
@@ -390,6 +390,50 @@ def test_homogeneity_is_the_isometry_extension_of_its_swap():
             assert check_map(PartialMap(out.pairs)).kind == "isometric"
         moved += a != b and len(hull) > 2
     assert moved >= 150, moved
+
+
+def small_world_maps():
+    """Each whole domain W = A^dim of at most 16 points with maps on it:
+    every map of at most two pairs where W has at most 4 points, and on
+    the 8- and 16-point W the maps whose first pair is 0...0 -> 0...0
+    (translations of W on either side are isometries, so these stand for
+    all the others)."""
+    for k, dim in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2)):
+        w = space(Point(c) for c in product(atomic_algebra(k).elements(), repeat=dim))
+        pairs = list(product(w.points, repeat=2))
+        if len(w) <= 4:
+            maps = [()] + [(p,) for p in pairs] + [
+                (p, q) for p, q in combinations(pairs, 2) if p[0] != q[0]]
+        else:
+            origin = (w.points[0], w.points[0])
+            maps = [(origin,)] + [(origin, p) for p in pairs if p[0] != origin[0]]
+        yield w, [PartialMap(m) for m in maps]
+
+
+def test_extension_theorem_on_every_small_world_map():
+    """On a whole finite domain a partial map extends to a self-isometry
+    exactly when it preserves distances, and to a contraction of the
+    domain exactly when it contracts them."""
+    checked = 0
+    for w, maps in small_world_maps():
+        for pm in maps:
+            verdict = pairwise_map_verdict(pm)
+            assert check_map(pm) == verdict, pm
+            for extend, feasible, whole in ((extend_isometry, verdict.kind == "isometric",
+                                             {"isometric"}),
+                                            (extend_contraction, verdict.ok,
+                                             {"isometric", "contractive"})):
+                try:
+                    out = extend(pm, w)
+                except InfeasibleError:
+                    assert not feasible, (extend.__name__, pm)
+                    continue
+                assert feasible, (extend.__name__, pm)
+                assert all(out(s) == t for s, t in pm.pairs), (extend.__name__, pm)
+                assert set(out.sources) == set(w.points), (extend.__name__, pm)
+                assert pairwise_map_verdict(out).kind in whole, (extend.__name__, pm)
+            checked += 1
+    assert checked == 533, f"{checked} maps checked"
 
 
 PREDICATES = [IdealDescriptor(r, m) for m in range(2, 9) for r in range(m)]

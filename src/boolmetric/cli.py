@@ -23,7 +23,7 @@ import os
 import sys
 from typing import Iterable, Iterator, TextIO
 
-from .algebra import _support_text
+from .algebra import _byte_texts, _support_text, fc_literal
 from .counterexamples import (IdealDescriptor, _describe,
                               _require_candidates_within, _sweep, _violated)
 from .errors import (BoolmetricError, CapExceededError, InfeasibleError,
@@ -201,19 +201,40 @@ def cmd_verify(args) -> tuple[Report, int]:
 
 
 def _sweep_lines(which: str, max_support: int, desc: IdealDescriptor,
-                 unverified: set[int]) -> Iterator[str]:
-    """The report line of every swept candidate; the candidates numbered
-    (from 1) in ``unverified`` failed their re-check."""
-    number = 0
-    for mask, found in _sweep(which, max_support, desc):
-        text = _support_text(mask)
-        fin, cof = f"fin{{{text}}}", f"cof{{{text}}}"
-        labels = ((f"candidate ({fin}, {cof})", f"candidate ({cof}, {fin})")
-                  if which == "two-dim" else (f"candidate {fin}", f"candidate {cof}"))
-        for label, witness in zip(labels, found):
-            number += 1
-            tag = "UNVERIFIED" if number in unverified else "refuted"
-            yield f"{label}: {_describe(*witness)} [{tag}]"
+                 unverified: set[int]) -> Iterator[list[str]]:
+    """The report lines of the swept candidates, a list per run of supports;
+    those numbered (from 1) in ``unverified`` failed their re-check.  Each
+    two-dim witness is described, and each contraction singleton rendered,
+    once per sweep; a left side equal to the candidate reuses its label."""
+    number, described, singles = 0, {}, {}
+    for masks, found in _sweep(which, max_support, desc):
+        high = _support_text(masks.start)
+        texts = [f"{low},{high}" if low and high else low or high
+                 for low in _byte_texts(0)[:len(masks)]]
+        lines = []
+        for mask, text, pair in zip(masks, texts, found):
+            if which == "two-dim":
+                labels = f"(fin{{{text}}}, cof{{{text}}})", f"(cof{{{text}}}, fin{{{text}}})"
+            else:
+                labels = f"fin{{{text}}}", f"cof{{{text}}}"
+            for label, witness in zip(labels, pair):
+                if which == "two-dim":
+                    said = described.get(witness)
+                    if said is None:
+                        said = described[witness] = _describe(
+                            witness[0], *(part and fc_literal(part) for part in witness[1:]))
+                else:
+                    kind, (_, bit), (cofinite, other), _ = witness
+                    element, rhs = singles.get(bit) or singles.setdefault(
+                        bit, (fc_literal((False, bit)), fc_literal((True, bit))))
+                    lhs = (label if other == mask
+                           else f"{label[:3]}{{{texts[other - masks.start]}}}" if other in masks
+                           else fc_literal((cofinite, other)))
+                    said = _describe(kind, element, lhs, rhs)
+                number += 1
+                lines.append(f"candidate {label}: {said} "
+                             f"[{'UNVERIFIED' if number in unverified else 'refuted'}]")
+        yield lines
 
 
 def cmd_counterexample(args) -> tuple[Report, int]:
@@ -229,13 +250,15 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         # each line as the report is written.
         total, unverified = 0, set()
         for _, found in _sweep(args.which, max_support, desc):
-            for _, _, lhs, rhs in found:
-                total += 1
-                if not _violated(lhs, rhs):
-                    unverified.add(total)
+            for pair in found:
+                for _, _, lhs, rhs in pair:
+                    total += 1
+                    if not _violated(lhs, rhs):
+                        unverified.add(total)
         bad = bool(unverified)
         rep.fields.update(candidates=total, refuted="all" if not bad else "INCOMPLETE")
-        rep.lines = _sweep_lines(args.which, max_support, desc, unverified)
+        rep.lines = itertools.chain.from_iterable(
+            _sweep_lines(args.which, max_support, desc, unverified))
     else:
         cfg = RunConfig(seed=args.seed, instances=args.instances)
         result = run_line_extension(cfg)

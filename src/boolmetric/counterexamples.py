@@ -33,11 +33,10 @@ re-checked by plain lattice operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .algebra import (FINITE_ATOMIC, Algebra, Element, SetElement,
-                      fc_join, fc_leq, fc_literal, fc_meet, fc_xor,
-                      fincof_algebra)
+                      fc_join, fc_leq, fc_meet, fincof_algebra)
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      UnsupportedOperationError, VerificationError)
 from .spaces import PartialMap, Point
@@ -59,7 +58,7 @@ class IdealDescriptor:
             raise StructureError(f"the modulus must lie between 2 and {MAX_MODULUS} "
                                  "so that the set is infinite and co-infinite")
         if not 0 <= self.residue < self.modulus:
-            raise StructureError("the residue must lie below the modulus")
+            raise StructureError(f"the residue must lie between 0 and {self.modulus - 1}")
 
     @classmethod
     def evens(cls) -> "IdealDescriptor":
@@ -205,13 +204,13 @@ def _isometry_witness(a: tuple[bool, int], b: tuple[bool, int], members: int):
     # A member of M that a leaves out: an element of I not below a.
     out = am & members if ac else members & ~am
     if out:
-        x = (False, out & -out)
-        return "ideal", x, fc_join(fc_xor(x, a), b), (True, x[1])
+        x = out & -out
+        return "ideal", (False, x), fc_join((ac, am ^ x), b), (True, x)
     # A non-member that b leaves out: an element of J not below b.
     out = bm & ~members if bc else ~(members | bm)
     if out:
-        y = (False, out & -out)
-        return "orthogonal", y, fc_join(fc_xor(y, b), a), (True, y[1])
+        y = out & -out
+        return "orthogonal", (False, y), fc_join((bc, bm ^ y), a), (True, y)
     # Now a contains M and b its complement: both are cofinite, so their
     # meet is cofinite, in particular nonzero.
     overlap = fc_meet(a, b)
@@ -228,7 +227,7 @@ def _contraction_witness(v: tuple[bool, int], members: int):
     vc, vm = v
     disagree = ~(vm ^ members) if vc else vm ^ members
     bit = disagree & -disagree
-    return "contraction", (False, bit), fc_xor(v, (False, bit & members)), (True, bit)
+    return "contraction", (False, bit), (vc, vm ^ bit & members), (True, bit)
 
 
 def _violated(lhs: tuple[bool, int], rhs: tuple[bool, int] | None) -> bool:
@@ -239,16 +238,13 @@ def _violated(lhs: tuple[bool, int], rhs: tuple[bool, int] | None) -> bool:
     return not fc_leq(lhs, rhs)
 
 
-def _describe(kind: str, element, lhs, rhs) -> str:
-    if rhs is None:
-        return (f"kind={kind} witness={fc_literal(element)} "
-                f"violates {fc_literal(lhs)} = 0")
-    return (f"kind={kind} witness={fc_literal(element)} "
-            f"violates {fc_literal(lhs)} <= {fc_literal(rhs)}")
+def _describe(kind: str, element: str, lhs: str, rhs: str | None) -> str:
+    """A witness's text from the literals of its parts."""
+    return (f"kind={kind} witness={element} violates {lhs} = 0" if rhs is None
+            else f"kind={kind} witness={element} violates {lhs} <= {rhs}")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A finite refutation of one candidate.
 
     ``kind`` says which constraint broke: "ideal" (an element of I escapes
@@ -270,17 +266,13 @@ class Witness:
         return cls(kind, SetElement(alg, *element), SetElement(alg, *lhs),
                    None if rhs is None else SetElement(alg, *rhs))
 
-    def _pairs(self):
-        return (self.element.pair, self.lhs.pair,
-                None if self.rhs is None else self.rhs.pair)
-
     @property
     def verified(self) -> bool:
-        _, lhs, rhs = self._pairs()
-        return _violated(lhs, rhs)
+        return _violated(self.lhs.pair, None if self.rhs is None else self.rhs.pair)
 
     def describe(self) -> str:
-        return _describe(self.kind, *self._pairs())
+        return _describe(self.kind, self.element.literal, self.lhs.literal,
+                         None if self.rhs is None else self.rhs.literal)
 
 
 def isometry_obstruction_witness(candidate: tuple[Element, Element],
@@ -325,18 +317,22 @@ def bounded_candidates(max_support: int = 16) -> Iterator[Element]:
 
 
 def _sweep(which: str, max_support: int, desc: IdealDescriptor):
-    """``(mask, found)`` for every support S of :func:`bounded_candidates`,
-    in its order: ``found`` holds the witnesses, on ``(cofinite, mask)``
-    pairs, of the candidates fin S and cof S.  For "contraction" a
-    candidate is the line value v, for "two-dim" the plane candidate
-    (v, ~v)."""
+    """``(masks, found)`` for each run of at most 256 supports S of
+    :func:`bounded_candidates` that share their high bits, in its order:
+    ``masks`` is the run's range, and ``found`` generates per mask the
+    witnesses, on ``(cofinite, mask)`` pairs, of the candidates fin S and
+    cof S.  For "contraction" a candidate is the line value v, for
+    "two-dim" the plane candidate (v, ~v)."""
     members = _members_window(desc, (1 << max_support + 1) - 1)
-    for mask in range(1 << max_support + 1):
-        fin, cof = (False, mask), (True, mask)
+    end = 1 << max_support + 1
+    for start in range(0, end, 256):
+        masks = range(start, min(start + 256, end))
         if which == "contraction":
-            yield mask, (_contraction_witness(fin, members), _contraction_witness(cof, members))
+            yield masks, ((_contraction_witness((False, m), members),
+                           _contraction_witness((True, m), members)) for m in masks)
         else:
-            yield mask, (_isometry_witness(fin, cof, members), _isometry_witness(cof, fin, members))
+            yield masks, ((_isometry_witness((False, m), (True, m), members),
+                           _isometry_witness((True, m), (False, m), members)) for m in masks)
 
 
 def _require_candidates_within(max_support: int, cap: int):
@@ -352,8 +348,7 @@ def _require_candidates_within(max_support: int, cap: int):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineExtension:
+class LineExtension(NamedTuple):
     """A global isometry of the one-dimensional space: translation by a
     fixed element, x -> offset ^ x.  Works over either algebra, including
     the incomplete one, because no suprema are needed."""

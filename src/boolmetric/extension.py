@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .algebra import Algebra, Element
 from .errors import InfeasibleError, NotInHullError, StructureError
@@ -195,8 +195,7 @@ def corner_images(inst: WittInstance) -> list[Element]:
     return [f(y) for y in cube_generators(inst.algebra, inst.length)]
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(NamedTuple):
     """Outcome of certifying the at-most-one-zero property."""
 
     hypotheses_ok: bool

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .algebra import Algebra, Element
 from .errors import InfeasibleError, StructureError, VerificationError
@@ -101,8 +101,7 @@ def alpha_profile_of_points(points: Sequence[Point]) -> AlphaProfile:
     return alpha_profile(points)
 
 
-@dataclass(frozen=True)
-class Base:
+class Base(NamedTuple):
     """A base of a pointed convex space: pairwise orthogonal points with
     ``|x_i| = alpha_i > 0`` that generate the space together with the
     basepoint."""

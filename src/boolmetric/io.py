@@ -22,23 +22,21 @@ its header line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import FINITE_ATOMIC, Algebra, Element, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
 from .spaces import FiniteSpace, PartialMap, Point, space
 
 
-@dataclass(frozen=True)
-class ParsedMap:
+class ParsedMap(NamedTuple):
     name: str
     source_space: str
     target_space: str
     map: PartialMap
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(NamedTuple):
     algebra: Algebra
     spaces: dict[str, FiniteSpace]
     space_points: dict[str, tuple[Point, ...]]  # in file order

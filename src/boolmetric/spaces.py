@@ -20,9 +20,8 @@ pattern maps; ``Point`` objects are built only when a caller reads them.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .algebra import FINITE_ATOMIC, Algebra, Element, SetElement, _naturals
 from .errors import (CapExceededError, InfeasibleError, NotInHullError, StructureError,
@@ -169,8 +168,7 @@ def _require_atomic(algebra: Algebra, what: str):
             "is not complete and hulls there are unsupported")
 
 
-@dataclass(frozen=True)
-class ConvexCoefficients:
+class ConvexCoefficients(NamedTuple):
     """A partition of 1 into generator shares, stored atom-wise.
 
     ``assignment[t]`` is the index of the generator whose coefficient
@@ -545,8 +543,7 @@ class PartialMap:
         return bool(self.pairs) and x in self._mapping
 
 
-@dataclass(frozen=True)
-class MapVerdict:
+class MapVerdict(NamedTuple):
     """Outcome of checking a partial map against the metric.
 
     ``kind`` is "isometric", "contractive", or "violation"; for violations

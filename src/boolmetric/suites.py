@@ -556,11 +556,12 @@ def run_counterexamples(res: SuiteResult, cfg: RunConfig):
     alg = fincof_algebra()
     for which, failure in (("contraction", "contraction candidate {}: unverified witness"),
                            ("two-dim", "plane candidate ({}, ~): unverified witness")):
-        for mask, found in _sweep(which, cfg.max_support, desc):
-            for cofinite, (_, _, lhs, rhs) in enumerate(found):
-                res.total += 1
-                if not _violated(lhs, rhs):
-                    res.fail(failure.format(fc_literal((cofinite, mask))))
+        for masks, found in _sweep(which, cfg.max_support, desc):
+            res.total += 2 * len(masks)
+            for mask, pair in zip(masks, found):
+                for cofinite, (_, _, lhs, rhs) in enumerate(pair):
+                    if not _violated(lhs, rhs):
+                        res.fail(failure.format(fc_literal((cofinite, mask))))
     # Candidates hitting the overlap branch: both coordinates cofinite.
     non_members = [n for n in range(8) if not desc.member(n)][:4]
     members = [n for n in range(9) if desc.member(n)][:4]

@@ -317,7 +317,7 @@ def test_a_failed_witness_check_is_exit_one(tmp_path, capsys, monkeypatch):
     def refuse(left, right):
         raise VerificationError("the constructed map is not isometric")
 
-    # the extend handlers are bound at parser build time; this name is read per call
+    # cmd_isometric looks this name up in the module on each call
     monkeypatch.setattr(cli, "construct_isometry", refuse)
     text = ("algebra finite k=2\n"
             "space A dim=1\npoint 00\npoint 11\n"
@@ -595,6 +595,14 @@ def test_refused_sweeps_print_nothing(capsys, argv, exit_code):
     for extra in ([], ["--json"]):
         code, out, err = run_cli(capsys, "counterexample", *argv, *extra)
         assert code == exit_code and out == "" and err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("predicate", ["mod:-1,3", "mod:3,3"])
+def test_a_residue_out_of_range_is_refused_with_the_range(capsys, predicate):
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "counterexample", "--predicate", predicate, *extra)
+        assert (code, out) == (2, "")
+        assert err == "error: the residue must lie between 0 and 2\n"
 
 
 # ---------------------------------------------------------------- failures

@@ -247,7 +247,7 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         rep.fields["max_support"] = max_support
         # Pass 1 re-checks every witness, so the fields printed above the
         # lines are final; pass 2 finds the witnesses again and renders
-        # each line as the report is written.
+        # each run's lines as the report is written.
         total, unverified = 0, set()
         for _, found in _sweep(args.which, max_support, desc):
             for pair in found:

@@ -1,6 +1,8 @@
 """The monotone cube, the profile system solver, and the extension
 pipeline, on small hand-checked instances."""
 
+import random
+
 import pytest
 
 from boolmetric import (AlphaProfile, FiniteSpace, InfeasibleError, NotInHullError,
@@ -14,6 +16,8 @@ from boolmetric import (AlphaProfile, FiniteSpace, InfeasibleError, NotInHullErr
                         uniqueness_certify,
                         witt_cube_solutions, witt_first_failure, witt_residual,
                         witt_solve, WittInstance)
+from boolmetric.errors import BoolmetricError
+from boolmetric.suites import random_point
 
 A1 = atomic_algebra(1)
 A2 = atomic_algebra(2)
@@ -334,3 +338,34 @@ def test_extend_contraction_of_isometry_need_not_be_isometric():
     out = extend_contraction(pm, ambient)
     assert check_map(out).kind in ("contractive", "isometric")
     assert len(out) == len(ambient)
+
+
+def extension_outcome(extend, pm, ambient):
+    try:
+        return extend(pm, ambient).pairs
+    except BoolmetricError as exc:
+        return type(exc)
+
+
+def test_kept_inputs_extend_exactly_as_their_pairs():
+    """A map from conv_extend is kept as per-atom pattern maps on the hull
+    of its sources; both extensions treat it exactly as its pairs."""
+    rng = random.Random(23)
+    draws, partial, built = 0, 0, 0
+    while draws < 1500:
+        alg = atomic_algebra(rng.randint(1, 4))
+        dim = rng.randint(1, 3)
+        pool = [random_point(rng, alg, dim) for _ in range(rng.randint(2, 5))]
+        sources = list(dict.fromkeys(rng.choices(pool, k=rng.randint(1, 3))))
+        pm = PartialMap((s, rng.choice(pool)) for s in sources)
+        if not check_map(pm).ok:
+            continue
+        draws += 1
+        ambient = conv_hull(pool)
+        for extend in (extend_isometry, extend_contraction):
+            kept = conv_extend(pm)
+            partial += len(kept) < len(ambient)
+            got = extension_outcome(extend, kept, ambient)
+            built += not isinstance(got, type)
+            assert got == extension_outcome(extend, PartialMap(kept.pairs), ambient), pm
+    assert partial > 2000 and 2000 < built < 3000

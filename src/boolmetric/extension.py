@@ -266,9 +266,8 @@ def conv_extend(pm: PartialMap) -> PartialMap:
     if verdict.kind == "violation":
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
-    hull = conv_hull(pm.sources)
-    return _checked_map(hull, _transport(hull, pm.sources, pm.targets), pm.targets[0].dim,
-                        inputs=(pm,), isometric=verdict.kind == "isometric",
+    return _checked_map(conv_hull(pm.sources), [f.items() for f in pm._atom_maps],
+                        pm.targets[0].dim, inputs=(pm,), isometric=verdict.kind == "isometric",
                         within=conv_hull(pm.targets))
 
 

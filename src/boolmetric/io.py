@@ -259,7 +259,7 @@ def format_space(name: str, sp: FiniteSpace) -> str:
 def format_map(name: str, pm: PartialMap, source_name: str, target_name: str,
                source: FiniteSpace, target: FiniteSpace) -> str:
     lines = [f"map {name} from={source_name} to={target_name}"]
-    if pm._atom_maps is not None:
+    if pm._pairs is None:
         ends = [(pm._domain.algebra, pm._domain.dim), (pm._domain.algebra, pm._dim)]
         keys = zip(pm._domain.codes, pm._image_codes)
     else:

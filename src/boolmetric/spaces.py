@@ -429,10 +429,10 @@ def _transport(domain: FiniteSpace, sources: Sequence[Point],
                targets: Sequence[Point]) -> list[list[tuple[int, int]]]:
     """Per atom, the relation carrying ``domain`` through the generators,
     ``convex_combine(decompose(x, sources), targets)`` for every ``x``: it
-    pairs each source's pattern with its (parallel) target's.  The first
+    pairs each source's pattern with its (parallel, checked) target's, for
+    ``extension.orthogonal_join`` and as the tests' reference.  The first
     domain point with a pattern no source shows raises :func:`decompose`'s
-    :class:`NotInHullError`.  The lists come checked and parallel: a
-    map's sources and targets, or points of the domain."""
+    :class:`NotInHullError`."""
     _require_atomic(domain.algebra, "convex decomposition")
     table, target_table = _atom_patterns(sources)[1], _atom_patterns(targets)[1]
     if any(set(pats) - set(row) for pats, row in zip(domain._patterns[1], table)):
@@ -468,10 +468,10 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
 
 class PartialMap:
     """A finite list of (source, target) pairs, canonically ordered;
-    :func:`check_map` classifies it once and keeps the verdict.
-
-    A map from :func:`_checked_map` is kept as its domain and one pattern
-    map per atom, and builds its pairs, in that order, when first read."""
+    :func:`check_map` classifies it once and keeps the verdict and, for a
+    contractive map, one pattern map per atom.  A map from
+    :func:`_checked_map` is kept as its domain and those maps, and builds
+    its pairs, in that order, when first read."""
 
     __slots__ = ("_pairs", "_mapping", "_verdict", "_domain", "_atom_maps", "_dim", "_images")
 
@@ -569,8 +569,8 @@ def check_map(pm: PartialMap) -> MapVerdict:
     equal source patterns have equal images, isometric when these per-atom
     pattern maps are also injective.  A class of equal source patterns
     first fails at its first member and the next member with another image.
-    The verdict is kept on the (immutable) map; a map from
-    :func:`_checked_map` carries the one its post-check proved.
+    The verdict and a contractive map's pattern maps stay on the map; a
+    map from :func:`_checked_map` carries what its post-check proved.
     """
     if pm._verdict is None:
         pm._verdict = _classify(pm)
@@ -578,26 +578,25 @@ def check_map(pm: PartialMap) -> MapVerdict:
 
 
 def _classify(pm: PartialMap) -> MapVerdict:
+    """The verdict of a map given as pairs, from one pattern table; a
+    contractive map keeps its pattern maps, keyed as its pairs show them."""
     pairs = pm.pairs
     n = len(pairs)
     if pairs and pairs[0][0].algebra != pairs[0][1].algebra:
         raise StructureError("sources and targets belong to different algebras")
-    if n < 2:
-        return MapVerdict("isometric")
-    _, table = _atom_patterns(pm.sources + pm.targets)
-    witness = None
-    injective = True
-    for row in table:
-        images = row[n:]
+    maps, witness = [], None
+    for row in _atom_patterns(pm.sources + pm.targets)[1] if n else ():
         heads: dict = {}
-        for i, (src, img) in enumerate(zip(row[:n], images)):
+        for i, (src, img) in enumerate(zip(row[:n], row[n:])):
             first, first_img = heads.setdefault(src, (i, img))
             if img != first_img and (witness is None or (first, i) < witness):
                 witness = (first, i)
-        injective = injective and len(set(images)) == len(heads)
+        maps.append({src: img for src, (_, img) in heads.items()})
     if witness is not None:
         return MapVerdict("violation", witness=(pairs[witness[0]][0], pairs[witness[1]][0]))
-    return MapVerdict("isometric" if injective else "contractive")
+    pm._atom_maps = maps
+    return MapVerdict("isometric" if all(len(set(g.values())) == len(g) for g in maps)
+                      else "contractive")
 
 
 def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, int]]],
@@ -608,32 +607,34 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
     patterns, checked per atom in O(patterns + input pairs x atoms): each
     relation is a function on the domain's patterns (contractive) and
     injective if ``isometric``; the map extends ``inputs`` (their sources
-    lie in the domain, their patterns go to their targets'); ``within`` is
-    convex and shows its image patterns, and an isometry is onto, the
-    domain as large as ``within``.  The map keeps the verdict this proves.
-    A failure is a bug of the construction: :class:`VerificationError`."""
+    lie in the domain, their pattern maps agree); ``within`` is convex and
+    shows its image patterns, and an isometry is onto, the domain as large
+    as ``within``.  The map keeps the verdict this proves and its pattern
+    maps, keyed from the first point's pattern (the first pair's source's,
+    as for pairs) on in the domain's pattern order.  A failure is a bug of
+    the construction: :class:`VerificationError`."""
     out = PartialMap(())  # then kept as pattern maps, its pairs unbuilt
     out._pairs, out._domain, out._atom_maps, out._dim = None, domain, [], dim
-    injective = True
+    first = sum(pats[0] for pats in domain._patterns[1]) if domain.convex else domain.codes[0]
     for relation, pats in zip(relations, domain._patterns[1]):
         g: dict = {}
         if any(g.setdefault(p, q) != q for p, q in relation) or not g.keys() >= set(pats):
             raise VerificationError("the constructed map is not a function on its domain")
-        injective = injective and len({g[p] for p in pats}) == len(pats)
-        out._atom_maps.append(g)
+        lead = max(p for p in pats if p & first == p)  # the one inside the first code
+        out._atom_maps.append({p: g[p] for p in (lead, *pats)})
+    injective = all(len(set(g.values())) == len(g) for g in out._atom_maps)
     if isometric and not injective:
         raise VerificationError("the constructed map is not isometric")
     out._verdict = MapVerdict("isometric" if injective else "contractive")
     for pm in filter(len, inputs):
-        n, (_, table) = len(pm), _atom_patterns(pm.sources + pm.targets)
-        if not domain._holds(pm.sources) or any(
-                g.get(p) != q for g, row in zip(out._atom_maps, table)
-                for p, q in zip(row[:n], row[n:])):
+        if not (domain._holds(pm.sources) and check_map(pm).ok) or any(
+                g.get(p) != q for g, f in zip(out._atom_maps, pm._atom_maps)
+                for p, q in f.items()):
             raise VerificationError("the constructed map does not extend its inputs")
     if within is not None and not (
             within.algebra == domain.algebra and within.dim == dim and within.convex
-            and all({g[p] for p in pats} <= set(targets) for g, pats, targets
-                    in zip(out._atom_maps, domain._patterns[1], within._patterns[1]))
+            and all(set(g.values()) <= set(targets)
+                    for g, targets in zip(out._atom_maps, within._patterns[1]))
             and (not isometric or len(domain) == len(within))):
         raise VerificationError("the constructed map is not into (an isometry: onto) "
                                 "its target space")
@@ -659,10 +660,10 @@ def _extend(pm: PartialMap, ambient: FiniteSpace, isometric: bool) -> PartialMap
                               f"{'preserve' if isometric else 'contract'} distances",
                               witness=verdict.witness)
     _require_atomic(ambient.algebra, "convex decomposition")
-    n, view = len(pm), ambient._patterns[1]
+    view = ambient._patterns[1]
     relations = [zip(pats, pats) for pats in view]  # the identity, for an empty input
-    for t, row in enumerate(_atom_patterns(pm.sources + pm.targets)[1] if n else ()):
-        f, a, pats = dict(zip(row[:n], row[n:])), row[0], set(view[t])
+    for t, f in enumerate(pm._atom_maps):
+        f, a, pats = dict(f), next(iter(f)), set(view[t])
         rest = sorted(pats - f.keys())
         if isometric:
             s = {a: f[a], f[a]: a}

@@ -2,6 +2,7 @@
 pipeline, on small hand-checked instances."""
 
 import random
+import sys
 
 import pytest
 
@@ -16,7 +17,9 @@ from boolmetric import (AlphaProfile, FiniteSpace, InfeasibleError, NotInHullErr
                         uniqueness_certify,
                         witt_cube_solutions, witt_first_failure, witt_residual,
                         witt_solve, WittInstance)
+from boolmetric import spaces
 from boolmetric.errors import BoolmetricError
+from boolmetric.io import parse_input
 from boolmetric.suites import random_point
 
 A1 = atomic_algebra(1)
@@ -369,3 +372,68 @@ def test_kept_inputs_extend_exactly_as_their_pairs():
             built += not isinstance(got, type)
             assert got == extension_outcome(extend, PartialMap(kept.pairs), ambient), pm
     assert partial > 2000 and 2000 < built < 3000
+
+
+SWAP_MAP = """\
+algebra finite k=2
+space W dim=1
+point 00
+point 01
+point 10
+point 11
+map F from=W to=W
+pair 0 -> 1
+pair 1 -> 0
+"""
+
+
+@pytest.mark.parametrize("build", [
+    lambda pm, ambient: extend_isometry(pm, ambient),
+    lambda pm, ambient: extend_contraction(pm, ambient),
+    lambda pm, ambient: conv_extend(pm),
+], ids=["extend_isometry", "extend_contraction", "conv_extend"])
+def test_a_map_given_as_pairs_is_read_once(monkeypatch, build):
+    """check_map reads the input's points once and keeps its pattern maps;
+    the frame, the post-check and conv_extend read those maps, and only
+    the membership checks read points again."""
+    parsed = parse_input(SWAP_MAP)
+    pm, ambient = parsed.maps["F"].map, parsed.spaces["W"]
+    joint = pm.sources + pm.targets
+    reads, original = [], spaces._atom_patterns
+    monkeypatch.setattr(spaces, "_atom_patterns", lambda points: reads.append(
+        (sys._getframe(1).f_code.co_name, tuple(points))) or original(points))
+    out = build(pm, ambient)
+    assert out.pairs[:2] == pm.pairs and check_map(out).ok
+    callers = {caller for caller, _ in reads}
+    assert not callers & {"_extend", "_checked_map", "_transport"}, reads
+    assert [c for c, pts in reads if pts == joint and c not in ("_keys", "_holds")] \
+        == ["_classify"]
+
+
+def test_kept_maps_on_non_convex_domains_extend_as_their_pairs():
+    """orthogonal_join keeps its result on the ambient it is given, which
+    need not be convex; its first point need not show the least pattern
+    on every atom, yet it anchors the extension rule as in the pairs."""
+    rng = random.Random(29)
+    joined = 0
+    for _ in range(600):
+        alg = atomic_algebra(rng.randint(1, 3))
+        dim = rng.randint(1, 3)
+        pool = [random_point(rng, alg, dim) for _ in range(rng.randint(2, 5))]
+        ambient = space(pool[:rng.randint(2, len(pool))])
+        bp = rng.choice(ambient.points)
+        ambient = ambient.with_basepoint(bp)
+        domains = ([bp] + rng.sample(ambient.points, rng.randint(0, len(ambient) - 1)), [bp])
+        domains[1].extend(p for p in ambient.points if p not in domains[0])
+        images = [PartialMap({s: bp if s == bp else rng.choice(pool) for s in d}.items())
+                  for d in domains]
+        try:
+            orthogonal_join(*images, ambient)
+        except BoolmetricError:
+            continue
+        joined += not ambient.convex
+        for extend in (extend_isometry, extend_contraction):
+            kept = orthogonal_join(*images, ambient)
+            assert (extension_outcome(extend, kept, conv_hull(pool))
+                    == extension_outcome(extend, PartialMap(kept.pairs), conv_hull(pool)))
+    assert joined > 150

@@ -35,7 +35,7 @@ FINITE_COFINITE = "finite-cofinite"
 #: grows beyond ``MAX_NATURAL`` bits.
 MAX_NATURAL = 2 ** 16
 
-_FINCOF_LITERAL = re.compile(r"^(fin|cof)\{(\d+(?:,\d+)*)?\}$")
+_FINCOF_LITERAL = re.compile(r"(fin|cof)\{([0-9]+(?:,[0-9]+)*)?\}")
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,13 @@ class Algebra:
             if len(literal) != self.atom_count or any(c not in "01" for c in literal):
                 raise StructureError(f"bad element literal {literal!r} "
                                      f"for {self.atom_count} atoms")
-            bits = 0
-            for i, c in enumerate(literal):
-                if c == "1":
-                    bits |= 1 << i
-            return BitsElement(self, bits)
-        m = _FINCOF_LITERAL.match(literal)
+            return BitsElement(self, int(literal[::-1], 2))
+        m = _FINCOF_LITERAL.fullmatch(literal)
         if m is None:
             raise StructureError(f"bad element literal {literal!r} for the finite-cofinite algebra")
-        body = m.group(2)
-        try:
-            values = [int(v) for v in body.split(",")] if body else []
-        except ValueError:  # more digits than int() converts
-            raise StructureError(f"naturals must lie below {MAX_NATURAL}: {literal!r}") from None
+        values = [_decimal(v) for v in m.group(2).split(",")] if m.group(2) else []
+        if None in values:  # more digits than int() converts
+            raise StructureError(f"naturals must lie below {MAX_NATURAL}: {literal!r}")
         if any(b >= a for a, b in zip(values[1:], values)):
             raise StructureError(f"literal support must be strictly ascending: {literal!r}")
         return SetElement(self, m.group(1) == "cof", _check_support(values))
@@ -164,6 +158,14 @@ def _check_support(values: Iterable[int]) -> int:
     return mask
 
 
+def _decimal(text: str) -> int | None:
+    """``text`` read if it is ``-?[0-9]+`` and int() takes it (4300 digits), else None."""
+    try:
+        return int(text) if re.fullmatch("-?[0-9]+", text) else None
+    except ValueError:
+        return None
+
+
 def _naturals(mask: int) -> list[int]:
     """The set bits of ``mask``, ascending."""
     return [n for n, c in enumerate(bin(mask)[:1:-1]) if c == "1"]
@@ -175,7 +177,6 @@ def _byte_texts(position: int) -> tuple[str, ...]:
     return tuple(",".join(str(8 * position + n) for n in _naturals(b)) for b in range(256))
 
 
-@functools.lru_cache(maxsize=1024)
 def _support_text(mask: int) -> str:
     """The comma-separated naturals of a support, ascending.  Naturals
     below 64 come from per-byte tables; tables for every byte of a wide

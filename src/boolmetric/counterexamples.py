@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .algebra import (FINITE_ATOMIC, Algebra, Element, SetElement,
+from .algebra import (FINITE_ATOMIC, Algebra, Element, SetElement, _decimal,
                       fc_join, fc_leq, fc_meet, fincof_algebra)
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      UnsupportedOperationError, VerificationError)
@@ -73,11 +73,10 @@ class IdealDescriptor:
         if label in _NAMED_SETS:
             return cls(*_NAMED_SETS[label])
         if label.startswith("mod:"):
-            try:
-                r, m = (int(v) for v in label[4:].split(","))
-            except ValueError:
-                raise StructureError(f"bad predicate {label!r}; expected mod:r,m") from None
-            return cls(r, m)
+            values = [_decimal(v) for v in label[4:].split(",")]
+            if len(values) != 2 or None in values:
+                raise StructureError(f"bad predicate {label!r}; expected mod:r,m")
+            return cls(*values)
         raise StructureError(f"unknown predicate {label!r}")
 
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .algebra import FINITE_ATOMIC, Algebra, Element, atomic_algebra, fincof_algebra
+from .algebra import FINITE_ATOMIC, Algebra, Element, _decimal, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
 from .spaces import FiniteSpace, PartialMap, Point, space
 
@@ -56,16 +56,17 @@ class ParsedInput(NamedTuple):
 
 
 def _parse_algebra(rest: list[str], line_no: int) -> Algebra:
-    if rest and rest[0] == "finite":
-        if len(rest) == 2 and rest[1].startswith("k="):
-            try:
-                return atomic_algebra(int(rest[1][2:]))
-            except (ValueError, StructureError) as exc:
-                raise ParseError(str(exc), line_no) from None
-        raise ParseError("expected 'algebra finite k=N'", line_no)
     if rest == ["cofinite"]:
         return fincof_algebra()
-    raise ParseError("expected 'algebra finite k=N' or 'algebra cofinite'", line_no)
+    if rest[:1] != ["finite"]:
+        raise ParseError("expected 'algebra finite k=N' or 'algebra cofinite'", line_no)
+    count = _decimal(rest[1][2:]) if len(rest) == 2 and rest[1].startswith("k=") else None
+    if count is None:
+        raise ParseError("expected 'algebra finite k=N'", line_no)
+    try:
+        return atomic_algebra(count)
+    except StructureError as exc:
+        raise ParseError(str(exc), line_no) from None
 
 
 def _keyword(token: str, key: str, line_no: int) -> str:
@@ -139,10 +140,9 @@ def parse_input(text: str) -> ParsedInput:
             name = rest[0]
             if name in spaces:
                 raise ParseError(f"space {name!r} declared twice", line_no)
-            try:
-                dim = int(_keyword(rest[1], "dim", line_no))
-            except ValueError:
-                raise ParseError(f"bad dimension {rest[1]!r}", line_no) from None
+            dim = _decimal(_keyword(rest[1], "dim", line_no))
+            if dim is None:
+                raise ParseError(f"bad dimension {rest[1]!r}", line_no)
             if dim < 1:
                 raise ParseError("dimension must be at least 1", line_no)
             current_space = (name, dim, line_no)
@@ -166,11 +166,10 @@ def parse_input(text: str) -> ParsedInput:
                 raise ParseError("'basepoint' outside a space block", line_no)
             if basepoint_at is not None:
                 raise ParseError("basepoint declared twice", line_no)
-            try:
-                (index,) = rest
-                basepoint_at = (int(index), line_no)
-            except ValueError:
-                raise ParseError("expected 'basepoint INDEX'", line_no) from None
+            index = _decimal(" ".join(rest))  # one token, or none is a decimal
+            if index is None:
+                raise ParseError("expected 'basepoint INDEX'", line_no)
+            basepoint_at = (index, line_no)
         elif head == "map":
             close_space()
             close_map()
@@ -191,10 +190,9 @@ def parse_input(text: str) -> ParsedInput:
                 raise ParseError("'pair' outside a map block", line_no)
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("expected 'pair I -> J'", line_no)
-            try:
-                i, j = int(rest[0]), int(rest[2])
-            except ValueError:
-                raise ParseError("pair indices must be integers", line_no) from None
+            i, j = _decimal(rest[0]), _decimal(rest[2])
+            if i is None or j is None:
+                raise ParseError("pair indices must be integers", line_no)
             name, src, dst, _ = current_map
             for index, ref in ((i, src), (j, dst)):
                 if not 0 <= index < len(space_points[ref]):

@@ -608,11 +608,10 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
     relation is a function on the domain's patterns (contractive) and
     injective if ``isometric``; the map extends ``inputs`` (their sources
     lie in the domain, their pattern maps agree); ``within`` is convex and
-    shows its image patterns, and an isometry is onto, the domain as large
-    as ``within``.  The map keeps the verdict this proves and its pattern
-    maps, keyed from the first point's pattern (the first pair's source's,
-    as for pairs) on in the domain's pattern order.  A failure is a bug of
-    the construction: :class:`VerificationError`."""
+    shows its image patterns, and an isometry is onto, as large as ``within``.
+    The map keeps its verdict and pattern maps, each led, as a pair map's,
+    by the first point's pattern, then in the domain's pattern order.  A
+    failure is a bug of the construction: :class:`VerificationError`."""
     out = PartialMap(())  # then kept as pattern maps, its pairs unbuilt
     out._pairs, out._domain, out._atom_maps, out._dim = None, domain, [], dim
     first = sum(pats[0] for pats in domain._patterns[1]) if domain.convex else domain.codes[0]
@@ -660,10 +659,9 @@ def _extend(pm: PartialMap, ambient: FiniteSpace, isometric: bool) -> PartialMap
                               f"{'preserve' if isometric else 'contract'} distances",
                               witness=verdict.witness)
     _require_atomic(ambient.algebra, "convex decomposition")
-    view = ambient._patterns[1]
-    relations = [zip(pats, pats) for pats in view]  # the identity, for an empty input
+    relations = [zip(pats, pats) for pats in ambient._patterns[1]]  # identity if empty
     for t, f in enumerate(pm._atom_maps):
-        f, a, pats = dict(f), next(iter(f)), set(view[t])
+        f, a, pats = dict(f), next(iter(f)), set(ambient._patterns[1][t])
         rest = sorted(pats - f.keys())
         if isometric:
             s = {a: f[a], f[a]: a}

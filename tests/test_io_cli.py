@@ -206,6 +206,23 @@ def test_read_input(tmp_path):
      "map F from=W to=W\npair 0 0", "expected 'pair I -> J'"),
     ("algebra finite k=2\nspace W dim=1\npoint 00\nmap F from=W to=W",
      "has no pairs"),
+    # numbers are plain ASCII decimals, with an optional minus sign
+    ("algebra finite k=x", "expected 'algebra finite k=N'"),
+    ("algebra finite k=+2", "expected 'algebra finite k=N'"),
+    ("algebra finite k=-1", "positive atom count"),
+    ("algebra finite k=2\nspace W dim=1_0", "bad dimension 'dim=1_0'"),
+    ("algebra finite k=2\nspace W dim=1\npoint 00\nbasepoint \u0661",
+     "expected 'basepoint INDEX'"),
+    ("algebra finite k=2\nspace W dim=1\npoint 00\nbasepoint " + "1" * 5000,
+     "expected 'basepoint INDEX'"),
+    ("algebra finite k=2\nspace W dim=1\npoint 00\nbasepoint -1",
+     "basepoint index -1 out of range"),
+    ("algebra finite k=2\nspace W dim=1\npoint 00\npoint 11\n"
+     "map F from=W to=W\npair 1_0 -> 0", "pair indices must be integers"),
+    ("algebra finite k=2\nspace W dim=1\npoint 00\npoint 11\n"
+     "map F from=W to=W\npair 0 -> +1", "pair indices must be integers"),
+    ("algebra finite k=2\nspace W dim=1\npoint 1_", "bad element literal"),
+    ("algebra cofinite\nspace W dim=1\npoint fin{\u0661}", "bad element literal"),
 ])
 def test_parse_errors(text, fragment):
     with pytest.raises(ParseError) as err:
@@ -595,6 +612,27 @@ def test_refused_sweeps_print_nothing(capsys, argv, exit_code):
     for extra in ([], ["--json"]):
         code, out, err = run_cli(capsys, "counterexample", *argv, *extra)
         assert code == exit_code and out == "" and err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--predicate", "mod:+1,3"],
+    ["counterexample", "--predicate", "mod: 1,3"],
+    ["counterexample", "--predicate", "mod:1,\u0663"],
+    ["extend", "--input", "algebra finite k=2\nspace W dim=1\npoint 00\npoint 11\n"
+     "map F from=W to=W\npair 1_0 -> 0\n"],
+    ["extend", "--input", "algebra finite k=2\nspace W dim=1\npoint 00\npoint 11\n"
+     "map F from=W to=W\npair 0 -> +1\n"],
+    ["alpha", "--input", "algebra finite k=+2\nspace W dim=1\npoint 00\n"],
+    ["alpha", "--input", "algebra finite k=2\nspace W dim=1_0\npoint 00\n"],
+    ["base", "--input", "algebra finite k=2\nspace W dim=1\npoint 00\nbasepoint \u0661\n"],
+    ["alpha", "--input", "algebra cofinite\nspace W dim=1\npoint fin{\u0661}\n"],
+])
+def test_numbers_that_are_not_plain_decimals_are_exit_two(tmp_path, capsys, argv):
+    if argv[1] == "--input":
+        argv = [argv[0], "--input", write(tmp_path, argv[2])]
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, *argv, *extra)
+        assert (code, out) == (2, "") and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("predicate", ["mod:-1,3", "mod:3,3"])

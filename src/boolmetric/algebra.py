@@ -159,7 +159,7 @@ def _check_support(values: Iterable[int]) -> int:
 
 
 def _decimal(text: str) -> int | None:
-    """``text`` read if it is ``-?[0-9]+`` and int() takes it (4300 digits), else None."""
+    """``text`` as an int if it is ``-?[0-9]+`` and int() takes it (4300 digits), else None."""
     try:
         return int(text) if re.fullmatch("-?[0-9]+", text) else None
     except ValueError:

@@ -254,8 +254,8 @@ def conv_extend(pm: PartialMap) -> PartialMap:
     ``f(u) minus d(u, x)``.  On an atom t, ``d(u, x)`` removes every u whose
     pattern differs from x's, so the join is the image pattern of the u
     with ``u_t = x_t``, which a contractive map makes the same for all of
-    them: the extension is the transport of the hull through the map, its
-    decomposition coefficients pushed onto the images.  The result is
+    them: on each atom the extension sends the hull's patterns through the
+    pattern map that :func:`check_map` keeps for the input.  The result is
     verified to extend the input, to be contractive, to take values inside
     the hull of the image, and to be an isometry onto that hull whenever
     the input is an isometry.

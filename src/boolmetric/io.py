@@ -166,7 +166,7 @@ def parse_input(text: str) -> ParsedInput:
                 raise ParseError("'basepoint' outside a space block", line_no)
             if basepoint_at is not None:
                 raise ParseError("basepoint declared twice", line_no)
-            index = _decimal(" ".join(rest))  # one token, or none is a decimal
+            index = _decimal(rest[0]) if len(rest) == 1 else None
             if index is None:
                 raise ParseError("expected 'basepoint INDEX'", line_no)
             basepoint_at = (index, line_no)

@@ -604,7 +604,7 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
                  within: FiniteSpace | None = None) -> PartialMap:
     """The map on ``domain`` (finite atomic) into dimension ``dim`` that
     sends a pattern on atom ``t`` through ``relations[t]``, pairs of
-    patterns, checked per atom in O(patterns + input pairs x atoms): each
+    patterns, checked per atom in O(patterns + input patterns x atoms): each
     relation is a function on the domain's patterns (contractive) and
     injective if ``isometric``; the map extends ``inputs`` (their sources
     lie in the domain, their pattern maps agree); ``within`` is convex and
@@ -619,7 +619,7 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
         g: dict = {}
         if any(g.setdefault(p, q) != q for p, q in relation) or not g.keys() >= set(pats):
             raise VerificationError("the constructed map is not a function on its domain")
-        lead = max(p for p in pats if p & first == p)  # the one inside the first code
+        lead = max(p for p in pats if p & first == p)  # the first point's: the largest in it
         out._atom_maps.append({p: g[p] for p in (lead, *pats)})
     injective = all(len(set(g.values())) == len(g) for g in out._atom_maps)
     if isometric and not injective:

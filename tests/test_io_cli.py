@@ -614,27 +614,6 @@ def test_refused_sweeps_print_nothing(capsys, argv, exit_code):
         assert code == exit_code and out == "" and err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["counterexample", "--predicate", "mod:+1,3"],
-    ["counterexample", "--predicate", "mod: 1,3"],
-    ["counterexample", "--predicate", "mod:1,\u0663"],
-    ["extend", "--input", "algebra finite k=2\nspace W dim=1\npoint 00\npoint 11\n"
-     "map F from=W to=W\npair 1_0 -> 0\n"],
-    ["extend", "--input", "algebra finite k=2\nspace W dim=1\npoint 00\npoint 11\n"
-     "map F from=W to=W\npair 0 -> +1\n"],
-    ["alpha", "--input", "algebra finite k=+2\nspace W dim=1\npoint 00\n"],
-    ["alpha", "--input", "algebra finite k=2\nspace W dim=1_0\npoint 00\n"],
-    ["base", "--input", "algebra finite k=2\nspace W dim=1\npoint 00\nbasepoint \u0661\n"],
-    ["alpha", "--input", "algebra cofinite\nspace W dim=1\npoint fin{\u0661}\n"],
-])
-def test_numbers_that_are_not_plain_decimals_are_exit_two(tmp_path, capsys, argv):
-    if argv[1] == "--input":
-        argv = [argv[0], "--input", write(tmp_path, argv[2])]
-    for extra in ([], ["--json"]):
-        code, out, err = run_cli(capsys, *argv, *extra)
-        assert (code, out) == (2, "") and err.startswith("error: ") and "Traceback" not in err
-
-
 @pytest.mark.parametrize("predicate", ["mod:-1,3", "mod:3,3"])
 def test_a_residue_out_of_range_is_refused_with_the_range(capsys, predicate):
     for extra in ([], ["--json"]):
@@ -683,6 +662,9 @@ def test_hull_cap_is_exit_three(tmp_path, capsys):
     ["verify", "--suite", "witt", "--max-support", "x"],
     ["counterexample", "--max-support", "-2"],
     ["counterexample", "--which", "line", "--instances", "0"],
+    ["counterexample", "--predicate", "mod:+1,3"],
+    ["counterexample", "--predicate", "mod: 1,3"],
+    ["counterexample", "--predicate", "mod:1,\u0663"],
 ])
 def test_bad_input_and_flags_are_exit_two(tmp_path, capsys, argv):
     path = tmp_path / "latin1.txt"

@@ -258,6 +258,36 @@ def test_parse_errors_name_the_offending_line(lines, bad, fragment, tail):
     assert err.value.line_no == bad and fragment in str(err.value)
 
 
+_W = ["algebra finite k=2", "space W dim=1", "point 00"]
+
+
+@pytest.mark.parametrize("lines,bad,message", [
+    # every directive above the algebra line
+    (["point 00"] + _W, 1, "the first directive must declare the algebra"),
+    (["basepoint 0"] + _W, 1, "the first directive must declare the algebra"),
+    (["pair 0 -> 0"] + _W, 1, "the first directive must declare the algebra"),
+    (["space V dim=1"] + _W, 1, "the first directive must declare the algebra"),
+    (["map F from=W to=W"] + _W, 1, "the first directive must declare the algebra"),
+    (["frobnicate"] + _W, 1, "the first directive must declare the algebra"),
+    # a body line inside the other kind of block
+    (_W + ["map F from=W to=W", "pair 0 -> 0", "point 11"], 6, "'point' outside a space block"),
+    (_W + ["map F from=W to=W", "pair 0 -> 0", "basepoint 0"], 6,
+     "'basepoint' outside a space block"),
+    (_W + ["pair 0 -> 0"], 4, "'pair' outside a map block"),
+    # the first fault in file order wins
+    (_W[:2] + ["point 0", "space W dim=1"], 3, "bad element literal '0' for 2 atoms"),
+    # a block closed by the other kind of header
+    (_W[:2] + ["map F from=W to=W"], 2, "space 'W' has no points"),
+    (_W + ["map F from=W to=W", "space V dim=1", "point 11"], 4, "map 'F' has no pairs"),
+    (_W + ["basepoint 1", "map F from=W to=W", "pair 0 -> 0"], 4,
+     "basepoint index 1 out of range for space 'W'"),
+])
+def test_parse_errors_come_in_file_order(lines, bad, message):
+    with pytest.raises(ParseError) as err:
+        parse_input("\n".join(lines))
+    assert err.value.line_no == bad and str(err.value) == f"line {bad}: {message}"
+
+
 def test_only_accessors_fail_when_ambiguous():
     two = ("algebra finite k=2\nspace A dim=1\npoint 00\n"
            "space B dim=1\npoint 11")

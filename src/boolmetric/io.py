@@ -2,8 +2,7 @@
 
 A file declares one algebra, then any number of spaces and maps::
 
-    # comment lines and blank lines are skipped
-    algebra finite k=2
+    algebra finite k=2    # '#' starts a comment, to the end of the line
     space W dim=2
     point 00 00
     point 11 01
@@ -15,9 +14,10 @@ A file declares one algebra, then any number of spaces and maps::
 ``algebra cofinite`` selects the finite-cofinite algebra over the
 naturals (literals like ``fin{1,3}`` and ``cof{2}``).  ``basepoint``
 and ``pair`` refer to points by their zero-based position among the
-``point`` lines of the named space, in file order.  Parsing failures
-raise ParseError with the offending line number; an empty block's is
-its header line.
+``point`` lines of the named space, in file order.  Blank lines are
+skipped, and names cannot contain ``#``.  Files are read as UTF-8, a
+leading byte-order mark dropped.  Parsing failures raise ParseError
+with the offending line number; an empty block's is its header line.
 """
 
 from __future__ import annotations
@@ -81,47 +81,36 @@ def parse_input(text: str) -> ParsedInput:
     space_points: dict[str, tuple[Point, ...]] = {}
     maps: dict[str, ParsedMap] = {}
 
-    # Per-block accumulators; each header keeps its line.
-    current_space: tuple[str, int, int] | None = None
-    points: list[Point] = []
-    seen: set[Point] = set()
-    basepoint_at: tuple[int, int] | None = None  # index, line
-    current_map: tuple[str, str, str, int] | None = None
-    pairs: dict[int, tuple[Point, Point]] = {}
+    # The one open block: its directive, header line, header fields and body.
+    # A space's fields are its name, its dimension and its basepoint's
+    # (index, line); its body keys its points in file order.  A map's fields
+    # are its name and its two spaces; its body holds its pairs by source index.
+    kind, header, fields, body = None, 0, [], {}
 
-    def close_space():
-        nonlocal current_space, points, seen, basepoint_at
-        if current_space is None:
-            return
-        name, _, header = current_space
-        if not points:
-            raise ParseError(f"space {name!r} has no points", header)
-        bp = None
-        if basepoint_at is not None:
-            index, line_no = basepoint_at
-            if not 0 <= index < len(points):
-                raise ParseError(f"basepoint index {index} out of "
-                                 f"range for space {name!r}", line_no)
-            bp = points[index]
-        spaces[name] = space(points, basepoint=bp)
-        space_points[name] = tuple(points)
-        current_space, points, seen, basepoint_at = None, [], set(), None
-
-    def close_map():
-        nonlocal current_map, pairs
-        if current_map is None:
-            return
-        name, src, dst, header = current_map
-        if not pairs:
-            raise ParseError(f"map {name!r} has no pairs", header)
-        maps[name] = ParsedMap(name, src, dst, PartialMap(pairs.values()))
-        current_map, pairs = None, {}
+    def close():
+        if kind == "space":
+            name, _, basepoint_at = fields
+            if not body:
+                raise ParseError(f"space {name!r} has no points", header)
+            points, bp = tuple(body), None
+            if basepoint_at is not None:
+                index, line_no = basepoint_at
+                if not 0 <= index < len(points):
+                    raise ParseError(f"basepoint index {index} out of "
+                                     f"range for space {name!r}", line_no)
+                bp = points[index]
+            spaces[name] = space(points, basepoint=bp)
+            space_points[name] = points
+        elif kind == "map":
+            name, src, dst = fields
+            if not body:
+                raise ParseError(f"map {name!r} has no pairs", header)
+            maps[name] = ParsedMap(name, src, dst, PartialMap(body.values()))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         head, rest = tokens[0], tokens[1:]
 
         if head == "algebra":
@@ -132,9 +121,22 @@ def parse_input(text: str) -> ParsedInput:
         if algebra is None:
             raise ParseError("the first directive must declare the algebra", line_no)
 
-        if head == "space":
-            close_space()
-            close_map()
+        if head == "point":
+            if kind != "space":
+                raise ParseError("'point' outside a space block", line_no)
+            if len(rest) != fields[1]:
+                raise ParseError(f"expected {fields[1]} coordinates, "
+                                 f"got {len(rest)}", line_no)
+            try:
+                p = Point(algebra.parse(tok) for tok in rest)
+            except StructureError as exc:
+                raise ParseError(str(exc), line_no) from None
+            if p in body:
+                raise ParseError(f"duplicate point {p.literal}; indices "
+                                 "would be ambiguous", line_no)
+            body[p] = None
+        elif head == "space":
+            close()
             if len(rest) != 2:
                 raise ParseError("expected 'space NAME dim=N'", line_no)
             name = rest[0]
@@ -145,34 +147,18 @@ def parse_input(text: str) -> ParsedInput:
                 raise ParseError(f"bad dimension {rest[1]!r}", line_no)
             if dim < 1:
                 raise ParseError("dimension must be at least 1", line_no)
-            current_space = (name, dim, line_no)
-        elif head == "point":
-            if current_space is None:
-                raise ParseError("'point' outside a space block", line_no)
-            if len(rest) != current_space[1]:
-                raise ParseError(f"expected {current_space[1]} coordinates, "
-                                 f"got {len(rest)}", line_no)
-            try:
-                p = Point(algebra.parse(tok) for tok in rest)
-            except StructureError as exc:
-                raise ParseError(str(exc), line_no) from None
-            if p in seen:
-                raise ParseError(f"duplicate point {p.literal}; indices "
-                                 "would be ambiguous", line_no)
-            seen.add(p)
-            points.append(p)
+            kind, header, fields, body = head, line_no, [name, dim, None], {}
         elif head == "basepoint":
-            if current_space is None:
+            if kind != "space":
                 raise ParseError("'basepoint' outside a space block", line_no)
-            if basepoint_at is not None:
+            if fields[2] is not None:
                 raise ParseError("basepoint declared twice", line_no)
             index = _decimal(rest[0]) if len(rest) == 1 else None
             if index is None:
                 raise ParseError("expected 'basepoint INDEX'", line_no)
-            basepoint_at = (index, line_no)
+            fields[2] = (index, line_no)
         elif head == "map":
-            close_space()
-            close_map()
+            close()
             if len(rest) != 3:
                 raise ParseError("expected 'map NAME from=A to=B'", line_no)
             name = rest[0]
@@ -184,29 +170,28 @@ def parse_input(text: str) -> ParsedInput:
                 if ref not in spaces:
                     raise ParseError(f"map {name!r} refers to unknown "
                                      f"space {ref!r}", line_no)
-            current_map = (name, src, dst, line_no)
+            kind, header, fields, body = head, line_no, [name, src, dst], {}
         elif head == "pair":
-            if current_map is None:
+            if kind != "map":
                 raise ParseError("'pair' outside a map block", line_no)
             if len(rest) != 3 or rest[1] != "->":
                 raise ParseError("expected 'pair I -> J'", line_no)
             i, j = _decimal(rest[0]), _decimal(rest[2])
             if i is None or j is None:
                 raise ParseError("pair indices must be integers", line_no)
-            name, src, dst, _ = current_map
+            name, src, dst = fields
             for index, ref in ((i, src), (j, dst)):
                 if not 0 <= index < len(space_points[ref]):
                     raise ParseError(f"pair index {index} out of range for "
                                      f"space {ref!r}", line_no)
             pair = (space_points[src][i], space_points[dst][j])
-            if pairs.setdefault(i, pair) != pair:
+            if body.setdefault(i, pair) != pair:
                 raise ParseError(f"map {name!r}: conflicting images for source point "
                                  f"{pair[0].literal}", line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 
-    close_space()
-    close_map()
+    close()
     if algebra is None:
         raise ParseError("empty input: no algebra declared")
     return ParsedInput(algebra, spaces, space_points, maps)
@@ -214,7 +199,7 @@ def parse_input(text: str) -> ParsedInput:
 
 def read_input(path: str) -> ParsedInput:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse_input(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None

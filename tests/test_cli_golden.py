@@ -121,3 +121,13 @@ def test_large_hull_reports_match_frozen_digests(tmp_path, command, text, spaces
     assert code == 0
     assert out.getvalue().count("\npoint ") == spaces * 3 ** 8
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == sha256
+
+
+def test_verify_report_matches_its_frozen_digest():
+    """The report of every verification suite at seed 0 keeps its bytes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--suite", "all", "--seed", "0"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == \
+        "a10a334ef7abbf916aeb35284f3f673a57e676886039768b84cc386ae024cce8"

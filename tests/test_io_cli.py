@@ -186,6 +186,7 @@ def test_read_input(tmp_path):
     ("algebra finite k=2\nspace W dim=1\npoint 0", "bad element literal"),
     ("algebra finite k=2\nspace W dim=0", "at least 1"),
     ("algebra finite k=2\nspace W\npoint 00", "expected 'space NAME dim=N'"),
+    ("algebra finite k=2\nspace W#1 dim=1\npoint 00", "expected 'space NAME dim=N'"),
     ("algebra finite k=2\nspace W dim=1\npoint 00\npoint 00",
      "indices would be ambiguous"),
     ("algebra finite k=2\nspace W dim=1\npoint 00\nbasepoint 1",
@@ -658,6 +659,22 @@ def test_parse_failure_is_exit_two(tmp_path, capsys):
     path = write(tmp_path, "algebra finite k=2\nspace W dim=2\npoint 00\n")
     code, _, err = run_cli(capsys, "alpha", "--input", path)
     assert code == 2 and err.startswith("error: line 3:")
+
+
+def test_the_readme_input_example_runs_as_it_stands(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Input format\n\n```text\n", 1)[1].split("```", 1)[0]
+    assert "# or: algebra cofinite" in block
+    code, out, err = run_cli(capsys, "extend", "--input", write(tmp_path, block))
+    assert (code, err) == (0, "") and out
+
+
+def test_a_byte_order_mark_is_dropped(tmp_path, capsys):
+    plain = run_cli(capsys, "alpha", "--input", write(tmp_path, PLANE))
+    marked = tmp_path / "bom.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + PLANE.encode("utf-8"))
+    assert run_cli(capsys, "alpha", "--input", str(marked)) == plain
+    assert plain[0] == 0
 
 
 def test_distance_collapse_makes_extend_infeasible(tmp_path, capsys):

@@ -106,7 +106,7 @@ def _space_arg(args) -> tuple[ParsedInput, str, FiniteSpace]:
 
 def cmd_alpha(args) -> tuple[Report, int]:
     parsed, name, sp = _space_arg(args)
-    profile = alpha_profile_of_points(sp.points)
+    profile = alpha_profile_of_points(sp)
     rep = Report(algebra=_algebra_label(parsed.algebra), space=name, points=len(sp),
                  rank=profile.rank)
     rep.lines = profile.lines()

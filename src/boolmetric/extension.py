@@ -47,7 +47,7 @@ from .errors import InfeasibleError, NotInHullError, StructureError
 from .invariants import AlphaProfile
 from .spaces import (ConvexCoefficients, FiniteSpace, PartialMap, Point,
                      _atom_patterns, _checked_map, _extend, _generator_sequence,
-                     _require_atomic, _transport, check_map, conv_hull, distance)
+                     _held_space, _require_atomic, _transport, check_map, conv_hull, distance)
 
 # ---------------------------------------------------------------------------
 # The monotone cube: decreasing tuples and their canonical generators.
@@ -255,20 +255,27 @@ def conv_extend(pm: PartialMap) -> PartialMap:
     pattern differs from x's, so the join is the image pattern of the u
     with ``u_t = x_t``, which a contractive map makes the same for all of
     them: on each atom the extension sends the hull's patterns through the
-    pattern map that :func:`check_map` keeps for the input.  The result is
-    verified to extend the input, to be contractive, to take values inside
-    the hull of the image, and to be an isometry onto that hull whenever
-    the input is an isometry.
+    pattern map that :func:`check_map` keeps for the input.  The hulls of
+    the domain and of the image are the products of those maps' keys and
+    of their values, so a kept input's pairs are never built.  The result
+    is verified to extend the input, to be contractive, to take values
+    inside the hull of the image, and to be an isometry onto that hull
+    whenever the input is an isometry.
     """
-    if not pm.pairs:
+    if not len(pm):
         raise StructureError("cannot extend an empty map over an empty hull")
     verdict = check_map(pm)
     if verdict.kind == "violation":
         raise InfeasibleError("the map is not contractive, no contractive extension exists",
                               witness=verdict.witness)
-    return _checked_map(conv_hull(pm.sources), [f.items() for f in pm._atom_maps],
-                        pm.targets[0].dim, inputs=(pm,), isometric=verdict.kind == "isometric",
-                        within=conv_hull(pm.targets))
+    (algebra, dim), (_, target_dim) = pm._ends
+    _require_atomic(algebra, "hull materialization")
+    atoms, maps = list(range(algebra.atom_count)), pm._atom_maps
+    domain = _held_space(algebra, dim, view=(atoms, [tuple(sorted(f)) for f in maps]))
+    image = _held_space(algebra, target_dim,
+                        view=(atoms, [tuple(sorted(set(f.values()))) for f in maps]))
+    return _checked_map(domain, [f.items() for f in maps], target_dim, inputs=(pm,),
+                        isometric=verdict.kind == "isometric", within=image)
 
 
 # ---------------------------------------------------------------------------

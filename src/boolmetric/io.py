@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .algebra import FINITE_ATOMIC, Algebra, Element, _decimal, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
-from .spaces import FiniteSpace, PartialMap, Point, space
+from .spaces import FiniteSpace, PartialMap, Point, _code_points, _held_space, space
 
 
 class ParsedMap(NamedTuple):
@@ -39,8 +39,14 @@ class ParsedMap(NamedTuple):
 class ParsedInput(NamedTuple):
     algebra: Algebra
     spaces: dict[str, FiniteSpace]
-    space_points: dict[str, tuple[Point, ...]]  # in file order
+    file_order: dict[str, tuple]  # each space's point codes (finite atomic) or points
     maps: dict[str, ParsedMap]
+
+    @property
+    def space_points(self) -> dict[str, tuple[Point, ...]]:
+        """Each space's points in file order (the space's own, built when first read)."""
+        return {name: tuple(sp.points[sp._index[key]] for key in self.file_order[name])
+                for name, sp in self.spaces.items()}
 
     def only_space(self) -> str:
         if len(self.spaces) != 1:
@@ -78,29 +84,35 @@ def _keyword(token: str, key: str, line_no: int) -> str:
 def parse_input(text: str) -> ParsedInput:
     algebra: Algebra | None = None
     spaces: dict[str, FiniteSpace] = {}
-    space_points: dict[str, tuple[Point, ...]] = {}
+    file_order: dict[str, tuple] = {}
     maps: dict[str, ParsedMap] = {}
 
     # The one open block: its directive, header line, header fields and body.
     # A space's fields are its name, its dimension and its basepoint's
-    # (index, line); its body keys its points in file order.  A map's fields
-    # are its name and its two spaces; its body holds its pairs by source index.
+    # (index, line); its body keys its points (finite atomic: their codes) in
+    # file order.  A map's fields are its name and its two spaces; its body
+    # holds its pairs by source index.
     kind, header, fields, body = None, 0, [], {}
+
+    def point(keys: tuple, index: int, dim: int) -> Point:
+        key = keys[index]
+        return _code_points(algebra, range(k), dim, [key])[0] if atomic else key
 
     def close():
         if kind == "space":
-            name, _, basepoint_at = fields
+            name, dim, basepoint_at = fields
             if not body:
                 raise ParseError(f"space {name!r} has no points", header)
-            points, bp = tuple(body), None
+            keys, bp = tuple(body), None
             if basepoint_at is not None:
                 index, line_no = basepoint_at
-                if not 0 <= index < len(points):
+                if not 0 <= index < len(keys):
                     raise ParseError(f"basepoint index {index} out of "
                                      f"range for space {name!r}", line_no)
-                bp = points[index]
-            spaces[name] = space(points, basepoint=bp)
-            space_points[name] = points
+                bp = point(keys, index, dim)
+            spaces[name] = (_held_space(algebra, dim, sorted(keys), basepoint=bp) if atomic
+                            else space(keys, basepoint=bp))
+            file_order[name] = keys
         elif kind == "map":
             name, src, dst = fields
             if not body:
@@ -117,6 +129,7 @@ def parse_input(text: str) -> ParsedInput:
             if algebra is not None:
                 raise ParseError("algebra declared twice", line_no)
             algebra = _parse_algebra(rest, line_no)
+            atomic, k = algebra.kind == FINITE_ATOMIC, algebra.atom_count
             continue
         if algebra is None:
             raise ParseError("the first directive must declare the algebra", line_no)
@@ -127,14 +140,18 @@ def parse_input(text: str) -> ParsedInput:
             if len(rest) != fields[1]:
                 raise ParseError(f"expected {fields[1]} coordinates, "
                                  f"got {len(rest)}", line_no)
-            try:
-                p = Point(algebra.parse(tok) for tok in rest)
+            try:  # a finite atomic code's bits are the literals' characters, from the top
+                if atomic and not (bits := "".join(rest)).strip("01") and all(
+                        len(tok) == k for tok in rest):
+                    key = int(bits, 2)
+                else:  # a bad literal raises as the algebra parses it
+                    key = Point(algebra.parse(tok) for tok in rest)
             except StructureError as exc:
                 raise ParseError(str(exc), line_no) from None
-            if p in body:
-                raise ParseError(f"duplicate point {p.literal}; indices "
-                                 "would be ambiguous", line_no)
-            body[p] = None
+            if key in body:
+                raise ParseError(f"duplicate point {' '.join(rest) if atomic else key.literal}; "
+                                 "indices would be ambiguous", line_no)
+            body[key] = None
         elif head == "space":
             close()
             if len(rest) != 2:
@@ -181,10 +198,11 @@ def parse_input(text: str) -> ParsedInput:
                 raise ParseError("pair indices must be integers", line_no)
             name, src, dst = fields
             for index, ref in ((i, src), (j, dst)):
-                if not 0 <= index < len(space_points[ref]):
+                if not 0 <= index < len(file_order[ref]):
                     raise ParseError(f"pair index {index} out of range for "
                                      f"space {ref!r}", line_no)
-            pair = (space_points[src][i], space_points[dst][j])
+            pair = (point(file_order[src], i, spaces[src].dim),
+                    point(file_order[dst], j, spaces[dst].dim))
             if body.setdefault(i, pair) != pair:
                 raise ParseError(f"map {name!r}: conflicting images for source point "
                                  f"{pair[0].literal}", line_no)
@@ -194,7 +212,7 @@ def parse_input(text: str) -> ParsedInput:
     close()
     if algebra is None:
         raise ParseError("empty input: no algebra declared")
-    return ParsedInput(algebra, spaces, space_points, maps)
+    return ParsedInput(algebra, spaces, file_order, maps)
 
 
 def read_input(path: str) -> ParsedInput:
@@ -243,13 +261,11 @@ def format_map(name: str, pm: PartialMap, source_name: str, target_name: str,
                source: FiniteSpace, target: FiniteSpace) -> str:
     lines = [f"map {name} from={source_name} to={target_name}"]
     if pm._pairs is None:
-        ends = [(pm._domain.algebra, pm._domain.dim), (pm._domain.algebra, pm._dim)]
         keys = zip(pm._domain.codes, pm._image_codes)
     else:
-        ends = [(p.algebra, p.dim) for p in pm.pairs[0]] if pm.pairs else []
         keys = zip(source._keys(pm.sources), target._keys(pm.targets))
     # a code keys a point only within one algebra and dimension
-    if any(end != (sp.algebra, sp.dim) for end, sp in zip(ends, (source, target))):
+    if any(end != (sp.algebra, sp.dim) for end, sp in zip(pm._ends, (source, target))):
         raise StructureError("the map's points are not in the given spaces")
     at, to = source._index, target._index
     try:

@@ -215,18 +215,24 @@ class FiniteSpace:
     its points, never passed in: see :attr:`convex`.
 
     Its questions are answered from one per-atom pattern view (see
-    :attr:`_patterns`), read off the points once.  A hull from
-    :func:`conv_hull` is stored as that view alone, the product of its
-    per-atom sets, and builds its :attr:`codes`, then points, when read.
+    :attr:`_patterns`), read once.  A finite atomic space is keyed by its
+    codes, sorted from its points or given (:func:`_held_space`); a hull
+    from :func:`conv_hull` is held as its view alone, the product of its
+    per-atom sets.  Codes, then points, are built when first read.
     """
 
     __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view")
 
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = _generator_sequence(points, "a space needs at least one point")
-        pts = sorted(set(pts), key=Point.sort_key)
-        self.algebra, self.dim, self._points = pts[0].algebra, pts[0].dim, tuple(pts)
+        self.algebra, self.dim = pts[0].algebra, pts[0].dim
         self._codes = self._lookup = self._view = None
+        if self.algebra.kind == FINITE_ATOMIC:  # codes order like the points' literals
+            by_code = dict(zip(self._keys(pts), pts))
+            self._codes = sorted(by_code)
+            self._points = tuple(map(by_code.get, self._codes))
+        else:
+            self._points = tuple(sorted(set(pts), key=Point.sort_key))
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
@@ -236,13 +242,13 @@ class FiniteSpace:
         """The points' codes, ascending (finite atomic only)."""
         if self._codes is None:
             _require_atomic(self.algebra, "integer codes")
-            self._codes = self._keys(self.points) if self._points else _product_codes(self._view[1])
+            self._codes = _product_codes(self._view[1])
         return self._codes
 
     @property
     def points(self) -> tuple[Point, ...]:
         if self._points is None:
-            self._points = _code_points(self.algebra, self._view[0], self.dim, self.codes)
+            self._points = _code_points(self.algebra, self._patterns[0], self.dim, self.codes)
         return self._points
 
     @property
@@ -263,8 +269,13 @@ class FiniteSpace:
     def _patterns(self) -> tuple[list, list[tuple[int, ...]]]:
         """The atoms (as :func:`_atom_patterns` labels them) and, per atom,
         the sorted patterns the points show there."""
-        if self._view is None:
+        if self._view is None and self._codes is None:
             self._view = _pattern_sets(self.points)
+        elif self._view is None:  # atom t's pattern is a code's bits there
+            k = self.algebra.atom_count
+            spread = sum(1 << k * j for j in range(self.dim))
+            self._view = list(range(k)), [tuple(sorted({c & spread << k - 1 - t for c in self._codes}))
+                                          for t in range(k)]
         return self._view
 
     @property
@@ -285,9 +296,9 @@ class FiniteSpace:
         return _code_points(self.algebra, atoms, self.dim, [sum(pats[0] for pats in patterns)])[0]
 
     def __len__(self) -> int:
-        if self._points is None:  # a hull: the product of its pattern counts
+        if self._codes is None and self._points is None:  # a hull: its pattern counts' product
             return prod(map(len, self._view[1]))
-        return len(self._points)
+        return len(self._points if self._codes is None else self._codes)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -296,15 +307,15 @@ class FiniteSpace:
         return self._holds([p])
 
     def _holds(self, points: Sequence[Point]) -> bool:
-        """Whether all ``points`` belong to the space: by index once its
-        points are built, else (a hull) per atom, at O(atoms x dim) a point:
+        """Whether all ``points`` belong to the space: by code (or point),
+        else (a hull held as its view) per atom, at O(atoms x dim) a point:
         each pattern they show must be in that atom's set."""
         if any(p.algebra != self.algebra or p.dim != self.dim for p in points):
             return False
-        if self._points is not None or not points:
-            return all(key in self._index for key in self._keys(points))
-        _, table = _atom_patterns(points)
-        return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
+        if self._codes is None and self._points is None and points:
+            _, table = _atom_patterns(points)
+            return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
+        return all(key in self._index for key in self._keys(points))
 
     def index(self, p: Point) -> int:
         if p not in self:
@@ -349,6 +360,19 @@ def _generator_sequence(source, empty: str | None = "need at least one generator
     return gens
 
 
+def _held_space(algebra: Algebra, dim: int, codes: list[int] | None = None, view=None,
+                basepoint: Point | None = None, max_points=DEFAULT_MAX_HULL_POINTS) -> FiniteSpace:
+    """A finite atomic space held as its ascending ``codes`` or, a hull, as its view
+    (refused past ``max_points``), pointed at ``basepoint``, one of its points."""
+    sp = FiniteSpace.__new__(FiniteSpace)
+    sp.algebra, sp.dim, sp.basepoint, sp._codes, sp._view = algebra, dim, basepoint, codes, view
+    sp._points = sp._lookup = None
+    if codes is None and len(sp) > max_points:
+        raise CapExceededError(
+            f"hull would exceed {max_points} points; raise max_points to override")
+    return sp
+
+
 def _product_codes(patterns) -> list[int]:
     """Every choice of one pattern per atom, summed into its code, in
     canonical order; distinct choices have distinct codes."""
@@ -391,13 +415,8 @@ def conv_hull(source, basepoint: Point | None = None,
         source = _generator_sequence(source)
         algebra, dim = source[0].algebra, source[0].dim
     _require_atomic(algebra, "hull materialization")
-    hull = FiniteSpace.__new__(FiniteSpace)
-    hull.algebra, hull.dim, hull.basepoint = algebra, dim, None
-    hull._points = hull._codes = hull._lookup = None
-    hull._view = source._patterns if isinstance(source, FiniteSpace) else _pattern_sets(source)
-    if len(hull) > max_points:
-        raise CapExceededError(
-            f"hull would exceed {max_points} points; raise max_points to override")
+    hull = _held_space(algebra, dim, view=source._patterns if isinstance(source, FiniteSpace)
+                       else _pattern_sets(source), max_points=max_points)
     return hull if basepoint is None else hull.with_basepoint(basepoint)
 
 
@@ -515,6 +534,22 @@ class PartialMap:
         return self._images
 
     @property
+    def _ends(self) -> list[tuple[Algebra, int]]:
+        """The algebra and dimension of its sources and of its targets, if any."""
+        if self._pairs is None:
+            return [(self._domain.algebra, self._domain.dim), (self._domain.algebra, self._dim)]
+        return [(p.algebra, p.dim) for p in self._pairs[0]] if self._pairs else []
+
+    def _lies_in(self, space: "FiniteSpace", targets: bool = True) -> bool:
+        """Whether its sources (and targets) are points of ``space``; a kept map answers
+        a convex space from its pattern maps' keys and values, building no pair."""
+        if self._pairs is not None or not space.convex:
+            return space._holds(self.sources + self.targets if targets else self.sources)
+        return all(end == (space.algebra, space.dim) for end in self._ends[:1 + targets]) and all(
+            f.keys() | (f.values() if targets else ()) <= set(pats)
+            for f, pats in zip(self._atom_maps, space._patterns[1]))
+
+    @property
     def sources(self) -> tuple[Point, ...]:
         return tuple(s for s, _ in self.pairs)
 
@@ -626,7 +661,7 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
         raise VerificationError("the constructed map is not isometric")
     out._verdict = MapVerdict("isometric" if injective else "contractive")
     for pm in filter(len, inputs):
-        if not (domain._holds(pm.sources) and check_map(pm).ok) or any(
+        if not (pm._lies_in(domain, targets=False) and check_map(pm).ok) or any(
                 g.get(p) != q for g, f in zip(out._atom_maps, pm._atom_maps)
                 for p, q in f.items()):
             raise VerificationError("the constructed map does not extend its inputs")
@@ -651,7 +686,7 @@ def _extend(pm: PartialMap, ambient: FiniteSpace, isometric: bool) -> PartialMap
     an empty input gives the identity."""
     if not ambient.convex:
         raise StructureError("the ambient space must be convex")
-    if not ambient._holds(pm.sources + pm.targets):
+    if not pm._lies_in(ambient):
         raise StructureError("the map must send points of the space into the space")
     verdict = check_map(pm)
     if not verdict.ok or isometric and verdict.kind != "isometric":

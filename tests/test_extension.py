@@ -374,6 +374,41 @@ def test_kept_inputs_extend_exactly_as_their_pairs():
     assert partial > 2000 and 2000 < built < 3000
 
 
+def test_kept_inputs_are_checked_without_building_points(monkeypatch):
+    """A kept input's membership in the ambient is read off its pattern
+    maps: extending it builds no point, and it is refused exactly when its
+    pairs are, by ambients that miss some of its points or have another
+    dimension or algebra."""
+    rng = random.Random(41)
+    built, init = [], Point.__init__
+    monkeypatch.setattr(Point, "__init__",
+                        lambda self, coords: built.append(self) or init(self, coords))
+    outcomes = {True: 0, False: 0}
+    while sum(outcomes.values()) < 1200:
+        alg = atomic_algebra(rng.randint(1, 4))
+        dim = rng.randint(1, 3)
+        pool = [random_point(rng, alg, dim) for _ in range(rng.randint(2, 5))]
+        pm = PartialMap((s, rng.choice(pool)) for s in dict.fromkeys(rng.sample(pool, 2)))
+        if not check_map(pm).ok:
+            continue
+        other = atomic_algebra(alg.atom_count + 1)
+        for ambient in (conv_hull(pool), conv_hull(rng.sample(pool, rng.randint(1, len(pool)))),
+                        conv_hull([random_point(rng, alg, dim + 1)]),
+                        conv_hull([random_point(rng, other, dim)])):
+            for extend in (extend_isometry, extend_contraction):
+                built.clear()
+                kept = conv_extend(pm)
+                try:
+                    out = extend(kept, ambient)
+                except BoolmetricError as exc:
+                    out = type(exc)
+                assert built == []
+                got = out if isinstance(out, type) else out.pairs
+                assert got == extension_outcome(extend, PartialMap(kept.pairs), ambient), pm
+                outcomes[got is StructureError] += 1
+    assert outcomes[True] > 300 and outcomes[False] > 300
+
+
 SWAP_MAP = """\
 algebra finite k=2
 space W dim=1

@@ -5,7 +5,9 @@ import random
 
 import pytest
 
-from boolmetric import ParseError, Point, StructureError, atomic_algebra
+from boolmetric import (ParseError, Point, StructureError, alpha_profile,
+                        alpha_profile_of_points, atomic_algebra, conv_hull)
+from boolmetric.cli import main
 from boolmetric.io import parse_input
 from boolmetric.spaces import FiniteSpace, _atom_patterns
 
@@ -87,3 +89,41 @@ def test_point_literal_errors_keep_their_message_and_line(points, bad, message):
     with pytest.raises(ParseError) as err:
         parse_input("\n".join(["algebra finite k=2", "space W dim=2"] + points))
     assert err.value.line_no == bad and str(err.value) == f"line {bad}: {message}"
+
+
+def _counting_points(monkeypatch) -> list:
+    built, init = [], Point.__init__
+    monkeypatch.setattr(Point, "__init__",
+                        lambda self, coords: built.append(self) or init(self, coords))
+    return built
+
+
+def test_commands_build_no_point_for_the_point_lines(tmp_path, capsys, monkeypatch):
+    """`alpha`, `conv` and `isometric` read a parsed space as codes: the
+    only points built are the map's own (two per pair line) and, for
+    `isometric`, the two basepoints of its witness map."""
+    rng, alg = random.Random(7), atomic_algebra(6)
+    lines = {" ".join(format(rng.getrandbits(6), "06b") for _ in range(3)) for _ in range(48)}
+    text = "\n".join(["algebra finite k=6", "space W dim=3"]
+                     + [f"point {lit}" for lit in sorted(lines)] + ["space V dim=3"]
+                     + [f"point {lit}" for lit in sorted(lines, reverse=True)]
+                     + ["map F from=W to=W", "pair 0 -> 1", "pair 1 -> 0"])
+    path = tmp_path / "in.txt"
+    path.write_text(text)
+    built = _counting_points(monkeypatch)
+    for argv, points in ((["alpha", "--space", "W"], 4), (["conv", "--space", "V"], 4),
+                         (["isometric"], 6)):
+        built.clear()
+        assert main(argv + ["--input", str(path)]) == 0
+        assert len(built) == points, argv
+    assert "isometric = true" in capsys.readouterr().out
+
+    parsed = parse_input(text)
+    sp, inside = parsed.spaces["W"], Point.from_literals(alg, *min(lines).split())
+    outside = Point.from_literals(alg, "111111", "111111", "111111")
+    built.clear()
+    assert len(sp) == len(lines) and inside in sp and sp.index(inside) == 0
+    assert (outside in sp) == (outside.literal in lines)
+    assert alpha_profile_of_points(sp) == alpha_profile(sp)
+    assert len(conv_hull(sp)) >= len(sp)
+    assert built == []

@@ -25,8 +25,7 @@ from .errors import InfeasibleError, StructureError, VerificationError
 # check_map is not called here, but the bench's tracer expects this module to bind it.
 from .spaces import (FiniteSpace, PartialMap, Point, _atom_patterns, _checked_map,
                      _code_points, _extend, _generator_sequence, _join_atoms,
-                     _pattern_sets, _require_atomic, check_map, distance,
-                     is_orthogonal)
+                     _require_atomic, check_map, distance, is_orthogonal)
 
 
 @dataclass(frozen=True)
@@ -87,13 +86,10 @@ def alpha_profile(source) -> AlphaProfile:
     per-atom pattern view, so a hull's profile costs its generators'
     patterns, whatever its size.
     """
-    if isinstance(source, FiniteSpace):
-        algebra, (atoms, patterns) = source.algebra, source._patterns
-    else:
-        pts = _generator_sequence(source)
-        algebra, (atoms, patterns) = pts[0].algebra, _pattern_sets(pts)
-    return AlphaProfile.from_counts(algebra, {a: len(pats) - 1
-                                              for a, pats in zip(atoms, patterns)})
+    sp = source if isinstance(source, FiniteSpace) else FiniteSpace(_generator_sequence(source))
+    atoms, patterns = sp._patterns
+    return AlphaProfile.from_counts(sp.algebra, {a: len(pats) - 1
+                                                 for a, pats in zip(atoms, patterns)})
 
 
 def alpha_profile_of_points(points: Sequence[Point]) -> AlphaProfile:

@@ -18,6 +18,11 @@ and ``pair`` refer to points by their zero-based position among the
 skipped, and names cannot contain ``#``.  Files are read as UTF-8, a
 leading byte-order mark dropped.  Parsing failures raise ParseError
 with the offending line number; an empty block's is its header line.
+
+Over a finite atomic algebra a ``point`` line is read straight to its
+code (its literals' characters, joined, are the code's bits from the
+top), and the space is held as its codes; ``space_points`` builds the
+points, in file order, when first read.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ class ParsedMap(NamedTuple):
 class ParsedInput(NamedTuple):
     algebra: Algebra
     spaces: dict[str, FiniteSpace]
-    file_order: dict[str, tuple]  # each space's point codes (finite atomic) or points
+    file_order: dict[str, tuple]  # each space's point codes (finite atomic), else points
     maps: dict[str, ParsedMap]
 
     @property
@@ -144,7 +149,7 @@ def parse_input(text: str) -> ParsedInput:
                 if atomic and not (bits := "".join(rest)).strip("01") and all(
                         len(tok) == k for tok in rest):
                     key = int(bits, 2)
-                else:  # a bad literal raises as the algebra parses it
+                else:  # a bad finite atomic literal raises as the algebra parses it
                     key = Point(algebra.parse(tok) for tok in rest)
             except StructureError as exc:
                 raise ParseError(str(exc), line_no) from None

@@ -136,13 +136,6 @@ def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
     return atoms, [[(v >> t & spread) << k - 1 - t for v in packed] for t in range(k)]
 
 
-def _pattern_sets(points: Sequence[Point]) -> tuple[list, list[tuple[int, ...]]]:
-    """The atoms of :func:`_atom_patterns` and, per atom, the sorted tuple
-    of the distinct patterns the points show there."""
-    atoms, table = _atom_patterns(points)
-    return atoms, [tuple(sorted(set(row))) for row in table]
-
-
 def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
     """The join of the atoms ``atoms[t]`` whose bit ``k-1-t`` is set in
     ``mask`` (a chunk of a code), for the ``k`` atoms listed as by
@@ -270,7 +263,8 @@ class FiniteSpace:
         """The atoms (as :func:`_atom_patterns` labels them) and, per atom,
         the sorted patterns the points show there."""
         if self._view is None and self._codes is None:
-            self._view = _pattern_sets(self.points)
+            atoms, table = _atom_patterns(self.points)
+            self._view = atoms, [tuple(sorted(set(row))) for row in table]
         elif self._view is None:  # atom t's pattern is a code's bits there
             k = self.algebra.atom_count
             spread = sum(1 << k * j for j in range(self.dim))
@@ -407,16 +401,12 @@ def conv_hull(source, basepoint: Point | None = None,
     refused.  Its codes and points are built, in canonical order, only when
     a caller first reads them.
     """
-    if isinstance(source, FiniteSpace):
-        if basepoint is None:
-            basepoint = source.basepoint
-        algebra, dim = source.algebra, source.dim
-    else:
-        source = _generator_sequence(source)
-        algebra, dim = source[0].algebra, source[0].dim
-    _require_atomic(algebra, "hull materialization")
-    hull = _held_space(algebra, dim, view=source._patterns if isinstance(source, FiniteSpace)
-                       else _pattern_sets(source), max_points=max_points)
+    if not isinstance(source, FiniteSpace):
+        source = FiniteSpace(_generator_sequence(source))
+    elif basepoint is None:
+        basepoint = source.basepoint
+    _require_atomic(source.algebra, "hull materialization")
+    hull = _held_space(source.algebra, source.dim, view=source._patterns, max_points=max_points)
     return hull if basepoint is None else hull.with_basepoint(basepoint)
 
 
@@ -541,8 +531,8 @@ class PartialMap:
         return [(p.algebra, p.dim) for p in self._pairs[0]] if self._pairs else []
 
     def _lies_in(self, space: "FiniteSpace", targets: bool = True) -> bool:
-        """Whether its sources (and targets) are points of ``space``; a kept map answers
-        a convex space from its pattern maps' keys and values, building no pair."""
+        """Whether its sources (and its targets, if asked) are points of ``space``; a kept
+        map answers a convex space from its pattern maps' keys and values, building no pair."""
         if self._pairs is not None or not space.convex:
             return space._holds(self.sources + self.targets if targets else self.sources)
         return all(end == (space.algebra, space.dim) for end in self._ends[:1 + targets]) and all(

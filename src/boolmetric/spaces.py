@@ -268,8 +268,8 @@ class FiniteSpace:
         elif self._view is None:  # atom t's pattern is a code's bits there
             k = self.algebra.atom_count
             spread = sum(1 << k * j for j in range(self.dim))
-            self._view = list(range(k)), [tuple(sorted({c & spread << k - 1 - t for c in self._codes}))
-                                          for t in range(k)]
+            masks = [spread << k - 1 - t for t in range(k)]
+            self._view = list(range(k)), [tuple(sorted({c & m for c in self._codes})) for m in masks]
         return self._view
 
     @property
@@ -530,7 +530,7 @@ class PartialMap:
             return [(self._domain.algebra, self._domain.dim), (self._domain.algebra, self._dim)]
         return [(p.algebra, p.dim) for p in self._pairs[0]] if self._pairs else []
 
-    def _lies_in(self, space: "FiniteSpace", targets: bool = True) -> bool:
+    def _lies_in(self, space: FiniteSpace, targets: bool = True) -> bool:
         """Whether its sources (and its targets, if asked) are points of ``space``; a kept
         map answers a convex space from its pattern maps' keys and values, building no pair."""
         if self._pairs is not None or not space.convex:

@@ -27,7 +27,7 @@ points, in file order, when first read.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .algebra import FINITE_ATOMIC, Algebra, Element, _decimal, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
@@ -96,12 +96,12 @@ def parse_input(text: str) -> ParsedInput:
     # A space's fields are its name, its dimension and its basepoint's
     # (index, line); its body keys its points (finite atomic: their codes) in
     # file order.  A map's fields are its name and its two spaces; its body
-    # holds its pairs by source index.
+    # maps each source index to its target index.
     kind, header, fields, body = None, 0, [], {}
 
-    def point(keys: tuple, index: int, dim: int) -> Point:
-        key = keys[index]
-        return _code_points(algebra, range(k), dim, [key])[0] if atomic else key
+    def points(keys: tuple, dim: int, indices) -> Sequence[Point]:
+        keys = [keys[i] for i in indices]
+        return _code_points(algebra, range(k), dim, keys) if atomic else keys
 
     def close():
         if kind == "space":
@@ -114,7 +114,7 @@ def parse_input(text: str) -> ParsedInput:
                 if not 0 <= index < len(keys):
                     raise ParseError(f"basepoint index {index} out of "
                                      f"range for space {name!r}", line_no)
-                bp = point(keys, index, dim)
+                bp = points(keys, dim, [index])[0]
             spaces[name] = (_held_space(algebra, dim, sorted(keys), basepoint=bp) if atomic
                             else space(keys, basepoint=bp))
             file_order[name] = keys
@@ -122,7 +122,9 @@ def parse_input(text: str) -> ParsedInput:
             name, src, dst = fields
             if not body:
                 raise ParseError(f"map {name!r} has no pairs", header)
-            maps[name] = ParsedMap(name, src, dst, PartialMap(body.values()))
+            ends = [points(file_order[ref], spaces[ref].dim, side)
+                    for ref, side in ((src, body.keys()), (dst, body.values()))]
+            maps[name] = ParsedMap(name, src, dst, PartialMap(zip(*ends)))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.partition("#")[0].split()
@@ -206,11 +208,10 @@ def parse_input(text: str) -> ParsedInput:
                 if not 0 <= index < len(file_order[ref]):
                     raise ParseError(f"pair index {index} out of range for "
                                      f"space {ref!r}", line_no)
-            pair = (point(file_order[src], i, spaces[src].dim),
-                    point(file_order[dst], j, spaces[dst].dim))
-            if body.setdefault(i, pair) != pair:
+            if body.setdefault(i, j) != j:
+                source = points(file_order[src], spaces[src].dim, [i])[0]
                 raise ParseError(f"map {name!r}: conflicting images for source point "
-                                 f"{pair[0].literal}", line_no)
+                                 f"{source.literal}", line_no)
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
 

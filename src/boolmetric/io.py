@@ -99,8 +99,8 @@ def parse_input(text: str) -> ParsedInput:
     # maps each source index to its target index.
     kind, header, fields, body = None, 0, [], {}
 
-    def points(keys: tuple, dim: int, indices) -> Sequence[Point]:
-        keys = [keys[i] for i in indices]
+    def points(order: tuple, dim: int, indices) -> Sequence[Point]:
+        keys = [order[i] for i in indices]
         return _code_points(algebra, range(k), dim, keys) if atomic else keys
 
     def close():

@@ -219,13 +219,11 @@ class FiniteSpace:
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = _generator_sequence(points, "a space needs at least one point")
         self.algebra, self.dim = pts[0].algebra, pts[0].dim
-        self._codes = self._lookup = self._view = None
-        if self.algebra.kind == FINITE_ATOMIC:  # codes order like the points' literals
-            by_code = dict(zip(self._keys(pts), pts))
-            self._codes = sorted(by_code)
-            self._points = tuple(map(by_code.get, self._codes))
-        else:
-            self._points = tuple(sorted(set(pts), key=Point.sort_key))
+        self._lookup = self._view = None
+        atomic = self.algebra.kind == FINITE_ATOMIC
+        by_key = dict(zip(self._keys(pts), pts))  # codes (finite atomic) order like the literals
+        keys = sorted(by_key, key=None if atomic else Point.sort_key)
+        self._codes, self._points = keys if atomic else None, tuple(map(by_key.get, keys))
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint

@@ -91,16 +91,9 @@ def test_point_literal_errors_keep_their_message_and_line(points, bad, message):
     assert err.value.line_no == bad and str(err.value) == f"line {bad}: {message}"
 
 
-def _counting_points(monkeypatch) -> list:
-    built, init = [], Point.__init__
-    monkeypatch.setattr(Point, "__init__",
-                        lambda self, coords: built.append(self) or init(self, coords))
-    return built
-
-
 def test_commands_build_no_point_for_the_point_lines(tmp_path, capsys, monkeypatch):
     """`alpha`, `conv` and `isometric` read a parsed space as codes: the
-    only points built are the map's own (two per pair line) and, for
+    only points built are the map's own (two per pair) and, for
     `isometric`, the two basepoints of its witness map."""
     rng, alg = random.Random(7), atomic_algebra(6)
     lines = {" ".join(format(rng.getrandbits(6), "06b") for _ in range(3)) for _ in range(48)}
@@ -110,7 +103,9 @@ def test_commands_build_no_point_for_the_point_lines(tmp_path, capsys, monkeypat
                      + ["map F from=W to=W", "pair 0 -> 1", "pair 1 -> 0"])
     path = tmp_path / "in.txt"
     path.write_text(text)
-    built = _counting_points(monkeypatch)
+    built, init = [], Point.__init__
+    monkeypatch.setattr(Point, "__init__",
+                        lambda self, coords: built.append(self) or init(self, coords))
     for argv, points in ((["alpha", "--space", "W"], 4), (["conv", "--space", "V"], 4),
                          (["isometric"], 6)):
         built.clear()

@@ -203,58 +203,55 @@ def cmd_verify(args) -> tuple[Report, int]:
 def _sweep_lines(which: str, max_support: int, desc: IdealDescriptor,
                  unverified: set[int]) -> Iterator[list[str]]:
     """The report lines of the swept candidates, a list per run of supports;
-    those numbered (from 1) in ``unverified`` failed their re-check.  Each
-    two-dim witness is described, and each contraction singleton rendered,
-    once per sweep; a left side equal to the candidate reuses its label."""
-    number, described, singles = 0, {}, {}
-    for masks, found in _sweep(which, max_support, desc):
-        high = _support_text(masks.start)
+    only the lines of those numbered (from 0) in ``unverified``, which failed
+    their re-check, are rewritten.  Each two-dim witness is described, and
+    each contraction singleton's description split, once per sweep."""
+    described, singles = {}, {}
+    def run_lines(masks: range, *found: list) -> list[str]:
+        start, high = masks.start, _support_text(masks.start)
         texts = [f"{low},{high}" if low and high else low or high
                  for low in _byte_texts(0)[:len(masks)]]
-        lines = []
-        for mask, text, pair in zip(masks, texts, found):
+        labels = [f"fin{{{text}}}" for text in texts], [f"cof{{{text}}}" for text in texts]
+        lines = [""] * (2 * len(masks))
+        for cofinite, witnesses in enumerate(found):
+            own, other, run = labels[cofinite], labels[not cofinite], []
             if which == "two-dim":
-                labels = f"(fin{{{text}}}, cof{{{text}}})", f"(cof{{{text}}}, fin{{{text}}})"
-            else:
-                labels = f"fin{{{text}}}", f"cof{{{text}}}"
-            for label, witness in zip(labels, pair):
-                if which == "two-dim":
+                for label, opposite, witness in zip(own, other, witnesses):
                     said = described.get(witness)
                     if said is None:
                         said = described[witness] = _describe(
                             witness[0], *(part and fc_literal(part) for part in witness[1:]))
-                else:
-                    kind, (_, bit), (cofinite, other), _ = witness
-                    element, rhs = singles.get(bit) or singles.setdefault(
-                        bit, (fc_literal((False, bit)), fc_literal((True, bit))))
-                    lhs = (label if other == mask
-                           else f"{label[:3]}{{{texts[other - masks.start]}}}" if other in masks
-                           else fc_literal((cofinite, other)))
-                    said = _describe(kind, element, lhs, rhs)
-                number += 1
-                lines.append(f"candidate {label}: {said} "
-                             f"[{'UNVERIFIED' if number in unverified else 'refuted'}]")
-        yield lines
+                    run.append(f"candidate ({label}, {opposite}): {said} [refuted]")
+            else:
+                for label, (kind, (_, bit), (_, low), _) in zip(own, witnesses):
+                    # the left side varies per candidate: split around it
+                    head, tail = singles.get(bit) or singles.setdefault(bit, _describe(
+                        kind, fc_literal((False, bit)), "\n", fc_literal((True, bit))).split("\n"))
+                    lhs = own[low - start] if low in masks else fc_literal((cofinite, low))
+                    run.append(f"candidate {label}: {head}{lhs}{tail} [refuted]")
+            lines[cofinite::2] = run
+        for number in unverified and unverified.intersection(range(2 * start, 2 * masks.stop)):
+            lines[number - 2 * start] = lines[number - 2 * start].replace("refuted", "UNVERIFIED")
+        return lines  # a run's witnesses and labels are not held while it is written
+    return itertools.starmap(run_lines, _sweep(which, max_support, desc))
 
 
 def cmd_counterexample(args) -> tuple[Report, int]:
-    desc = IdealDescriptor.parse(args.predicate)
+    desc = IdealDescriptor.parse("evens" if args.predicate is None else args.predicate)
     rep = Report(which=args.which, predicate=desc.label)
     bad = False
     if args.which in ("two-dim", "contraction"):
         max_support = 3 if args.max_support is None else args.max_support
         _require_candidates_within(max_support, args.max_points)
         rep.fields["max_support"] = max_support
-        # Pass 1 re-checks every witness, so the fields printed above the
-        # lines are final; pass 2 finds the witnesses again and renders
-        # each run's lines as the report is written.
+        # Pass 1 re-checks every witness, so the fields above the lines are
+        # final; pass 2 finds each run's witnesses again as its lines are written.
         total, unverified = 0, set()
-        for _, found in _sweep(args.which, max_support, desc):
-            for pair in found:
-                for _, _, lhs, rhs in pair:
-                    total += 1
-                    if not _violated(lhs, rhs):
-                        unverified.add(total)
+        for masks, *found in _sweep(args.which, max_support, desc):
+            total += 2 * len(masks)
+            for cofinite, witnesses in enumerate(found):
+                unverified.update(2 * mask + cofinite for mask, (_, _, lhs, rhs)
+                                  in zip(masks, witnesses) if not _violated(lhs, rhs))
         bad = bool(unverified)
         rep.fields.update(candidates=total, refuted="all" if not bad else "INCOMPLETE")
         rep.lines = itertools.chain.from_iterable(
@@ -320,8 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, needs_input=False)
     p.add_argument("--which", choices=["two-dim", "contraction", "line"],
                    default="two-dim")
-    p.add_argument("--predicate", default="evens", metavar="P",
-                   help="evens, odds, or mod:r,m")
+    p.add_argument("--predicate", metavar="P",
+                   help="evens (default), odds, or mod:r,m (two-dim and contraction only)")
     p.add_argument("--max-support", type=int, metavar="N",
                    help="candidate supports range over {0..N} (default 3; "
                         "two-dim and contraction only)")
@@ -343,6 +340,9 @@ def main(argv=None) -> int:
     if getattr(args, "which", None) == "line" and args.max_support is not None:
         parser.error("argument --max-support: not allowed with --which line, "
                      "whose supports are drawn from {0..11}")
+    if getattr(args, "which", None) == "line" and args.predicate is not None:
+        parser.error("argument --predicate: not allowed with --which line, "
+                     "which uses no predicate")
     try:
         report, code = args.handler(args)
     except ParseError as exc:

@@ -27,7 +27,8 @@ failure finitely checkable:
   algebra is incomplete.  :func:`line_extension` recovers it.
 
 Every witness is a finite object whose violated inequality can be, and is,
-re-checked by plain lattice operations.
+re-checked by plain lattice operations.  A sweep finds up to 256 candidates'
+witnesses per run kernel call; the one-candidate functions pass one mask.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .algebra import (FINITE_ATOMIC, Algebra, Element, SetElement, _decimal,
-                      fc_join, fc_leq, fc_meet, fincof_algebra)
+                      fc_leq, fincof_algebra)
 from .errors import (CapExceededError, InfeasibleError, StructureError,
                      UnsupportedOperationError, VerificationError)
 from .spaces import PartialMap, Point
@@ -193,40 +194,50 @@ def _members_window(desc: IdealDescriptor, *masks: int) -> int:
     return desc.member_mask(max(m.bit_length() for m in masks) + desc.modulus)
 
 
+def _isometry_witnesses(ac: bool, bc: bool, ams, bms, members: int) -> list:
+    """The kernel of :func:`isometry_obstruction_witness`: the ``(kind,
+    element, lhs, rhs)``, on ``(cofinite, mask)`` pairs, of each plane
+    candidate ((ac, am), (bc, bm)) for am, bm paired from ``ams``, ``bms``,
+    with ``members`` from :func:`_members_window` of every mask.  A set is
+    the 2-adic integer ``mask ^ -cofinite``, so the flags fix every sign.
+    Each witness but "overlap" is the lowest bit a coordinate leaves out."""
+    fa, fb, joined, met = -ac, -bc, ac or bc, ac and bc
+    found = []
+    for am, bm in zip(ams, bms):
+        a, b = am ^ fa, bm ^ fb
+        if out := members & ~a:  # a member of M (an element of I) not below a
+            x = out & -out
+            found.append(("ideal", (False, x), (joined, (a ^ x | b) ^ -joined), (True, x)))
+        elif out := ~(members | b):  # a non-member (an element of J) not below b
+            y = out & -out
+            found.append(("orthogonal", (False, y), (joined, (b ^ y | a) ^ -joined), (True, y)))
+        else:
+            # a contains M and b its complement: both cofinite, so their meet is too
+            overlap = (met, a & b ^ -met)
+            if overlap == (False, 0):
+                raise VerificationError("overlap witness failed; this cannot happen")
+            found.append(("overlap", overlap, overlap, None))
+    return found
+
+
 def _isometry_witness(a: tuple[bool, int], b: tuple[bool, int], members: int):
-    """The kernel of :func:`isometry_obstruction_witness` on ``(cofinite,
-    mask)`` pairs: ``(kind, element, lhs, rhs)``, with ``members`` from
-    :func:`_members_window` of both masks.  Every witness but "overlap" is
-    a singleton, found as the lowest set bit of what a coordinate leaves
-    out."""
-    (ac, am), (bc, bm) = a, b
-    # A member of M that a leaves out: an element of I not below a.
-    out = am & members if ac else members & ~am
-    if out:
-        x = out & -out
-        return "ideal", (False, x), fc_join((ac, am ^ x), b), (True, x)
-    # A non-member that b leaves out: an element of J not below b.
-    out = bm & ~members if bc else ~(members | bm)
-    if out:
-        y = out & -out
-        return "orthogonal", (False, y), fc_join((bc, bm ^ y), a), (True, y)
-    # Now a contains M and b its complement: both are cofinite, so their
-    # meet is cofinite, in particular nonzero.
-    overlap = fc_meet(a, b)
-    if overlap == (False, 0):
-        raise VerificationError("overlap witness failed; this cannot happen")
-    return "overlap", overlap, overlap, None
+    """:func:`_isometry_witnesses` of one plane candidate (a, b)."""
+    return _isometry_witnesses(a[0], b[0], (a[1],), (b[1],), members)[0]
+
+
+def _contraction_witnesses(vc: bool, vms, members: int) -> list:
+    """The kernel of :func:`contraction_obstruction_witness`: the witnesses,
+    as in :func:`_isometry_witnesses`, of the line values (vc, vm) for vm in
+    ``vms``.  Above its support v is constant while M is not, so they
+    disagree inside the window."""
+    flip = members ^ -vc  # v and M disagree where vm ^ flip is set
+    return [("contraction", (False, bit), (vc, vm ^ bit & members), (True, bit))
+            for vm in vms for disagree in (vm ^ flip,) for bit in (disagree & -disagree,)]
 
 
 def _contraction_witness(v: tuple[bool, int], members: int):
-    """The kernel of :func:`contraction_obstruction_witness` on ``(cofinite,
-    mask)`` pairs: ``(kind, element, lhs, rhs)``, with ``members`` from
-    :func:`_members_window` of v's mask.  Above its support v is constant
-    while M is not, so they disagree inside the window."""
-    vc, vm = v
-    disagree = ~(vm ^ members) if vc else vm ^ members
-    bit = disagree & -disagree
-    return "contraction", (False, bit), (vc, vm ^ bit & members), (True, bit)
+    """:func:`_contraction_witnesses` of one line value v."""
+    return _contraction_witnesses(v[0], (v[1],), members)[0]
 
 
 def _violated(lhs: tuple[bool, int], rhs: tuple[bool, int] | None) -> bool:
@@ -316,22 +327,21 @@ def bounded_candidates(max_support: int = 16) -> Iterator[Element]:
 
 
 def _sweep(which: str, max_support: int, desc: IdealDescriptor):
-    """``(masks, found)`` for each run of at most 256 supports S of
+    """``(masks, fins, cofs)`` for each run of at most 256 supports S of
     :func:`bounded_candidates` that share their high bits, in its order:
-    ``masks`` is the run's range, and ``found`` generates per mask the
-    witnesses, on ``(cofinite, mask)`` pairs, of the candidates fin S and
-    cof S.  For "contraction" a candidate is the line value v, for
-    "two-dim" the plane candidate (v, ~v)."""
+    ``masks`` is the run's range, ``fins`` and ``cofs`` the run kernel's
+    witnesses of the candidates fin S and of cof S.  For "contraction" a
+    candidate is the line value v, for "two-dim" the plane one (v, ~v)."""
     members = _members_window(desc, (1 << max_support + 1) - 1)
     end = 1 << max_support + 1
     for start in range(0, end, 256):
         masks = range(start, min(start + 256, end))
         if which == "contraction":
-            yield masks, ((_contraction_witness((False, m), members),
-                           _contraction_witness((True, m), members)) for m in masks)
+            yield (masks, _contraction_witnesses(False, masks, members),
+                   _contraction_witnesses(True, masks, members))
         else:
-            yield masks, ((_isometry_witness((False, m), (True, m), members),
-                           _isometry_witness((True, m), (False, m), members)) for m in masks)
+            yield (masks, _isometry_witnesses(False, True, masks, masks, members),
+                   _isometry_witnesses(True, False, masks, masks, members))
 
 
 def _require_candidates_within(max_support: int, cap: int):

@@ -78,7 +78,7 @@ class Point:
 
 
 def _check_pair(x: Point, y: Point):
-    if x.algebra != y.algebra:
+    if x.algebra is not y.algebra and x.algebra != y.algebra:
         raise StructureError("points belong to different algebras")
     if x.dim != y.dim:
         raise StructureError(f"dimension mismatch: {x.dim} vs {y.dim}")

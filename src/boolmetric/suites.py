@@ -556,12 +556,12 @@ def run_counterexamples(res: SuiteResult, cfg: RunConfig):
     alg = fincof_algebra()
     for which, failure in (("contraction", "contraction candidate {}: unverified witness"),
                            ("two-dim", "plane candidate ({}, ~): unverified witness")):
-        for masks, found in _sweep(which, cfg.max_support, desc):
+        for masks, *found in _sweep(which, cfg.max_support, desc):
             res.total += 2 * len(masks)
-            for mask, pair in zip(masks, found):
-                for cofinite, (_, _, lhs, rhs) in enumerate(pair):
-                    if not _violated(lhs, rhs):
-                        res.fail(failure.format(fc_literal((cofinite, mask))))
+            for number in sorted(2 * mask + cofinite for cofinite, witnesses in enumerate(found)
+                                 for mask, (_, _, lhs, rhs) in zip(masks, witnesses)
+                                 if not _violated(lhs, rhs)):
+                res.fail(failure.format(fc_literal((number & 1, number >> 1))))
     # Candidates hitting the overlap branch: both coordinates cofinite.
     non_members = [n for n in range(8) if not desc.member(n)][:4]
     members = [n for n in range(9) if desc.member(n)][:4]

@@ -1,5 +1,5 @@
 """Finite refutations over the finite-cofinite algebra: frozen cases, and
-the mask kernel against the ``Witness`` wrappers and the set model."""
+the mask kernels against the ``Witness`` wrappers and the set model."""
 
 import pytest
 
@@ -13,8 +13,9 @@ from boolmetric import (IdealDescriptor, InfeasibleError, PartialMap, Point,
                         isometry_obstruction_witness, line_extension,
                         split_line_point, unflatten_line_point)
 
-from boolmetric.counterexamples import (_contraction_witness, _isometry_witness,
-                                       _members_window, _violated)
+from boolmetric.counterexamples import (_contraction_witness, _contraction_witnesses,
+                                       _isometry_witness, _isometry_witnesses,
+                                       _members_window, _sweep, _violated)
 import fincof_model as model
 
 ALG = fincof_algebra()
@@ -174,6 +175,53 @@ def test_mask_kernel_wrappers_and_model_agree():
                                   desc),
                               model.isometry_witness(model_pair(a), model_pair(b), desc))
     assert kinds == {"ideal", "orthogonal", "overlap"}
+
+
+def as_masks(m):
+    """A model pair as a kernel's (cofinite, mask) pair."""
+    return None if m is None else (m[0], sum(1 << n for n in m[1]))
+
+
+def test_run_kernels_one_mask_kernels_wrappers_and_model_agree_on_whole_sweeps():
+    """Every candidate of the sweeps at supports 8, 9 and 10: runs whose
+    supports share nonzero high bits, and low bytes whose witness is a
+    natural of the high part."""
+    assert _contraction_witnesses(False, range(0), 1) == []
+    assert _isometry_witnesses(True, False, range(0), range(0), 1) == []
+    from_high = {"contraction": 0, "two-dim": 0}
+    for desc in descriptors():
+        expected = {}  # (which, cofinite, mask) -> the model's witness as masks
+        for mask in range(1 << 11):
+            for cofinite in (False, True):
+                x = (cofinite, frozenset(n for n in range(11) if mask >> n & 1))
+                elem = model.build(x)
+                for which, wrapper, want in (
+                        ("contraction", contraction_obstruction_witness(elem, desc),
+                         model.contraction_witness(x, desc)),
+                        ("two-dim", isometry_obstruction_witness((elem, ~elem), desc),
+                         model.isometry_witness(x, model.complement(x), desc))):
+                    want = (want[0], *map(as_masks, want[1:]))
+                    assert (wrapper.kind, wrapper.element.pair, wrapper.lhs.pair,
+                            None if wrapper.rhs is None else wrapper.rhs.pair) == want
+                    expected[which, cofinite, mask] = want
+        for support in (8, 9, 10):
+            members = _members_window(desc, (1 << support + 1) - 1)
+            for which in ("contraction", "two-dim"):
+                swept = 0
+                for masks, *found in _sweep(which, support, desc):
+                    for cofinite, witnesses in enumerate(found):
+                        assert len(witnesses) == len(masks)
+                        for mask, witness in zip(masks, witnesses):
+                            one = (_contraction_witness((cofinite, mask), members)
+                                   if which == "contraction" else
+                                   _isometry_witness((cofinite, mask), (not cofinite, mask),
+                                                     members))
+                            assert witness == one == expected[which, cofinite, mask]
+                            assert _violated(*witness[2:])
+                            from_high[which] += masks.start > 0 and witness[1][1] >= 1 << 8
+                            swept += 1
+                assert swept == 1 << support + 2
+    assert all(from_high.values()), from_high
 
 
 def test_bounded_candidates_order_and_count():

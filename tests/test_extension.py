@@ -429,9 +429,9 @@ pair 1 -> 0
 ], ids=["extend_isometry", "extend_contraction", "conv_extend"])
 def test_a_map_given_as_pairs_is_read_once(monkeypatch, build):
     """check_map reads the input's points once and keeps its pattern maps;
-    the frame, the post-check and conv_extend read those maps, and only
-    the membership checks and conv_extend's hulls of the sources and of
-    the targets read points again."""
+    the frame, the post-check and conv_extend read those maps (its hulls
+    of the sources and of the targets are their keys and values), and
+    only the membership checks read points again."""
     parsed = parse_input(SWAP_MAP)
     pm, ambient = parsed.maps["F"].map, parsed.spaces["W"]
     joint = pm.sources + pm.targets

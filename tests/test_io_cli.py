@@ -466,6 +466,22 @@ def test_counterexample_line_refuses_max_support(capsys, support):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("predicate", ["evens", "mod:1,3", "primes", ""])
+def test_counterexample_line_refuses_predicate(capsys, predicate):
+    # --which line never reads a predicate, so naming one, even the
+    # default, is refused rather than printed and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--which", "line", "--predicate", predicate])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "error: argument --predicate" in err
+    assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, "counterexample", "--which", "line", "--instances", "5")
+    assert code == 0 and "predicate = evens\n" in out
+    for which in ("two-dim", "contraction"):
+        assert "predicate = evens\n" in run_cli(capsys, "counterexample", "--which", which)[1]
+        assert run_cli(capsys, "counterexample", "--which", which, "--predicate", "")[0] == 2
+
+
 def test_counterexample_sweeps_default_to_max_support_three(capsys):
     for which in ("two-dim", "contraction"):
         code, out, _ = run_cli(capsys, "counterexample", "--which", which)
@@ -593,6 +609,35 @@ def test_a_failed_recheck_marks_exactly_its_two_dim_lines(capsys, monkeypatch):
         assert len(held) == 8
         assert [line for line in lines if line.endswith("[UNVERIFIED]")] == held
         assert sum(line.endswith("[refuted]") for line in lines) == 8
+
+
+def test_sweeps_find_their_witnesses_a_run_at_a_time(capsys, monkeypatch):
+    """Each pass over a sweep makes two run kernel calls per run of 256
+    supports and no one-mask kernel call.  The suite's only one-mask calls
+    are its 256 overlap candidates, which it refutes after its sweeps
+    through the public wrapper."""
+    from boolmetric import counterexamples
+    calls = []
+    for name in ("_contraction_witnesses", "_isometry_witnesses",
+                 "_contraction_witness", "_isometry_witness"):
+        def counted(*args, kernel=getattr(counterexamples, name), name=name):
+            calls.append((name, sys._getframe(1).f_code.co_name))
+            return kernel(*args)
+        monkeypatch.setattr(counterexamples, name, counted)
+    runs = 2 ** 11 // 256  # the supports of max-support 10
+    for which, kernel in (("two-dim", "_isometry_witnesses"),
+                          ("contraction", "_contraction_witnesses")):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "counterexample", "--which", which, "--max-support", "10")
+        assert code == 0 and "candidates = 4096\n" in out
+        assert calls == [(kernel, "_sweep")] * (2 * runs * 2)  # two passes
+    calls.clear()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "counterexamples", "--max-support", "10")
+    assert code == 0 and "counterexamples = 8498/8498 exact\n" in out
+    assert calls[:4 * runs] == ([("_contraction_witnesses", "_sweep")] * 2 * runs
+                                + [("_isometry_witnesses", "_sweep")] * 2 * runs)
+    assert calls[4 * runs:] == [("_isometry_witness", "isometry_obstruction_witness"),
+                                ("_isometry_witnesses", "_isometry_witness")] * 256
 
 
 class CountingSink:

@@ -257,7 +257,8 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         rep.lines = itertools.chain.from_iterable(
             _sweep_lines(args.which, max_support, desc, unverified))
     else:
-        cfg = RunConfig(seed=args.seed, instances=args.instances)
+        cfg = RunConfig(seed=0 if args.seed is None else args.seed,
+                        instances=50 if args.instances is None else args.instances)
         result = run_line_extension(cfg)
         rep.fields.update(seed=cfg.seed, instances=result.total, result=result.summary())
         for f in result.failures:
@@ -322,8 +323,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-support", type=int, metavar="N",
                    help="candidate supports range over {0..N} (default 3; "
                         "two-dim and contraction only)")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
-    p.add_argument("--instances", type=int, default=50, metavar="N")
+    p.add_argument("--seed", type=int, metavar="N", help="default 0 (line only)")
+    p.add_argument("--instances", type=int, metavar="N", help="default 50 (line only)")
     p.set_defaults(handler=cmd_counterexample)
 
     return parser
@@ -343,6 +344,11 @@ def main(argv=None) -> int:
     if getattr(args, "which", None) == "line" and args.predicate is not None:
         parser.error("argument --predicate: not allowed with --which line, "
                      "which uses no predicate")
+    for flag in ("seed", "instances"):
+        if getattr(args, "which", None) in ("two-dim", "contraction") and \
+                getattr(args, flag) is not None:
+            parser.error(f"argument --{flag}: not allowed with --which {args.which}, "
+                         "which sweeps every candidate and draws no instances")
     try:
         report, code = args.handler(args)
     except ParseError as exc:

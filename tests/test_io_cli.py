@@ -482,6 +482,23 @@ def test_counterexample_line_refuses_predicate(capsys, predicate):
         assert run_cli(capsys, "counterexample", "--which", which, "--predicate", "")[0] == 2
 
 
+@pytest.mark.parametrize("which", ["two-dim", "contraction", None])
+@pytest.mark.parametrize("flag, value", [("--seed", "7"), ("--seed", "0"),
+                                         ("--instances", "3"), ("--instances", "50")])
+def test_counterexample_sweeps_refuse_seed_and_instances(capsys, which, flag, value):
+    # a sweep enumerates every candidate and draws nothing, so naming a
+    # seed or an instance count, even the line's default, is refused
+    argv = ["counterexample", "--max-support", "0", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ([] if which is None else ["--which", which]))
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and f"error: argument {flag}: not allowed with --which " \
+        f"{which or 'two-dim'}" in err
+    assert "Traceback" not in err
+    code, out, _ = run_cli(capsys, "counterexample", "--which", "line", flag, value)
+    assert code == 0 and "result = " in out
+
+
 def test_counterexample_sweeps_default_to_max_support_three(capsys):
     for which in ("two-dim", "contraction"):
         code, out, _ = run_cli(capsys, "counterexample", "--which", which)

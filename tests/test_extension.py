@@ -436,8 +436,8 @@ def test_a_map_given_as_pairs_is_read_once(monkeypatch, build):
     pm, ambient = parsed.maps["F"].map, parsed.spaces["W"]
     joint = pm.sources + pm.targets
     reads, original = [], spaces._atom_patterns
-    monkeypatch.setattr(spaces, "_atom_patterns", lambda points: reads.append(
-        (sys._getframe(1).f_code.co_name, tuple(points))) or original(points))
+    monkeypatch.setattr(spaces, "_atom_patterns", lambda points, *rest: reads.append(
+        (sys._getframe(1).f_code.co_name, tuple(points))) or original(points, *rest))
     out = build(pm, ambient)
     assert out.pairs[:2] == pm.pairs and check_map(out).ok
     callers = {caller for caller, _ in reads}

@@ -257,8 +257,7 @@ def cmd_counterexample(args) -> tuple[Report, int]:
         rep.lines = itertools.chain.from_iterable(
             _sweep_lines(args.which, max_support, desc, unverified))
     else:
-        cfg = RunConfig(seed=0 if args.seed is None else args.seed,
-                        instances=50 if args.instances is None else args.instances)
+        cfg = RunConfig(seed=args.seed or 0, instances=args.instances or 50)
         result = run_line_extension(cfg)
         rep.fields.update(seed=cfg.seed, instances=result.total, result=result.summary())
         for f in result.failures:
@@ -344,9 +343,8 @@ def main(argv=None) -> int:
     if getattr(args, "which", None) == "line" and args.predicate is not None:
         parser.error("argument --predicate: not allowed with --which line, "
                      "which uses no predicate")
-    for flag in ("seed", "instances"):
-        if getattr(args, "which", None) in ("two-dim", "contraction") and \
-                getattr(args, flag) is not None:
+    for flag in ("seed", "instances") if getattr(args, "which", "line") != "line" else ():
+        if getattr(args, flag) is not None:
             parser.error(f"argument --{flag}: not allowed with --which {args.which}, "
                          "which sweeps every candidate and draws no instances")
     try:

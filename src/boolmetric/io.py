@@ -21,17 +21,19 @@ with the offending line number; an empty block's is its header line.
 
 Over a finite atomic algebra a ``point`` line is read straight to its
 code (its literals' characters, joined, are the code's bits from the
-top), and the space is held as its codes; ``space_points`` builds the
-points, in file order, when first read.
+top).  A finite-cofinite one is parsed to a point, and the points are
+coded over the atoms they show when their block closes.  Either way a
+space is held as its codes, and ``space_points`` builds the points, in
+file order, when first read.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .algebra import FINITE_ATOMIC, Algebra, Element, _decimal, atomic_algebra, fincof_algebra
+from .algebra import FINITE_ATOMIC, Algebra, _decimal, atomic_algebra, fincof_algebra
 from .errors import ParseError, StructureError
-from .spaces import FiniteSpace, PartialMap, Point, _code_points, _held_space, space
+from .spaces import FiniteSpace, PartialMap, Point, _code_points, _held_space, _join_atoms, space
 
 
 class ParsedMap(NamedTuple):
@@ -44,7 +46,7 @@ class ParsedMap(NamedTuple):
 class ParsedInput(NamedTuple):
     algebra: Algebra
     spaces: dict[str, FiniteSpace]
-    file_order: dict[str, tuple]  # each space's point codes (finite atomic), else points
+    file_order: dict[str, tuple]  # each space's point codes, in file order
     maps: dict[str, ParsedMap]
 
     @property
@@ -99,31 +101,28 @@ def parse_input(text: str) -> ParsedInput:
     # maps each source index to its target index.
     kind, header, fields, body = None, 0, [], {}
 
-    def points(order: tuple, dim: int, indices) -> Sequence[Point]:
-        keys = [order[i] for i in indices]
-        return _code_points(algebra, range(k), dim, keys) if atomic else keys
+    def points(ref: str, indices) -> Sequence[Point]:
+        sp = spaces[ref]
+        return _code_points(algebra, sp._atoms, sp.dim, [file_order[ref][i] for i in indices])
 
     def close():
         if kind == "space":
             name, dim, basepoint_at = fields
             if not body:
                 raise ParseError(f"space {name!r} has no points", header)
-            keys, bp = tuple(body), None
+            sp = spaces[name] = _held_space(algebra, dim, sorted(body)) if atomic else space(body)
+            file_order[name] = tuple(body if atomic else sp._keys(list(body)))
             if basepoint_at is not None:
                 index, line_no = basepoint_at
-                if not 0 <= index < len(keys):
+                if not 0 <= index < len(body):
                     raise ParseError(f"basepoint index {index} out of "
                                      f"range for space {name!r}", line_no)
-                bp = points(keys, dim, [index])[0]
-            spaces[name] = (_held_space(algebra, dim, sorted(keys), basepoint=bp) if atomic
-                            else space(keys, basepoint=bp))
-            file_order[name] = keys
+                sp.basepoint = points(name, [index])[0]
         elif kind == "map":
             name, src, dst = fields
             if not body:
                 raise ParseError(f"map {name!r} has no pairs", header)
-            ends = [points(file_order[ref], spaces[ref].dim, side)
-                    for ref, side in ((src, body.keys()), (dst, body.values()))]
+            ends = [points(ref, side) for ref, side in ((src, body.keys()), (dst, body.values()))]
             maps[name] = ParsedMap(name, src, dst, PartialMap(zip(*ends)))
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -156,7 +155,7 @@ def parse_input(text: str) -> ParsedInput:
             except StructureError as exc:
                 raise ParseError(str(exc), line_no) from None
             if key in body:
-                raise ParseError(f"duplicate point {' '.join(rest) if atomic else key.literal}; "
+                raise ParseError(f"duplicate point {Point.from_literals(algebra, *rest).literal}; "
                                  "indices would be ambiguous", line_no)
             body[key] = None
         elif head == "space":
@@ -209,7 +208,7 @@ def parse_input(text: str) -> ParsedInput:
                     raise ParseError(f"pair index {index} out of range for "
                                      f"space {ref!r}", line_no)
             if body.setdefault(i, j) != j:
-                source = points(file_order[src], spaces[src].dim, [i])[0]
+                source = points(src, [i])[0]
                 raise ParseError(f"map {name!r}: conflicting images for source point "
                                  f"{source.literal}", line_no)
         else:
@@ -233,7 +232,7 @@ def read_input(path: str) -> ParsedInput:
 
 # ---------------------------------------------------------------------------
 # Emission.  Emitted blocks re-parse to the same objects; points come out
-# in canonical order, from codes over a finite atomic algebra.
+# in canonical order, from their codes.
 # ---------------------------------------------------------------------------
 
 
@@ -244,20 +243,18 @@ def format_algebra(algebra: Algebra) -> str:
 
 
 def format_space(name: str, sp: FiniteSpace) -> str:
+    # each distinct chunk's literal, first chunk and rest of a code is rendered once
+    atoms, codes = sp._atoms, sp.codes
+    k, rest = len(atoms), len(atoms) * (sp.dim - 1)
+    low, chunk = (1 << rest) - 1, (1 << k) - 1
+    heads, tails = {c >> rest for c in codes}, dict.fromkeys({c & low for c in codes}, "")
+    chunks = heads.union(*[{t >> s & chunk for t in tails} for s in range(0, rest, k)])
+    literals = {ch: " " + _join_atoms(sp.algebra, atoms, ch).literal for ch in chunks}
+    heads = {h: "point" + literals[h] for h in heads}
+    for s in range(0, rest, k):  # a rest's literals, from its last chunk
+        tails = {t: literals[t >> s & chunk] + text for t, text in tails.items()}
     lines = [f"space {name} dim={sp.dim}"]
-    if sp.algebra.kind == FINITE_ATOMIC:
-        # each distinct first chunk, and each distinct rest, is rendered once
-        k, rest = sp.algebra.atom_count, sp.algebra.atom_count * (sp.dim - 1)
-        low, chunk = (1 << rest) - 1, (1 << k) - 1
-        heads = {h: f"point {h:0{k}b}" for h in {c >> rest for c in sp.codes}}
-        tails = {t: "".join([f" {t >> s & chunk:0{k}b}" for s in range(rest - k, -1, -k)])
-                 for t in {c & low for c in sp.codes}}
-        lines.extend([heads[c >> rest] + tails[c & low] for c in sp.codes])
-    else:
-        # each distinct element's literal is rendered once
-        literals: dict[Element, str] = {}
-        lines.extend("point " + " ".join([literals.get(c) or literals.setdefault(c, c.literal)
-                                          for c in p.coords]) for p in sp)
+    lines.extend([heads[c >> rest] + tails[c & low] for c in codes])
     if sp.basepoint is not None:
         lines.append(f"basepoint {sp.index(sp.basepoint)}")
     return "\n".join(lines)
@@ -266,10 +263,8 @@ def format_space(name: str, sp: FiniteSpace) -> str:
 def format_map(name: str, pm: PartialMap, source_name: str, target_name: str,
                source: FiniteSpace, target: FiniteSpace) -> str:
     lines = [f"map {name} from={source_name} to={target_name}"]
-    if pm._pairs is None:
-        keys = zip(pm._domain.codes, pm._image_codes)
-    else:
-        keys = zip(source._keys(pm.sources), target._keys(pm.targets))
+    keys = (zip(pm._domain.codes, pm._image_codes) if pm._pairs is None
+            else zip(source._keys(pm.sources), target._keys(pm.targets)))
     # a code keys a point only within one algebra and dimension
     if any(end != (sp.algebra, sp.dim) for end, sp in zip(pm._ends, (source, target))):
         raise StructureError("the map's points are not in the given spaces")

@@ -13,8 +13,10 @@ each coordinate is either 0 or that atom, so a point leaves a 0/1
 combinations splice patterns from different points, one choice per atom.
 :func:`_atom_patterns` is the one place that reads patterns off points.
 A pattern keeps its bits of the point's integer code, so patterns sum to
-codes.  Hulls and constructed maps are carried as codes and per-atom
-pattern maps; ``Point`` objects are built only when a caller reads them.
+codes.  A space is carried as codes over its own atoms (the naturals its
+points show, over the finite-cofinite algebra), a hull as its per-atom
+pattern sets and a constructed map as per-atom pattern maps; ``Point``
+objects are built only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -104,16 +106,18 @@ def is_orthogonal(x: Point, y: Point, basepoint: Point) -> bool:
     return distance(x, y) == norm(x, basepoint) | norm(y, basepoint)
 
 
-def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
+def _atom_patterns(points: Sequence[Point],
+                   atoms: Sequence | None = None) -> tuple[list, list[list[int]]]:
     """The atoms of the subalgebra the coordinates generate (a finite atomic
     algebra's own, by index; over the finite-cofinite algebra ``{n}`` for
     each ``n`` in the union U of the supports, labelled ``n``, and the rest
-    of the naturals, labelled ``None``) and ``table[t][i]``, the pattern of
-    ``points[i]`` on ``atoms[t]``: its bits of the point's code (atom ``t``
-    of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``, ``k = len(atoms)``),
-    read off the point packed with the coordinates' atom masks.  The points
-    share one algebra.  On one atom, points of one dimension order like 0/1
-    tuples, and a point's patterns sum to its code.
+    of the naturals, labelled ``None``; or those given) and ``table[t][i]``,
+    the pattern of ``points[i]`` on ``atoms[t]``: its bits of the point's
+    code (atom ``t`` of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``,
+    ``k = len(atoms)``), read off the point packed with the coordinates'
+    atom masks.  The points share one algebra.  On one atom, points of one
+    dimension order like 0/1 tuples, and a point's patterns sum to its code.
+    A point showing a natural outside the atoms given raises KeyError.
     """
     alg = points[0].algebra
     if alg.kind == FINITE_ATOMIC:
@@ -124,12 +128,11 @@ def _atom_patterns(points: Sequence[Point]) -> tuple[list, list[list[int]]]:
         for p in points:
             for c in p.coords:
                 union |= c.mask
-        atoms = _naturals(union)
-        index = {n: i for i, n in enumerate(atoms)}
-        full = (1 << len(atoms) + 1) - 1
+        atoms = _naturals(union) + [None] if atoms is None else atoms
+        index = {n: i for i, n in enumerate(atoms[:-1])}
+        full = (1 << len(atoms)) - 1
         masks = [[sum(1 << index[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
                   for c in p.coords] for p in points]
-        atoms.append(None)
     k = len(atoms)
     packed = [sum(b << k * j for j, b in enumerate(reversed(bs))) for bs in masks]
     spread = sum(1 << k * j for j in range(max(map(len, masks))))
@@ -142,7 +145,7 @@ def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
     :func:`_atom_patterns`."""
     k = len(atoms)
     if algebra.kind == FINITE_ATOMIC:  # atom t at bit t of the element's mask
-        return algebra._make(int(format(mask, f"0{k}b")[::-1], 2))
+        return algebra._make(int(f"{mask:0{k}b}"[::-1], 2))
     chosen = left_out = 0
     for t, n in enumerate(atoms[:-1]):
         if mask >> k - 1 - t & 1:
@@ -207,67 +210,64 @@ class FiniteSpace:
     tag plus ascending support).  Whether the space is convex is read off
     its points, never passed in: see :attr:`convex`.
 
-    Its questions are answered from one per-atom pattern view (see
-    :attr:`_patterns`), read once.  A finite atomic space is keyed by its
-    codes, sorted from its points or given (:func:`_held_space`); a hull
-    from :func:`conv_hull` is held as its view alone, the product of its
-    per-atom sets.  Codes, then points, are built when first read.
+    It is keyed by its codes over its own atoms (as :func:`_atom_patterns`
+    lists them), in its order, read off its points or given; or, a hull,
+    held as its per-atom pattern view alone (see :attr:`_patterns`), the
+    product of its per-atom sets.  Codes, then points, are built when read.
     """
 
-    __slots__ = ("algebra", "dim", "basepoint", "_points", "_codes", "_lookup", "_view")
+    __slots__ = ("algebra", "dim", "basepoint", "_atoms", "_points", "_codes", "_lookup", "_view")
 
     def __init__(self, points: Iterable[Point], basepoint: Point | None = None):
         pts = _generator_sequence(points, "a space needs at least one point")
         self.algebra, self.dim = pts[0].algebra, pts[0].dim
         self._lookup = self._view = None
-        atomic = self.algebra.kind == FINITE_ATOMIC
-        by_key = dict(zip(self._keys(pts), pts))  # codes (finite atomic) order like the literals
-        keys = sorted(by_key, key=None if atomic else Point.sort_key)
-        self._codes, self._points = keys if atomic else None, tuple(map(by_key.get, keys))
+        self._atoms, table = _atom_patterns(pts)
+        by_code = dict(zip(map(sum, zip(*table)), pts))  # finite atomic codes order like literals
+        self._codes = sorted(by_code, key=None if self.algebra.kind == FINITE_ATOMIC
+                             else lambda code: by_code[code].sort_key())
+        self._points = tuple(map(by_code.get, self._codes))
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
 
     @property
     def codes(self) -> list[int]:
-        """The points' codes, ascending (finite atomic only)."""
+        """The points' codes over its atoms, in its order (ascending if finite atomic)."""
         if self._codes is None:
-            _require_atomic(self.algebra, "integer codes")
             self._codes = _product_codes(self._view[1])
         return self._codes
 
     @property
     def points(self) -> tuple[Point, ...]:
         if self._points is None:
-            self._points = _code_points(self.algebra, self._patterns[0], self.dim, self.codes)
+            self._points = _code_points(self.algebra, self._atoms, self.dim, self.codes)
         return self._points
 
     @property
     def _index(self) -> dict:
-        """The points' positions, keyed as by :meth:`_keys`."""
+        """The points' positions, keyed by their codes."""
         if self._lookup is None:
-            keys = self.codes if self.algebra.kind == FINITE_ATOMIC else self.points
-            self._lookup = {key: i for i, key in enumerate(keys)}
+            self._lookup = {code: i for i, code in enumerate(self.codes)}
         return self._lookup
 
-    def _keys(self, points: Sequence[Point]) -> list:
-        """The codes of ``points`` (finite atomic), else the points."""
-        if self.algebra.kind != FINITE_ATOMIC or not points:
-            return list(points)
-        return [sum(col) for col in zip(*_atom_patterns(points)[1])]
+    def _keys(self, points: Sequence[Point]) -> list[int]:
+        """The codes of ``points`` over the space's atoms; -1, no point's code,
+        for one that shows a natural outside them."""
+        try:
+            table = _atom_patterns(points, self._atoms)[1] if points else ()
+        except KeyError:
+            return [-1] if len(points) == 1 else [c for p in points for c in self._keys([p])]
+        return [sum(col) for col in zip(*table)]
 
     @property
     def _patterns(self) -> tuple[list, list[tuple[int, ...]]]:
         """The atoms (as :func:`_atom_patterns` labels them) and, per atom,
-        the sorted patterns the points show there."""
-        if self._view is None and self._codes is None:
-            atoms, table = _atom_patterns(self.points)
-            self._view = atoms, [tuple(sorted(set(row))) for row in table]
-        elif self._view is None:  # atom t's pattern is a code's bits there
-            k = self.algebra.atom_count
-            spread = sum(1 << k * j for j in range(self.dim))
-            masks = [spread << k - 1 - t for t in range(k)]
-            self._view = list(range(k)), [tuple(sorted({c & m for c in self._codes})) for m in masks]
+        the sorted patterns the points show there: a code's bits there."""
+        if self._view is None:
+            k = len(self._atoms)
+            masks = [sum(1 << k * j + k - 1 - t for j in range(self.dim)) for t in range(k)]
+            self._view = self._atoms, [tuple(sorted({c & m for c in self._codes})) for m in masks]
         return self._view
 
     @property
@@ -287,10 +287,8 @@ class FiniteSpace:
         atoms, patterns = self._patterns
         return _code_points(self.algebra, atoms, self.dim, [sum(pats[0] for pats in patterns)])[0]
 
-    def __len__(self) -> int:
-        if self._codes is None and self._points is None:  # a hull: its pattern counts' product
-            return prod(map(len, self._view[1]))
-        return len(self._points if self._codes is None else self._codes)
+    def __len__(self) -> int:  # a hull: its pattern counts' product
+        return prod(map(len, self._view[1])) if self._codes is None else len(self._codes)
 
     def __iter__(self) -> Iterator[Point]:
         return iter(self.points)
@@ -299,20 +297,21 @@ class FiniteSpace:
         return self._holds([p])
 
     def _holds(self, points: Sequence[Point]) -> bool:
-        """Whether all ``points`` belong to the space: by code (or point),
-        else (a hull held as its view) per atom, at O(atoms x dim) a point:
-        each pattern they show must be in that atom's set."""
+        """Whether all ``points`` belong to the space: by code, else (a hull
+        held as its view) per atom, at O(atoms x dim) a point: each pattern
+        they show must be in that atom's set."""
         if any(p.algebra != self.algebra or p.dim != self.dim for p in points):
             return False
-        if self._codes is None and self._points is None and points:
-            _, table = _atom_patterns(points)
+        if self._codes is None and points:
+            _, table = _atom_patterns(points, self._atoms)
             return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
         return all(key in self._index for key in self._keys(points))
 
     def index(self, p: Point) -> int:
-        if p not in self:
+        if p.algebra != self.algebra or p.dim != self.dim or \
+                (i := self._index.get(self._keys([p])[0])) is None:
             raise StructureError(f"point {p.literal} is not in the space")
-        return self._index[self._keys([p])[0]]
+        return i
 
     def require_basepoint(self) -> Point:
         if self.basepoint is None:
@@ -358,6 +357,7 @@ def _held_space(algebra: Algebra, dim: int, codes: list[int] | None = None, view
     (refused past ``max_points``), pointed at ``basepoint``, one of its points."""
     sp = FiniteSpace.__new__(FiniteSpace)
     sp.algebra, sp.dim, sp.basepoint, sp._codes, sp._view = algebra, dim, basepoint, codes, view
+    sp._atoms = view[0] if view else list(range(algebra.atom_count))
     sp._points = sp._lookup = None
     if codes is None and len(sp) > max_points:
         raise CapExceededError(
@@ -498,7 +498,7 @@ class PartialMap:
     @property
     def pairs(self) -> tuple[tuple[Point, Point], ...]:
         if self._pairs is None:
-            targets = _code_points(self._domain.algebra, self._domain._patterns[0], self._dim,
+            targets = _code_points(self._domain.algebra, self._domain._atoms, self._dim,
                                    self._image_codes)
             self._pairs = tuple(zip(self._domain.points, targets))
             self._mapping = dict(self._pairs)

@@ -185,6 +185,7 @@ def test_parsed_fincof_spaces_match_point_built_spaces_and_the_pattern_oracle():
             assert sp.points == tuple(ordered)
             assert [p.sort_key() for p in sp] == sorted(p.sort_key() for p in set(family))
             assert len(sp) == len(ordered)
+            assert sp.codes == codes
             assert sp._patterns == view
             for i, p in enumerate(ordered):
                 assert p in sp and sp.index(p) == i

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from boolmetric import (ParseError, PartialMap, Point, StructureError, alpha_profile,
-                        alpha_profile_of_points, atomic_algebra, conv_hull, fincof_algebra)
+                        alpha_profile_of_points, atomic_algebra, check_map, conv_hull,
+                        fincof_algebra)
 from boolmetric.algebra import SetElement
 from boolmetric.cli import main
 from boolmetric.io import format_map, format_space, parse_input
@@ -231,3 +232,114 @@ def test_fincof_rendering_keeps_its_digest():
     blocks = _fincof_blocks()
     digest = hashlib.sha256("\n\n".join(blocks).encode("utf-8")).hexdigest()
     assert digest == "9ad500638e59b4d7fb0eef05ebf21fe118c2169165648d4368e805338f77ac37"
+
+
+def test_point_codes_are_the_pattern_column_sums():
+    """A finite atomic point's code is its literals' characters, joined and
+    read as bits (the parser's rule), and the sum of its patterns; spaces
+    key and decode their points by it."""
+    checked = 0
+    for _, alg, dim, family in _families():
+        _, table = _atom_patterns(family)
+        sums = [sum(col) for col in zip(*table)]
+        sp = FiniteSpace(family)
+        assert sp._keys(family) == sums
+        for p, code in zip(family, sums):
+            assert int(p.literal.replace(" ", ""), 2) == code
+            assert sp.points[sp.index(p)] == p and sp.codes[sp.index(p)] == code
+            checked += 1
+    assert checked > 1500
+
+
+def _map_cases(count=200, seed=20261023):
+    """Seeded map blocks with the points their spaces list, in file order:
+    finite atomic maps on one space and across two spaces of different
+    dimension, finite-cofinite maps across two spaces whose points show
+    different naturals; some violate contraction, some give one source two
+    images."""
+    rng = random.Random(seed)
+    for i in range(count):
+        if i % 4 == 3:
+            alg, header = fincof_algebra(), "algebra cofinite"
+            dims = [rng.randint(1, 2)] * 2
+            shown = [range(0, 4), range(2, 7)]  # the two spaces' atom lists differ
+            def draw(side, dim):
+                return Point(SetElement(alg, rng.random() < 0.4,
+                                        sum(1 << n for n in shown[side] if rng.random() < 0.4))
+                             for _ in range(dim))
+        else:
+            alg = atomic_algebra(rng.randint(1, 4))
+            header = f"algebra finite k={alg.atom_count}"
+            dims = [rng.randint(1, 3), rng.randint(1, 3)] if i % 4 == 1 else [rng.randint(1, 3)] * 2
+            def draw(side, dim):
+                return _random_point(rng, alg, dim)
+        one_space = i % 4 == 0
+        names = ["W", "W"] if one_space else ["A", "B"]
+        listed = []
+        for side in range(1 if one_space else 2):
+            pts = list(dict.fromkeys(draw(side, dims[side]) for _ in range(rng.randint(1, 9))))
+            listed.append(pts)
+        if one_space:
+            listed.append(listed[0])
+        sources = rng.sample(range(len(listed[0])), rng.randint(1, min(6, len(listed[0]))))
+        pair_lines = [(s, rng.randrange(len(listed[1]))) for s in sources]
+        pair_lines += rng.choices(pair_lines, k=rng.randint(0, 2))  # repeated pairs
+        if len(listed[1]) > 1 and rng.random() < 0.25:  # a second image for one source
+            s, t = rng.choice(pair_lines)
+            pair_lines.insert(rng.randint(0, len(pair_lines)), (s, (t + 1) % len(listed[1])))
+        lines = [header]
+        for name, pts in list(zip(names, listed))[:1 if one_space else 2]:
+            lines += [f"space {name} dim={pts[0].dim}"] + [f"point {p.literal}" for p in pts]
+        lines += [f"map F from={names[0]} to={names[1]}"]
+        lines += [f"pair {s} -> {t}" for s, t in pair_lines]
+        yield alg, names, listed, pair_lines, "\n".join(lines)
+
+
+def test_parsed_maps_answer_like_maps_built_from_their_points(tmp_path, capsys):
+    """A map block gives the pairs, verdict, witness and definitional
+    verdict of ``PartialMap`` over the same points; a conflicting pair is
+    refused at its line with the first source given two images, and the
+    CLI's exit codes follow the verdict."""
+    from boolmetric.suites import pairwise_map_verdict
+    seen, path = {"conflict": 0, "violation": 0, "fincof": 0, "two dims": 0, "cli": 0}, \
+        tmp_path / "in.txt"
+    for alg, names, listed, pair_lines, text in _map_cases():
+        pairs = [(listed[0][s], listed[1][t]) for s, t in pair_lines]
+        images, conflict = {}, None
+        for line_no, (s, t) in enumerate(pair_lines, start=len(text.splitlines())
+                                         - len(pair_lines) + 1):
+            if images.setdefault(s, t) != t and conflict is None:
+                conflict = line_no, listed[0][s]
+        if conflict is not None:
+            seen["conflict"] += 1
+            with pytest.raises(ParseError) as err:
+                parse_input(text)
+            assert str(err.value) == (f"line {conflict[0]}: map 'F': conflicting images "
+                                      f"for source point {conflict[1].literal}")
+            with pytest.raises(StructureError, match="conflicting images for source point"):
+                PartialMap(pairs)
+            if names[0] == names[1]:
+                path.write_text(text)
+                assert main(["extend", "--input", str(path)]) == 2
+                assert capsys.readouterr().err == f"error: {err.value}\n"
+            continue
+        pm, ref = parse_input(text).maps["F"].map, PartialMap(pairs)
+        assert pm.pairs == ref.pairs and len(pm) == len(ref)
+        verdict = check_map(pm)
+        assert verdict == check_map(ref)
+        assert pairwise_map_verdict(pm) == pairwise_map_verdict(ref)
+        assert pairwise_map_verdict(ref).kind == verdict.kind
+        assert all(pm(s) == t for s, t in pairs)
+        seen["violation"] += verdict.kind == "violation"
+        seen["fincof"] += alg.atom_count is None
+        seen["two dims"] += listed[0][0].dim != listed[1][0].dim
+        if names[0] == names[1]:
+            seen["cli"] += 1
+            path.write_text(text)
+            for command, ok in (("extend", verdict.kind == "isometric"),
+                                ("extend-contraction", verdict.ok)):
+                code = main([command, "--input", str(path)])
+                out, err = capsys.readouterr()
+                assert code == (0 if ok else 3), (command, text)
+                assert (f"pairs_in = {len(ref)}" in out) if ok else err.startswith("infeasible:")
+    assert min(seen.values()) >= 10, seen

@@ -206,13 +206,15 @@ def _sweep_lines(which: str, max_support: int, desc: IdealDescriptor,
     only the lines of those numbered (from 0) in ``unverified``, which failed
     their re-check, are rewritten.  Each two-dim witness is described, and
     each contraction singleton's description split, once per sweep."""
-    described, singles = {}, {}
+    described, singles, lows = {}, {}, _byte_texts(0)[:1 << min(max_support + 1, 8)]
+    # a label is a head per low byte (the first run's closed, comma-free) and the run's tail
+    heads = [[f"{tag}{{{low}," if low else tag + "{" for low in lows] for tag in ("fin", "cof")]
+    firsts = [[f"{tag}{{{low}}}" for low in lows] for tag in ("fin", "cof")]
     def run_lines(masks: range, *found: list) -> list[str]:
-        start, high = masks.start, _support_text(masks.start)
-        texts = [f"{low},{high}" if low and high else low or high
-                 for low in _byte_texts(0)[:len(masks)]]
-        labels = [f"fin{{{text}}}" for text in texts], [f"cof{{{text}}}" for text in texts]
-        lines = [""] * (2 * len(masks))
+        start, n, tail = masks.start, len(masks), _support_text(masks.start) + "}"
+        labels = [[head + tail for head in own[:n]] if start else first[:n]
+                  for own, first in zip(heads, firsts)]
+        lines = [""] * (2 * n)
         for cofinite, witnesses in enumerate(found):
             own, other, run = labels[cofinite], labels[not cofinite], []
             if which == "two-dim":

@@ -24,7 +24,9 @@ code (its literals' characters, joined, are the code's bits from the
 top).  A finite-cofinite one is parsed to a point, and the points are
 coded over the atoms they show when their block closes.  Either way a
 space is held as its codes, and ``space_points`` builds the points, in
-file order, when first read.
+file order, when first read.  A map block is held as its sources' and
+targets' codes (between finite-cofinite spaces that show different
+naturals: given as points).
 """
 
 from __future__ import annotations
@@ -122,8 +124,16 @@ def parse_input(text: str) -> ParsedInput:
             name, src, dst = fields
             if not body:
                 raise ParseError(f"map {name!r} has no pairs", header)
-            ends = [points(ref, side) for ref, side in ((src, body.keys()), (dst, body.values()))]
-            maps[name] = ParsedMap(name, src, dst, PartialMap(zip(*ends)))
+            a, b = spaces[src], spaces[dst]
+            if a._atoms != b._atoms:
+                pm = PartialMap(zip(points(src, body.keys()), points(dst, body.values())))
+            else:  # its codes, in the order of the source space
+                pairs = sorted(((file_order[src][i], file_order[dst][j]) for i, j in body.items()),
+                               key=lambda pair: a._index[pair[0]])
+                pm = PartialMap(())
+                pm._domain = _held_space(algebra, a.dim, [s for s, _ in pairs], atoms=a._atoms)
+                pm._images, pm._dim, pm._pairs = [t for _, t in pairs], b.dim, None
+            maps[name] = ParsedMap(name, src, dst, pm)
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.partition("#")[0].split()
@@ -243,13 +253,15 @@ def format_algebra(algebra: Algebra) -> str:
 
 
 def format_space(name: str, sp: FiniteSpace) -> str:
-    # each distinct chunk's literal, first chunk and rest of a code is rendered once
+    # each distinct chunk's literal, first chunk and rest of a code is rendered
+    # once; a finite atomic chunk's literal is its bits
     atoms, codes = sp._atoms, sp.codes
     k, rest = len(atoms), len(atoms) * (sp.dim - 1)
     low, chunk = (1 << rest) - 1, (1 << k) - 1
     heads, tails = {c >> rest for c in codes}, dict.fromkeys({c & low for c in codes}, "")
     chunks = heads.union(*[{t >> s & chunk for t in tails} for s in range(0, rest, k)])
-    literals = {ch: " " + _join_atoms(sp.algebra, atoms, ch).literal for ch in chunks}
+    literals = {ch: f" {ch:0{k}b}" if atoms[-1] is not None
+                else " " + _join_atoms(sp.algebra, atoms, ch).literal for ch in chunks}
     heads = {h: "point" + literals[h] for h in heads}
     for s in range(0, rest, k):  # a rest's literals, from its last chunk
         tails = {t: literals[t >> s & chunk] + text for t, text in tails.items()}
@@ -263,11 +275,13 @@ def format_space(name: str, sp: FiniteSpace) -> str:
 def format_map(name: str, pm: PartialMap, source_name: str, target_name: str,
                source: FiniteSpace, target: FiniteSpace) -> str:
     lines = [f"map {name} from={source_name} to={target_name}"]
-    keys = (zip(pm._domain.codes, pm._image_codes) if pm._pairs is None
-            else zip(source._keys(pm.sources), target._keys(pm.targets)))
     # a code keys a point only within one algebra and dimension
     if any(end != (sp.algebra, sp.dim) for end, sp in zip(pm._ends, (source, target))):
         raise StructureError("the map's points are not in the given spaces")
+    if len(pm) and pm._domain._atoms == source._atoms == target._atoms:
+        keys = zip(pm._domain.codes, pm._image_codes)
+    else:  # finite-cofinite codes over other atoms
+        keys = zip(source._keys(pm.sources), target._keys(pm.targets))
     at, to = source._index, target._index
     try:
         lines.extend(f"pair {at[s]} -> {to[t]}" for s, t in keys)

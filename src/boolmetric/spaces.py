@@ -13,15 +13,18 @@ each coordinate is either 0 or that atom, so a point leaves a 0/1
 combinations splice patterns from different points, one choice per atom.
 :func:`_atom_patterns` is the one place that reads patterns off points.
 A pattern keeps its bits of the point's integer code, so patterns sum to
-codes.  A space is carried as codes over its own atoms (the naturals its
-points show, over the finite-cofinite algebra), a hull as its per-atom
-pattern sets and a constructed map as per-atom pattern maps; ``Point``
+codes, and a finite atomic point keeps its code once read.  A space is
+carried as codes over its own atoms (the naturals its points show, over the
+finite-cofinite algebra), a hull as its per-atom pattern sets, a map given
+as pairs as its sources' and images' codes and a constructed map as
+per-atom pattern maps; each is checked by masking codes, and ``Point``
 objects are built only when a caller reads them.
 """
 
 from __future__ import annotations
 
 from copy import copy
+from functools import cache
 from math import prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -35,7 +38,7 @@ DEFAULT_MAX_HULL_POINTS = 10 ** 6
 class Point:
     """An immutable tuple of elements of one algebra."""
 
-    __slots__ = ("coords",)
+    __slots__ = ("coords", "_code")
 
     def __init__(self, coords: Iterable[Element]):
         coords = tuple(coords)
@@ -65,6 +68,14 @@ class Point:
     @property
     def literal(self) -> str:
         return " ".join(c.literal for c in self.coords)
+
+    @property
+    def code(self) -> int:
+        """A finite atomic point's code (see :func:`_atom_patterns`), its
+        literals' characters read as bits; kept once read or decoded."""
+        if not hasattr(self, "_code"):
+            object.__setattr__(self, "_code", int("".join([c.literal for c in self.coords]), 2))
+        return self._code
 
     def sort_key(self):
         return tuple(c.sort_key() for c in self.coords)
@@ -106,37 +117,56 @@ def is_orthogonal(x: Point, y: Point, basepoint: Point) -> bool:
     return distance(x, y) == norm(x, basepoint) | norm(y, basepoint)
 
 
-def _atom_patterns(points: Sequence[Point],
-                   atoms: Sequence | None = None) -> tuple[list, list[list[int]]]:
+def _encode(points: Sequence[Point], atoms: Sequence | None = None):
     """The atoms of the subalgebra the coordinates generate (a finite atomic
     algebra's own, by index; over the finite-cofinite algebra ``{n}`` for
     each ``n`` in the union U of the supports, labelled ``n``, and the rest
-    of the naturals, labelled ``None``; or those given) and ``table[t][i]``,
-    the pattern of ``points[i]`` on ``atoms[t]``: its bits of the point's
-    code (atom ``t`` of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``,
-    ``k = len(atoms)``), read off the point packed with the coordinates'
-    atom masks.  The points share one algebra.  On one atom, points of one
-    dimension order like 0/1 tuples, and a point's patterns sum to its code.
-    A point showing a natural outside the atoms given raises KeyError.
+    of the naturals, labelled ``None``; or those given), the points' codes
+    over them (atom ``t`` of coordinate ``j`` at bit ``k*(dim-1-j) + k-1-t``,
+    ``k = len(atoms)``; a finite atomic point's :attr:`Point.code`) and a key
+    on their positions that orders them canonically.  The points share one
+    algebra.  A point showing a natural outside the atoms given raises KeyError.
     """
     alg = points[0].algebra
     if alg.kind == FINITE_ATOMIC:
-        atoms = list(range(alg.atom_count))
-        masks = [[c.bits for c in p.coords] for p in points]
-    else:
+        codes = [p.code for p in points]
+        return list(range(alg.atom_count)), codes, codes.__getitem__
+    if atoms is None:
         union = 0
         for p in points:
             for c in p.coords:
                 union |= c.mask
-        atoms = _naturals(union) + [None] if atoms is None else atoms
-        index = {n: i for i, n in enumerate(atoms[:-1])}
-        full = (1 << len(atoms)) - 1
-        masks = [[sum(1 << index[n] for n in _naturals(c.mask)) ^ (full if c.cofinite else 0)
-                  for c in p.coords] for p in points]
-    k = len(atoms)
-    packed = [sum(b << k * j for j, b in enumerate(reversed(bs))) for bs in masks]
-    spread = sum(1 << k * j for j in range(max(map(len, masks))))
-    return atoms, [[(v >> t & spread) << k - 1 - t for v in packed] for t in range(k)]
+        atoms = _naturals(union) + [None]
+    k, full, codes = len(atoms), (1 << len(atoms)) - 1, []
+    bit = {1 << n: 1 << k - 1 - t for t, n in enumerate(atoms[:-1])}  # a natural's: its atom's
+    for p in points:
+        code = 0
+        for c in p.coords:
+            mask, chunk = c.mask, full if c.cofinite else 0
+            while mask:
+                chunk ^= bit[mask & -mask]
+                mask &= mask - 1
+            code = code << k | chunk
+        codes.append(code)
+    return atoms, codes, lambda i: points[i].sort_key()
+
+
+def _atom_patterns(points: Sequence[Point],
+                   atoms: Sequence | None = None) -> tuple[list, list[list[int]]]:
+    """The atoms :func:`_encode` lists and ``table[t][i]``, the pattern of
+    ``points[i]`` on ``atoms[t]``: its bits of the point's code.  On one
+    atom, points of one dimension order like 0/1 tuples, and a point's
+    patterns sum to its code."""
+    atoms, codes, _ = _encode(points, atoms)
+    return atoms, [[c & m for c in codes]
+                   for m in _atom_masks(len(atoms), max(p.dim for p in points))]
+
+
+@cache
+def _atom_masks(k: int, dim: int) -> tuple[int, ...]:
+    """Per atom ``t`` of ``k``, the bits of a ``dim``-coordinate code there: its pattern."""
+    spread = sum(1 << k * j for j in range(dim))
+    return tuple(spread << k - 1 - t for t in range(k))
 
 
 def _join_atoms(algebra: Algebra, atoms: Sequence, mask: int) -> Element:
@@ -222,11 +252,9 @@ class FiniteSpace:
         pts = _generator_sequence(points, "a space needs at least one point")
         self.algebra, self.dim = pts[0].algebra, pts[0].dim
         self._lookup = self._view = None
-        self._atoms, table = _atom_patterns(pts)
-        by_code = dict(zip(map(sum, zip(*table)), pts))  # finite atomic codes order like literals
-        self._codes = sorted(by_code, key=None if self.algebra.kind == FINITE_ATOMIC
-                             else lambda code: by_code[code].sort_key())
-        self._points = tuple(map(by_code.get, self._codes))
+        self._atoms, codes, key = _encode(pts)
+        order = sorted(dict(zip(codes, range(len(pts)))).values(), key=key)
+        self._codes, self._points = [codes[i] for i in order], tuple(pts[i] for i in order)
         if basepoint is not None and basepoint not in self:
             raise StructureError("the basepoint must be one of the points")
         self.basepoint = basepoint
@@ -254,20 +282,20 @@ class FiniteSpace:
     def _keys(self, points: Sequence[Point]) -> list[int]:
         """The codes of ``points`` over the space's atoms; -1, no point's code,
         for one that shows a natural outside them."""
+        if self._atoms[-1] is not None:  # finite atomic: its codes are the points' own
+            return [p.code for p in points]
         try:
-            table = _atom_patterns(points, self._atoms)[1] if points else ()
+            return _encode(points, self._atoms)[1] if points else []
         except KeyError:
             return [-1] if len(points) == 1 else [c for p in points for c in self._keys([p])]
-        return [sum(col) for col in zip(*table)]
 
     @property
     def _patterns(self) -> tuple[list, list[tuple[int, ...]]]:
         """The atoms (as :func:`_atom_patterns` labels them) and, per atom,
         the sorted patterns the points show there: a code's bits there."""
         if self._view is None:
-            k = len(self._atoms)
-            masks = [sum(1 << k * j + k - 1 - t for j in range(self.dim)) for t in range(k)]
-            self._view = self._atoms, [tuple(sorted({c & m for c in self._codes})) for m in masks]
+            self._view = self._atoms, [tuple(sorted({c & m for c in self._codes}))
+                                       for m in _atom_masks(len(self._atoms), self.dim)]
         return self._view
 
     @property
@@ -294,18 +322,22 @@ class FiniteSpace:
         return iter(self.points)
 
     def __contains__(self, p: Point) -> bool:
-        return self._holds([p])
+        return self._holds((p,))
 
     def _holds(self, points: Sequence[Point]) -> bool:
-        """Whether all ``points`` belong to the space: by code, else (a hull
-        held as its view) per atom, at O(atoms x dim) a point: each pattern
-        they show must be in that atom's set."""
-        if any(p.algebra != self.algebra or p.dim != self.dim for p in points):
-            return False
-        if self._codes is None and points:
-            _, table = _atom_patterns(points, self._atoms)
-            return all(set(row).issubset(pats) for row, pats in zip(table, self._view[1]))
-        return all(key in self._index for key in self._keys(points))
+        """Whether all ``points`` belong to the space, by their codes."""
+        alg, dim = self.algebra, self.dim
+        return all(p.dim == dim and (p.coords[0].algebra is alg or p.algebra == alg)
+                   for p in points) and self._has(self._keys(points))
+
+    def _has(self, codes: Sequence[int]) -> bool:
+        """Whether all ``codes`` (over its atoms) are its points': by index,
+        else (a hull held as its view) per atom, by masking each code: each
+        pattern they show must be in that atom's set."""
+        if self._codes is None:
+            masks = _atom_masks(len(self._atoms), self.dim)
+            return all(c & m in pats for c in codes for m, pats in zip(masks, self._view[1]))
+        return all(map(self._index.__contains__, codes))
 
     def index(self, p: Point) -> int:
         if p.algebra != self.algebra or p.dim != self.dim or \
@@ -352,12 +384,14 @@ def _generator_sequence(source, empty: str | None = "need at least one generator
 
 
 def _held_space(algebra: Algebra, dim: int, codes: list[int] | None = None, view=None,
-                basepoint: Point | None = None, max_points=DEFAULT_MAX_HULL_POINTS) -> FiniteSpace:
-    """A finite atomic space held as its ascending ``codes`` or, a hull, as its view
-    (refused past ``max_points``), pointed at ``basepoint``, one of its points."""
+                basepoint: Point | None = None, max_points=DEFAULT_MAX_HULL_POINTS,
+                atoms: list | None = None) -> FiniteSpace:
+    """A space held as its ``codes`` over ``atoms`` (by default the finite
+    atomic algebra's), in its order, or, a hull, as its view (refused past
+    ``max_points``), pointed at ``basepoint``, one of its points."""
     sp = FiniteSpace.__new__(FiniteSpace)
     sp.algebra, sp.dim, sp.basepoint, sp._codes, sp._view = algebra, dim, basepoint, codes, view
-    sp._atoms = view[0] if view else list(range(algebra.atom_count))
+    sp._atoms = view[0] if view else atoms or list(range(algebra.atom_count))
     sp._points = sp._lookup = None
     if codes is None and len(sp) > max_points:
         raise CapExceededError(
@@ -379,12 +413,15 @@ def _code_points(algebra: Algebra, atoms: Sequence, dim: int,
                  codes: Sequence[int]) -> tuple[Point, ...]:
     """The points with the given codes, over the atoms listed as by
     :func:`_atom_patterns`, in their order, one element object per distinct
-    coordinate chunk."""
+    coordinate chunk; each keeps its code."""
     k = len(atoms)
     low, shifts = (1 << k) - 1, [k * (dim - 1 - j) for j in range(dim)]
     element = {chunk: _join_atoms(algebra, atoms, chunk)
                for chunk in {c >> s & low for c in codes for s in shifts}}
-    return tuple(Point([element[c >> s & low] for s in shifts]) for c in codes)
+    points = tuple(Point([element[c >> s & low] for s in shifts]) for c in codes)
+    for p, c in zip(points, codes):
+        object.__setattr__(p, "_code", c)
+    return points
 
 
 def conv_hull(source, basepoint: Point | None = None,
@@ -458,10 +495,21 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
     ``inner`` exactly when on each atom its pattern is the basepoint's or
     one no point of ``inner`` shows (over either algebra, convex or not;
     the suites check this against ``suites.pairwise_orthogonal_complement``).
+    In a hull held as its view, that is the product of those patterns, and
+    no point is built.
     """
     bp = ambient.require_basepoint()
     if inner.require_basepoint() != bp:
         raise StructureError("inner and ambient spaces must share the basepoint")
+    if ambient._codes is None and (inner.algebra, inner.dim) == (ambient.algebra, ambient.dim):
+        atoms, patterns = ambient._view
+        if any(not set(own).issubset(pats) for own, pats in zip(inner._patterns[1], patterns)):
+            raise StructureError("the inner space must be a subset of the ambient space")
+        at_bp = ambient._keys([bp])[0]
+        allowed = [tuple(sorted(set(pats) - set(own) | {at_bp & m})) for m, own, pats in
+                   zip(_atom_masks(len(atoms), ambient.dim), inner._patterns[1], patterns)]
+        return _held_space(ambient.algebra, ambient.dim, view=(atoms, allowed), basepoint=bp,
+                           max_points=len(ambient))
     if not ambient._holds(inner.points):
         raise StructureError("the inner space must be a subset of the ambient space")
     m = len(inner)
@@ -474,26 +522,39 @@ def orthogonal_complement(inner: FiniteSpace, ambient: FiniteSpace) -> FiniteSpa
 
 
 class PartialMap:
-    """A finite list of (source, target) pairs, canonically ordered;
-    :func:`check_map` classifies it once and keeps the verdict and, for a
-    contractive map, one pattern map per atom.  A map from
-    :func:`_checked_map` is kept as its domain and those maps, and builds
-    its pairs, in that order, when first read."""
+    """A finite list of (source, target) pairs, canonically ordered, held as
+    its domain (a space held as its sources' codes) and its images' codes,
+    of dimension ``_dim``, over the domain's atoms (for pairs given as
+    points, the atoms their sources and targets show together).
+    :func:`check_map` classifies it once by masking those codes and keeps
+    the verdict and, for a contractive map, one pattern map per atom.  A
+    map from :func:`_checked_map` is kept as its domain and those maps
+    alone.  Its pairs are built, in the domain's order, when first read."""
 
     __slots__ = ("_pairs", "_mapping", "_verdict", "_domain", "_atom_maps", "_dim", "_images")
 
     def __init__(self, pairs: Iterable[tuple[Point, Point]]):
-        pairs = set(pairs)
-        _generator_sequence([s for s, _ in pairs], empty=None)
-        _generator_sequence([t for _, t in pairs], empty=None)
-        pairs = sorted(pairs, key=lambda pr: pr[0].sort_key())
-        mapping = {}
-        for s, t in pairs:
-            if s in mapping:
-                raise StructureError(f"conflicting images for source point {s.literal}")
-            mapping[s] = t
-        self._pairs, self._mapping, self._verdict = tuple(pairs), mapping, None
-        self._domain = self._atom_maps = self._dim = self._images = None
+        pairs = list(pairs)
+        sources = _generator_sequence([s for s, _ in pairs], empty=None)
+        targets = _generator_sequence([t for _, t in pairs], empty=None)
+        self._domain = self._dim = self._verdict = self._atom_maps = self._mapping = None
+        self._images, self._pairs = [], ()
+        if not pairs:
+            return
+        if sources[0].algebra != targets[0].algebra:
+            raise StructureError("sources and targets belong to different algebras")
+        atoms, codes, key = _encode(sources + targets)
+        n, firsts = len(pairs), {}  # each source code's first pair
+        clashes = [firsts[c] for i, c in enumerate(codes[:n])
+                   if codes[n + firsts.setdefault(c, i)] != codes[n + i]]
+        if clashes:
+            raise StructureError("conflicting images for source point "
+                                 f"{pairs[min(clashes, key=key)][0].literal}")
+        order = sorted(firsts.values(), key=key)
+        self._domain = _held_space(sources[0].algebra, sources[0].dim,
+                                   [codes[i] for i in order], atoms=atoms)
+        self._images, self._dim = [codes[n + i] for i in order], targets[0].dim
+        self._pairs = tuple(pairs[i] for i in order)
 
     @property
     def pairs(self) -> tuple[tuple[Point, Point], ...]:
@@ -501,7 +562,6 @@ class PartialMap:
             targets = _code_points(self._domain.algebra, self._domain._atoms, self._dim,
                                    self._image_codes)
             self._pairs = tuple(zip(self._domain.points, targets))
-            self._mapping = dict(self._pairs)
         return self._pairs
 
     @property
@@ -510,8 +570,7 @@ class PartialMap:
         maps a code's part there (few distinct values) to its image."""
         if self._images is None:
             codes, maps = self._domain.codes, self._atom_maps
-            spread = sum(1 << len(maps) * j for j in range(self._domain.dim))
-            masks = [spread << len(maps) - 1 - t for t in range(len(maps))]
+            masks = _atom_masks(len(maps), self._domain.dim)
             tables = []
             for half in (range(len(maps) // 2), range(len(maps) // 2, len(maps))):
                 mask = sum(masks[t] for t in half)
@@ -524,18 +583,23 @@ class PartialMap:
     @property
     def _ends(self) -> list[tuple[Algebra, int]]:
         """The algebra and dimension of its sources and of its targets, if any."""
-        if self._pairs is None:
-            return [(self._domain.algebra, self._domain.dim), (self._domain.algebra, self._dim)]
-        return [(p.algebra, p.dim) for p in self._pairs[0]] if self._pairs else []
+        return [] if self._domain is None else [(self._domain.algebra, self._domain.dim),
+                                                (self._domain.algebra, self._dim)]
 
     def _lies_in(self, space: FiniteSpace, targets: bool = True) -> bool:
-        """Whether its sources (and its targets, if asked) are points of ``space``; a kept
-        map answers a convex space from its pattern maps' keys and values, building no pair."""
-        if self._pairs is not None or not space.convex:
+        """Whether its sources (and its targets, if asked) are points of
+        ``space``, by their codes; a constructed map answers a convex space
+        from its pattern maps' keys and values."""
+        if any(end != (space.algebra, space.dim) for end in self._ends[:1 + targets]):
+            return False
+        if self._domain is None:
+            return True
+        if self._images is None and space.convex:
+            return all(f.keys() | (f.values() if targets else ()) <= set(pats)
+                       for f, pats in zip(self._atom_maps, space._patterns[1]))
+        if self._domain._atoms != space._atoms:  # finite-cofinite codes over other atoms
             return space._holds(self.sources + self.targets if targets else self.sources)
-        return all(end == (space.algebra, space.dim) for end in self._ends[:1 + targets]) and all(
-            f.keys() | (f.values() if targets else ()) <= set(pats)
-            for f, pats in zip(self._atom_maps, space._patterns[1]))
+        return space._has(self._domain.codes + (self._image_codes if targets else []))
 
     @property
     def sources(self) -> tuple[Point, ...]:
@@ -551,7 +615,7 @@ class PartialMap:
         return self._mapping[x]
 
     def __len__(self) -> int:
-        return len(self._domain) if self._pairs is None else len(self._pairs)
+        return 0 if self._domain is None else len(self._domain)
 
     def __eq__(self, other):
         return isinstance(other, PartialMap) and other.pairs == self.pairs
@@ -563,7 +627,9 @@ class PartialMap:
         return f"PartialMap(pairs={self.pairs!r})"
 
     def defined_at(self, x: Point) -> bool:
-        return bool(self.pairs) and x in self._mapping
+        if self._mapping is None:
+            self._mapping = dict(self.pairs)
+        return x in self._mapping
 
 
 class MapVerdict(NamedTuple):
@@ -601,21 +667,24 @@ def check_map(pm: PartialMap) -> MapVerdict:
 
 
 def _classify(pm: PartialMap) -> MapVerdict:
-    """The verdict of a map given as pairs, from one pattern table; a
-    contractive map keeps its pattern maps, keyed as its pairs show them."""
-    pairs = pm.pairs
-    n = len(pairs)
-    if pairs and pairs[0][0].algebra != pairs[0][1].algebra:
-        raise StructureError("sources and targets belong to different algebras")
+    """The verdict of a map held as its sources' and images' codes, atom by
+    atom, by masking them; a contractive map keeps its pattern maps, keyed
+    as its pairs show them.  Only a violation's witness builds points."""
     maps, witness = [], None
-    for row in _atom_patterns(pm.sources + pm.targets)[1] if n else ():
-        heads: dict = {}
-        for i, (src, img) in enumerate(zip(row[:n], row[n:])):
-            first, first_img = heads.setdefault(src, (i, img))
-            if img != first_img and (witness is None or (first, i) < witness):
-                witness = (first, i)
-        maps.append({src: img for src, (_, img) in heads.items()})
+    if pm._domain is not None:
+        codes, k = pm._domain.codes, len(pm._domain._atoms)
+        for m, image_m in zip(_atom_masks(k, pm._domain.dim), _atom_masks(k, pm._dim)):
+            pairs = list(zip([c & m for c in codes], [c & image_m for c in pm._image_codes]))
+            maps.append(dict(pairs))  # keyed in the order the pairs first show a pattern
+            if len(set(pairs)) == len(maps[-1]):
+                continue  # a function on this atom
+            heads: dict = {}
+            for i, (src, img) in enumerate(pairs):
+                first, first_img = heads.setdefault(src, (i, img))
+                if img != first_img and (witness is None or (first, i) < witness):
+                    witness = (first, i)
     if witness is not None:
+        pairs = pm.pairs
         return MapVerdict("violation", witness=(pairs[witness[0]][0], pairs[witness[1]][0]))
     pm._atom_maps = maps
     return MapVerdict("isometric" if all(len(set(g.values())) == len(g) for g in maps)
@@ -636,7 +705,7 @@ def _checked_map(domain: FiniteSpace, relations: Sequence[Iterable[tuple[int, in
     by the first point's pattern, then in the domain's pattern order.  A
     failure is a bug of the construction: :class:`VerificationError`."""
     out = PartialMap(())  # then kept as pattern maps, its pairs unbuilt
-    out._pairs, out._domain, out._atom_maps, out._dim = None, domain, [], dim
+    out._pairs, out._domain, out._images, out._atom_maps, out._dim = None, domain, None, [], dim
     first = sum(pats[0] for pats in domain._patterns[1]) if domain.convex else domain.codes[0]
     for relation, pats in zip(relations, domain._patterns[1]):
         g: dict = {}

@@ -428,22 +428,27 @@ pair 1 -> 0
     lambda pm, ambient: conv_extend(pm),
 ], ids=["extend_isometry", "extend_contraction", "conv_extend"])
 def test_a_map_given_as_pairs_is_read_once(monkeypatch, build):
-    """check_map reads the input's points once and keeps its pattern maps;
-    the frame, the post-check and conv_extend read those maps (its hulls
-    of the sources and of the targets are their keys and values), and
-    only the membership checks read points again."""
+    """A parsed map is held as codes and never packed: check_map masks its
+    codes, and the frame, the post-check and conv_extend read the pattern
+    maps it keeps.  A map built from points is packed once, when it is
+    built, and then never again (`spaces._encode`, which `_atom_patterns`
+    calls too, is the one place that codes points)."""
     parsed = parse_input(SWAP_MAP)
     pm, ambient = parsed.maps["F"].map, parsed.spaces["W"]
-    joint = pm.sources + pm.targets
-    reads, original = [], spaces._atom_patterns
-    monkeypatch.setattr(spaces, "_atom_patterns", lambda points, *rest: reads.append(
+    reads, original = [], spaces._encode
+    monkeypatch.setattr(spaces, "_encode", lambda points, *rest: reads.append(
         (sys._getframe(1).f_code.co_name, tuple(points))) or original(points, *rest))
     out = build(pm, ambient)
     assert out.pairs[:2] == pm.pairs and check_map(out).ok
-    callers = {caller for caller, _ in reads}
-    assert not callers & {"_extend", "_checked_map", "_transport"}, reads
-    assert [c for c, pts in reads if pts == joint and c not in ("_keys", "_holds")] \
-        == ["_classify"]
+    assert reads == []
+    from_points = PartialMap(pm.pairs)
+    assert build(from_points, ambient).pairs == out.pairs
+    assert reads == [("__init__", pm.sources + pm.targets)]
+    fc = fincof_algebra()
+    swap = [Point((fc.fin([n]),)) for n in range(2)]
+    reads.clear()
+    assert check_map(PartialMap(zip(swap, swap[::-1]))).kind == "isometric"
+    assert reads == [("__init__", tuple(swap + swap[::-1]))]
 
 
 def test_kept_maps_on_non_convex_domains_extend_as_their_pairs():

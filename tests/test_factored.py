@@ -11,7 +11,8 @@ from itertools import product
 import pytest
 
 from boolmetric import (CapExceededError, FiniteSpace, Point, StructureError, alpha_profile,
-                        atomic_algebra, build_base, conv_hull, decide_isometric)
+                        atomic_algebra, build_base, conv_hull, decide_isometric,
+                        orthogonal_complement)
 
 
 def random_generators(rng, alg, dim, count):
@@ -129,3 +130,26 @@ def test_queries_on_a_huge_hull_build_no_points():
     assert same and not different
     assert hull._points is None and other._points is None
     assert elapsed < 0.5, elapsed
+
+
+def test_complement_in_a_large_hull_builds_no_ambient_point():
+    """In a hull held as its view the orthogonal complement is the product,
+    per atom, of the basepoint's pattern and the ambient patterns the inner
+    space does not show: the k=10, dim 3 hull's 59,049 points stay unbuilt."""
+    alg = atomic_algebra(10)
+    zero, one = "0" * 10, "1" * 10
+    bp, first, second = (Point.from_literals(alg, *lits) for lits in
+                         ((zero, zero, zero), (one, zero, zero), (zero, one, zero)))
+    ambient = conv_hull([bp, first, second], basepoint=bp)
+    inner = conv_hull([bp, first], basepoint=bp)
+    start = time.perf_counter()
+    comp = orthogonal_complement(inner, ambient)
+    elapsed = time.perf_counter() - start
+    assert len(ambient) == 3 ** 10 and len(inner) == len(comp) == 2 ** 10
+    assert ambient._points is None and ambient._codes is None
+    assert comp.basepoint == bp and comp.convex
+    assert comp.points == conv_hull([bp, second]).points
+    assert elapsed < 0.05, elapsed
+    outside = conv_hull([bp, Point.from_literals(alg, zero, zero, one)], basepoint=bp)
+    with pytest.raises(StructureError, match="subset of the ambient"):
+        orthogonal_complement(outside, ambient)

@@ -96,9 +96,10 @@ def test_point_literal_errors_keep_their_message_and_line(points, bad, message):
 
 
 def test_commands_build_no_point_for_the_point_lines(tmp_path, capsys, monkeypatch):
-    """`alpha`, `conv` and `isometric` read a parsed space as codes: the
-    only points built are the map's own (two per pair) and, for
-    `isometric`, the two basepoints of its witness map."""
+    """`alpha`, `conv`, `isometric`, `extend` and `extend-contraction` read
+    a parsed space and a parsed map as codes, from the input to the printed
+    report: the only points built are the two basepoints of `isometric`'s
+    witness map."""
     rng, alg = random.Random(7), atomic_algebra(6)
     lines = {" ".join(format(rng.getrandbits(6), "06b") for _ in range(3)) for _ in range(48)}
     text = "\n".join(["algebra finite k=6", "space W dim=3"]
@@ -110,12 +111,13 @@ def test_commands_build_no_point_for_the_point_lines(tmp_path, capsys, monkeypat
     built, init = [], Point.__init__
     monkeypatch.setattr(Point, "__init__",
                         lambda self, coords: built.append(self) or init(self, coords))
-    for argv, points in ((["alpha", "--space", "W"], 4), (["conv", "--space", "V"], 4),
-                         (["isometric"], 6)):
+    for argv, points in ((["alpha", "--space", "W"], 0), (["conv", "--space", "V"], 0),
+                         (["isometric"], 2), (["extend"], 0), (["extend-contraction"], 0)):
         built.clear()
         assert main(argv + ["--input", str(path)]) == 0
         assert len(built) == points, argv
-    assert "isometric = true" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "isometric = true" in out and out.count("kind = ") == 2
 
     parsed = parse_input(text)
     sp, inside = parsed.spaces["W"], Point.from_literals(alg, *min(lines).split())
@@ -235,9 +237,10 @@ def test_fincof_rendering_keeps_its_digest():
 
 
 def test_point_codes_are_the_pattern_column_sums():
-    """A finite atomic point's code is its literals' characters, joined and
-    read as bits (the parser's rule), and the sum of its patterns; spaces
-    key and decode their points by it."""
+    """A finite atomic point's code (`Point.code`) is its literals'
+    characters, joined and read as bits (the parser's rule), and the sum of
+    its patterns; spaces key and decode their points by it, and a decoded
+    point keeps it."""
     checked = 0
     for _, alg, dim, family in _families():
         _, table = _atom_patterns(family)
@@ -245,8 +248,9 @@ def test_point_codes_are_the_pattern_column_sums():
         sp = FiniteSpace(family)
         assert sp._keys(family) == sums
         for p, code in zip(family, sums):
-            assert int(p.literal.replace(" ", ""), 2) == code
+            assert int(p.literal.replace(" ", ""), 2) == code == p.code
             assert sp.points[sp.index(p)] == p and sp.codes[sp.index(p)] == code
+            assert sp.points[sp.index(p)].code == code
             checked += 1
     assert checked > 1500
 

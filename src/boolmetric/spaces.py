@@ -11,9 +11,9 @@ each coordinate is either 0 or that atom, so a point leaves a 0/1
 "pattern" of length ``dim`` on every atom, and two points are at distance
 >= atom exactly when their patterns on that atom differ.  Convex
 combinations splice patterns from different points, one choice per atom.
-:func:`_atom_patterns` is the one place that reads patterns off points.
-A pattern keeps its bits of the point's integer code, so patterns sum to
-codes, and a finite atomic point keeps its code once read.  A space is
+:func:`_encode` codes points (a finite atomic one by :attr:`Point.code`,
+which the point keeps), and a pattern is a code's bits on one atom
+(:func:`_atom_patterns`), so patterns sum to codes.  A space is
 carried as codes over its own atoms (the naturals its points show, over the
 finite-cofinite algebra), a hull as its per-atom pattern sets, a map given
 as pairs as its sources' and images' codes and a constructed map as
@@ -71,8 +71,9 @@ class Point:
 
     @property
     def code(self) -> int:
-        """A finite atomic point's code (see :func:`_atom_patterns`), its
-        literals' characters read as bits; kept once read or decoded."""
+        """A finite atomic point's code (see :func:`_encode`), its literals'
+        characters read as bits; kept once read or decoded (a decoded
+        finite-cofinite point keeps its code over its space's atoms)."""
         if not hasattr(self, "_code"):
             object.__setattr__(self, "_code", int("".join([c.literal for c in self.coords]), 2))
         return self._code
@@ -138,7 +139,7 @@ def _encode(points: Sequence[Point], atoms: Sequence | None = None):
                 union |= c.mask
         atoms = _naturals(union) + [None]
     k, full, codes = len(atoms), (1 << len(atoms)) - 1, []
-    bit = {1 << n: 1 << k - 1 - t for t, n in enumerate(atoms[:-1])}  # a natural's: its atom's
+    bit = {1 << n: 1 << k - 1 - t for t, n in enumerate(atoms[:-1])}  # a natural's bit: its atom's
     for p in points:
         code = 0
         for c in p.coords:

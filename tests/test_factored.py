@@ -149,7 +149,7 @@ def test_complement_in_a_large_hull_builds_no_ambient_point():
     assert ambient._points is None and ambient._codes is None
     assert comp.basepoint == bp and comp.convex
     assert comp.points == conv_hull([bp, second]).points
-    assert elapsed < 0.05, elapsed
+    assert elapsed < 0.25, elapsed
     outside = conv_hull([bp, Point.from_literals(alg, zero, zero, one)], basepoint=bp)
     with pytest.raises(StructureError, match="subset of the ambient"):
         orthogonal_complement(outside, ambient)

@@ -568,15 +568,22 @@ class PartialMap:
     @property
     def _image_codes(self) -> list[int]:
         """The image of every domain code: a table per half of the atoms
-        maps a code's part there (few distinct values) to its image."""
+        maps a code's part there (few distinct values) to its image; over a
+        convex domain the parts are the product of the pattern maps' keys."""
         if self._images is None:
             codes, maps = self._domain.codes, self._atom_maps
             masks = _atom_masks(len(maps), self._domain.dim)
             tables = []
             for half in (range(len(maps) // 2), range(len(maps) // 2, len(maps))):
                 mask = sum(masks[t] for t in half)
-                tables.append((mask, {part: sum(maps[t][part & masks[t]] for t in half)
-                                      for part in {c & mask for c in codes}}))
+                if self._domain.convex:
+                    table = {0: 0}
+                    for t in half:
+                        table = {p + q: v + w for p, v in table.items() for q, w in maps[t].items()}
+                else:
+                    table = {part: sum(maps[t][part & masks[t]] for t in half)
+                             for part in {c & mask for c in codes}}
+                tables.append((mask, table))
             (low, at_low), (high, at_high) = tables
             self._images = [at_low[c & low] + at_high[c & high] for c in codes]
         return self._images
